@@ -25,7 +25,11 @@ import itertools
 
 from . import ast
 from .errors import BoundMissing, ExplosionGuard, TypingError, IllTypedSentence
+from .grounding import build_intensional_interp
 from .semantics import (
+    FALSE,
+    TRUE,
+    ConceptElement,
     FunctionGraph,
     NaturalElement,
     PlainElement,
@@ -93,8 +97,6 @@ def _symbol_domains(
                 )
             return tuple(NaturalElement(i) for i in range(nat_bound + 1))
         if type_name == BOOL:
-            from .semantics import FALSE, TRUE
-
             return (TRUE, FALSE)
         if type_name == CONCEPT:
             return concept_elements
@@ -151,6 +153,7 @@ def find_models(
     concept_elements = Structure(vocab, {}, {}).elements(CONCEPT)
 
     dependents = _dependent_user_types(vocab)
+    interp = build_intensional_interp(theory)
 
     def parent_pool(name: str, type_sets: dict[str, tuple]) -> tuple:
         parents = [sup for sub, sup in vocab.direct_edges if sub == name]
@@ -176,7 +179,6 @@ def find_models(
                 return 0
             total *= choices
             type_sets[name] = pool  # widest possibility, for pool computation
-        interp = None
         for sig in vocab.signatures:
             if sig.builtin:
                 continue
@@ -189,10 +191,6 @@ def find_models(
             if sig.is_predicate:
                 total *= 2 ** tuples
             else:
-                if interp is None:
-                    from .grounding import build_intensional_interp
-
-                    interp = build_intensional_interp(theory)
                 forced_rows = sum(
                     1 for (fname, _args) in interp.facts if fname == sig.name
                 )
@@ -208,13 +206,8 @@ def find_models(
             f"{explosion_cap}"
         )
 
-    from .grounding import build_intensional_interp
-
     fact_rows: dict[str, dict[Row, object]] = {}
-    interp = build_intensional_interp(theory)
     for (fname, args), value in interp.facts.items():
-        from .semantics import ConceptElement
-
         fact_rows.setdefault(fname, {})[
             tuple(ConceptElement(a) for a in args)
         ] = ConceptElement(value)

@@ -17,11 +17,21 @@ elements outside that symbol's declared argument types. Implicit guard
 wrappers are evaluated by resolving the current concept-valued bindings and
 expanding the wrapper for the resulting instance, mirroring what grounding
 does instance by instance.
+
+Evaluation compiles an expression once into nested closures, cached on the
+vocabulary by (expression, variable types). Symbols are resolved at compile
+time; errors still surface only when the node raising them is evaluated.
+Each wrapper node memoises its compiled expansion per instance, keyed by the
+structure's intensional interpretation (interned by content, so structures
+agreeing on their concept part share it) and the (variable, concept)
+bindings; the variable types in scope are fixed per compiled node. A failed
+expansion is not memoised and raises again on every evaluation.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import ast, elaboration, grounding
@@ -48,6 +58,7 @@ from .vocabulary import (
     Vocabulary,
     concept_universe,
     deref_signature,
+    equality_signature,
     is_strict_subtype,
     is_subtype,
     resolve_concept,
@@ -162,11 +173,13 @@ class Structure:
             return tuple(NaturalElement(i) for i in range(self.nat_bound + 1))
         if type_name == UNIVERSE:
             out: list[DomainElement] = []
+            seen: set[DomainElement] = set()
             for t in self.vocab.types:
                 if t.builtin:
                     continue
                 for e in self.type_sets.get(t.name, ()):
-                    if e not in out:
+                    if e not in seen:
+                        seen.add(e)
                         out.append(e)
             out.extend(self.elements(BOOL))
             out.extend(self.elements(NAT))
@@ -313,13 +326,13 @@ def _check_structure(structure: Structure, report: ValidationReport) -> None:
                 report.add("ArityMismatch", f"row of {name!r} has wrong arity", name)
                 continue
             for e, arg_type in zip(args, sig.argument_types):
-                if not _element_in_type(structure, e, arg_type):
+                if not structure.member(e, arg_type):
                     report.add(
                         "RowTyping",
                         f"argument {e} of {name!r} is not in {arg_type!r}",
                         name,
                     )
-            if not graph.is_predicate and not _element_in_type(structure, result, sig.result_type):
+            if not graph.is_predicate and not structure.member(result, sig.result_type):
                 report.add(
                     "RowTyping",
                     f"result {result} of {name!r} is not in {sig.result_type!r}",
@@ -337,10 +350,6 @@ def _check_structure(structure: Structure, report: ValidationReport) -> None:
                     )
 
 
-def _element_in_type(structure: Structure, element: DomainElement, type_name: str) -> bool:
-    return structure.member(element, type_name)
-
-
 def _argument_tuples(structure: Structure, sig: Signature):
     """The argument product a total function must cover; Nat positions use
     the materialized naturals (mentioned values plus 0..nat_bound)."""
@@ -356,6 +365,9 @@ def _argument_tuples(structure: Structure, sig: Signature):
 
 
 # -- evaluation ------------------------------------------------------------------------
+
+# code(structure, assignment): a compiled term or formula
+Code = Callable[[Structure, Assignment], object]
 
 
 def _apply(
@@ -381,13 +393,13 @@ def _apply(
     graph = structure.graph(sig.name)
     if graph is None:
         raise EvaluationError(f"no interpretation for symbol {sig.name!r}")
-    mapping = graph.mapping()
+    for args, result in reversed(graph.rows):  # the last row wins, as in a dict
+        if args == elements:
+            return TRUE if graph.is_predicate else result
     if graph.is_predicate:
-        return TRUE if elements in mapping else FALSE
-    if elements not in mapping:
-        shown = ", ".join(str(e) for e in elements)
-        raise EvaluationError(f"{sig.name!r} has no value at ({shown})")
-    return mapping[elements]
+        return FALSE
+    shown = ", ".join(str(e) for e in elements)
+    raise EvaluationError(f"{sig.name!r} has no value at ({shown})")
 
 
 def _apply_builtin(structure: Structure, sig: Signature, elements: Row) -> DomainElement:
@@ -411,10 +423,14 @@ def _resolve_symbol(vocab: Vocabulary, name: str) -> Signature | None:
     if sig is not None:
         return sig
     if name.startswith("=_") and vocab.has_type(name[2:]):
-        from .vocabulary import equality_signature
-
         return equality_signature(name[2:])
     return None
+
+
+def _as_truth(value: DomainElement, what: str) -> bool:
+    if not isinstance(value, TruthElement):
+        raise EvaluationError(f"{what} evaluated to {value}, not a truth value")
+    return value.value
 
 
 def evaluate(
@@ -426,133 +442,162 @@ def evaluate(
     """The value of an expression: a DomainElement for terms, a bool for
     formulas. `var_types` gives the declared types of the free variables,
     needed when implicit guard wrappers must be expanded on the fly."""
-    asg = dict(assignment or {})
-    types = dict(var_types or {})
-    if isinstance(expr, ast.Term):
-        return _eval_term(structure, expr, asg)
-    return _eval_formula(structure, expr, asg, types)
+    code = _compiled(structure.vocab, expr, dict(var_types or {}))
+    return code(structure, dict(assignment or {}))
 
 
-def _eval_term(structure: Structure, term: ast.Term, asg: Assignment) -> DomainElement:
+def _compiled(vocab: Vocabulary, expr: ast.Term | ast.Formula, types: dict[str, str]) -> Code:
+    """The code of `expr` with free variables typed by `types`, compiled on
+    first use and cached on the vocabulary. The cache keeps alive the
+    expression each entry was compiled from, so that object's id stays
+    unique and indexes the entry too: evaluating it again skips hashing the
+    whole tree."""
+    cache = vocab._eval_cache.setdefault("code", {})
+    by_id = vocab._eval_cache.setdefault("code_by_id", {})
+    types_key = tuple(types.items())
+    code = by_id.get((id(expr), types_key))
+    if code is None:
+        code = cache.get((expr, types_key))
+    if code is None:
+        if isinstance(expr, ast.Term):
+            code = _compile_term(vocab, expr)
+        else:
+            code = _compile_formula(vocab, expr, types)
+        cache[expr, types_key] = by_id[id(expr), types_key] = code
+    return code
+
+
+def _raising(error: type[Exception], message: str) -> Code:
+    """A deferred error, raised when its node is evaluated."""
+    def run(s, asg):
+        raise error(message)
+    return run
+
+
+def _compile_term(vocab: Vocabulary, term: ast.Term) -> Code:
     match term:
         case ast.Variable(name):
-            if name not in asg:
-                raise UnassignedVariable(f"variable {name!r} has no assigned value")
-            return asg[name]
+            def variable(s, asg):
+                if name not in asg:
+                    raise UnassignedVariable(f"variable {name!r} has no assigned value")
+                return asg[name]
+            return variable
         case ast.NatLiteral(value):
-            return NaturalElement(value)
+            natural = NaturalElement(value)
+            return lambda s, asg: natural
         case ast.ConceptRef(concept):
-            return ConceptElement(concept)
+            reference = ConceptElement(concept)
+            return lambda s, asg: reference
         case ast.Apply(symbol, args):
-            sig = _resolve_symbol(structure.vocab, symbol)
+            sig = _resolve_symbol(vocab, symbol)
             if sig is None:
-                raise EvaluationError(f"unknown symbol {symbol!r}")
-            elements = tuple(_eval_term(structure, a, asg) for a in args)
-            return _apply(structure, sig, elements, via_deref=False)
+                return _raising(EvaluationError, f"unknown symbol {symbol!r}")
+            codes = [_compile_term(vocab, a) for a in args]
+            return lambda s, asg: _apply(s, sig, tuple([c(s, asg) for c in codes]), False)
         case ast.Deref(head, args):
-            return _eval_deref(structure, head, args, asg)
-    raise TypeError(f"not a term: {term!r}")
+            head_code = _compile_term(vocab, head)
+            codes = [_compile_term(vocab, a) for a in args]
+            sigs: dict[ConceptObject, Signature | None] = {}  # by head concept
+            def deref(s, asg):
+                value = head_code(s, asg)
+                if not isinstance(value, ConceptElement):
+                    raise RuntimeDerefMismatch(
+                        f"dereference head evaluated to {value}, not a concept"
+                    )
+                if value.concept not in sigs:
+                    sigs[value.concept] = deref_signature(vocab, value.concept)
+                if (sig := sigs[value.concept]) is None:
+                    raise RuntimeDerefMismatch(
+                        f"concept {value.concept} names nothing applicable"
+                    )
+                return _apply(s, sig, tuple([c(s, asg) for c in codes]), True)
+            return deref
+    return _raising(TypeError, f"not a term: {term!r}")
 
 
-def _eval_deref(
-    structure: Structure, head: ast.Term, args: tuple[ast.Term, ...], asg: Assignment
-) -> DomainElement:
-    head_value = _eval_term(structure, head, asg)
-    if not isinstance(head_value, ConceptElement):
-        raise RuntimeDerefMismatch(
-            f"dereference head evaluated to {head_value}, not a concept"
-        )
-    sig = deref_signature(structure.vocab, head_value.concept)
-    if sig is None:
-        raise RuntimeDerefMismatch(f"concept {head_value.concept} names nothing applicable")
-    elements = tuple(_eval_term(structure, a, asg) for a in args)
-    return _apply(structure, sig, elements, via_deref=True)
+def _compile_formula(vocab: Vocabulary, f: ast.Formula, types: dict[str, str]) -> Code:
+    def sub(body: ast.Formula, scope: dict[str, str] = types) -> Code:
+        return _compile_formula(vocab, body, scope)
 
-
-def _as_truth(value: DomainElement, what: str) -> bool:
-    if not isinstance(value, TruthElement):
-        raise EvaluationError(f"{what} evaluated to {value}, not a truth value")
-    return value.value
-
-
-def _eval_formula(
-    structure: Structure, f: ast.Formula, asg: Assignment, types: dict[str, str]
-) -> bool:
     match f:
         case ast.Truth(value):
-            return value
+            return lambda s, asg: value
         case ast.Atom(ast.EQUALITY_ATOM, (l, r)):
-            return _eval_term(structure, l, asg) == _eval_term(structure, r, asg)
+            left, right = _compile_term(vocab, l), _compile_term(vocab, r)
+            return lambda s, asg: left(s, asg) == right(s, asg)
         case ast.Atom(predicate, args):
-            sig = _resolve_symbol(structure.vocab, predicate)
-            if sig is None:
-                raise EvaluationError(f"unknown symbol {predicate!r}")
-            elements = tuple(_eval_term(structure, a, asg) for a in args)
-            return _as_truth(
-                _apply(structure, sig, elements, via_deref=False), predicate
-            )
+            apply = _compile_term(vocab, ast.Apply(predicate, args))
+            return lambda s, asg: _as_truth(apply(s, asg), predicate)
         case ast.DerefAtom(head, args):
-            return _as_truth(
-                _eval_deref(structure, head, args, asg), "dereference"
-            )
+            deref = _compile_term(vocab, ast.Deref(head, args))
+            return lambda s, asg: _as_truth(deref(s, asg), "dereference")
         case ast.Not(body):
-            return not _eval_formula(structure, body, asg, types)
+            inner = sub(body)
+            return lambda s, asg: not inner(s, asg)
         case ast.And(l, r):
-            return _eval_formula(structure, l, asg, types) and _eval_formula(
-                structure, r, asg, types
-            )
+            left, right = sub(l), sub(r)
+            return lambda s, asg: left(s, asg) and right(s, asg)
         case ast.Or(l, r):
-            return _eval_formula(structure, l, asg, types) or _eval_formula(
-                structure, r, asg, types
-            )
+            left, right = sub(l), sub(r)
+            return lambda s, asg: left(s, asg) or right(s, asg)
         case ast.Implies(l, r):
-            return (not _eval_formula(structure, l, asg, types)) or _eval_formula(
-                structure, r, asg, types
-            )
+            left, right = sub(l), sub(r)
+            return lambda s, asg: (not left(s, asg)) or right(s, asg)
         case ast.Iff(l, r):
-            return _eval_formula(structure, l, asg, types) == _eval_formula(
-                structure, r, asg, types
-            )
+            left, right = sub(l), sub(r)
+            return lambda s, asg: left(s, asg) == right(s, asg)
         case ast.Exists(var, type_name, body):
-            for d in structure.elements(type_name):
-                if _eval_formula(
-                    structure, body, {**asg, var: d}, {**types, var: type_name}
-                ):
-                    return True
-            return False
+            inner = sub(body, {**types, var: type_name})
+            return lambda s, asg: any(inner(s, {**asg, var: d}) for d in s.elements(type_name))
         case ast.Forall(var, type_name, body):
-            for d in structure.elements(type_name):
-                if not _eval_formula(
-                    structure, body, {**asg, var: d}, {**types, var: type_name}
-                ):
-                    return False
-            return True
+            inner = sub(body, {**types, var: type_name})
+            return lambda s, asg: all(inner(s, {**asg, var: d}) for d in s.elements(type_name))
         case ast.GuardC() | ast.GuardI():
-            return _eval_guard(structure, f, asg, types)
-    raise TypeError(f"not a formula: {f!r}")
+            return _compile_guard(f, types)
+    return _raising(TypeError, f"not a formula: {f!r}")
 
 
-def _eval_guard(
-    structure: Structure, wrapper: ast.Formula, asg: Assignment, types: dict[str, str]
-) -> bool:
-    """Evaluate an implicit guard wrapper under the current bindings: fix the
-    concept-valued variables, resolve the dereferences they unlock, expand
-    the wrapper for that instance, and evaluate the result."""
+def _compile_guard(wrapper: ast.Formula, types: dict[str, str]) -> Code:
+    """A guard wrapper, expanded per instance and memoised by the structure's
+    interpretation and the concept-valued bindings; `types` is fixed per
+    node. Interpretations are interned on the vocabulary, so an id stays
+    valid as long as this memo."""
+    free = sorted(ast.free_variables(wrapper.body))
+    memo: dict[tuple, Code] = {}
+
+    def guard(s, asg):
+        bound = tuple(
+            (var, e.concept) for var in free if isinstance(e := asg.get(var), ConceptElement)
+        )
+        interp = interpretation_of(s)
+        key = (id(interp), bound)
+        code = memo.get(key)
+        if code is None:  # a failed expansion raises here and is not stored
+            code = memo[key] = _expand_guard(interp, wrapper, types, bound)
+        return code(s, asg)
+
+    return guard
+
+
+def _expand_guard(
+    interp: grounding.GroundInterpretation,
+    wrapper: ast.Formula,
+    types: dict[str, str],
+    bound: tuple[tuple[str, ConceptObject], ...],
+) -> Code:
+    """Fix the concept-valued variables, resolve the dereferences they
+    unlock, expand the wrapper for that instance, and compile the result."""
     body = wrapper.body
     remaining_types = dict(types)
-    for var in sorted(ast.free_variables(body)):
-        element = asg.get(var)
-        if isinstance(element, ConceptElement):
-            body = ast.substitute(body, var, ast.ConceptRef(element.concept))
-            remaining_types.pop(var, None)
-    interp = interpretation_of(structure)
+    for var, concept in bound:
+        body = ast.substitute(body, var, ast.ConceptRef(concept))
+        remaining_types.pop(var, None)
     body = grounding._eliminate(interp, body)
-    rewrapped = type(wrapper)(body)
-    ctx = initial_context(structure.vocab).push(
+    ctx = initial_context(interp.vocab).push(
         *(VarEntry(v, t) for v, t in remaining_types.items())
     )
-    expanded = elaboration.elaborate(ctx, rewrapped)
-    return _eval_formula(structure, expanded, asg, remaining_types)
+    expanded = elaboration.elaborate(ctx, type(wrapper)(body))
+    return _compiled(interp.vocab, expanded, remaining_types)
 
 
 # -- satisfaction ----------------------------------------------------------------------
@@ -560,7 +605,10 @@ def _eval_guard(
 
 def interpretation_of(structure: Structure) -> grounding.GroundInterpretation:
     """The intensional interpretation a structure induces: its concept-type
-    extensions plus the graphs of its concept-valued functions as facts."""
+    extensions plus the graphs of its concept-valued functions as facts.
+    Interned by content on the vocabulary, so structures that agree on their
+    concept part share one object, and with it the guard expansions
+    memoised for it."""
     cached = structure._cache.get("interp")
     if cached is not None:
         return cached
@@ -583,7 +631,11 @@ def interpretation_of(structure: Structure) -> grounding.GroundInterpretation:
                 isinstance(a, ConceptElement) for a in args
             ):
                 facts[(name, tuple(a.concept for a in args))] = result.concept
-    interp = grounding.GroundInterpretation(vocab, extensions, facts)
+    interned = vocab._eval_cache.setdefault("interp", {})
+    key = (tuple(extensions.items()), tuple(facts.items()))
+    interp = interned.get(key)
+    if interp is None:
+        interp = interned[key] = grounding.GroundInterpretation(vocab, extensions, facts)
     structure._cache["interp"] = interp
     return interp
 

@@ -96,6 +96,9 @@ class Vocabulary:
     signatures: tuple[Signature, ...]
     extensions: tuple[ConceptExtension, ...]
     _ancestors: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    # gosil.semantics: compiled code by (expression, variable types), also
+    # indexed by expression id, and structure interpretations interned by content
+    _eval_cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
 
     # -- lookup helpers ------------------------------------------------------
 

@@ -25,7 +25,7 @@ from gosil.semantics import (
     satisfies,
     validate_structure,
 )
-from gosil.vocabulary import ConceptObject, resolve_concept
+from gosil.vocabulary import ConceptObject, concept_universe, resolve_concept
 
 T = PlainElement("t")
 D = PlainElement("d")
@@ -112,6 +112,15 @@ def test_eval_nat_quantifier_needs_bound(vocab, s0):
         evaluate(s0, f)
     bounded = Structure(s0.vocab, s0.type_sets, s0.graphs, nat_bound=5)
     assert evaluate(bounded, f) is True
+
+
+def test_universe_elements_order(vocab, s0):
+    # user types in declaration order, each element once, then Bool, the
+    # naturals and the whole concept universe (repeats of concepts included)
+    bounded = Structure(s0.vocab, s0.type_sets, s0.graphs, nat_bound=1)
+    head = ["d", "t", "`meow", "`bark", "`Cat", "`Dog", "true", "false", "0", "1"]
+    concepts = [f"`{c.name}" for c in concept_universe(vocab)]
+    assert [e.identifier for e in bounded.elements("Universe")] == head + concepts
 
 
 def test_eval_unassigned_variable(vocab, s0):
