@@ -182,157 +182,102 @@ class Theory:
 
 
 # -- structural helpers -----------------------------------------------------------
+#
+# children(node) lists a node's immediate subexpressions in source order:
+# the arguments of an application, the head then the arguments of a
+# dereference, the operands of a connective, the body of a quantifier or
+# wrapper. rebuild(node, kids) is its inverse: the node of the same class
+# and the same non-child fields (symbol, variable, type name) over `kids`.
+# Leaves (Variable, NatLiteral, ConceptRef, Truth) have no children and come
+# back as the very same object, location included; every node rebuild makes
+# has loc=None, even when `kids` are the old children. A walker that must
+# keep a node's location returns the node itself instead of rebuilding it.
+# Both raise TypeError on anything that is not a term or formula node.
+
+_LEAVES = (Variable, NatLiteral, ConceptRef, Truth)
+_APPLIED = (Apply, Atom)  # symbol or predicate over args
+_DEREFS = (Deref, DerefAtom)
+_UNARY = (Not, GuardC, GuardI)
+_BINARY = (And, Or, Implies, Iff)
+_QUANTIFIERS = (Exists, Forall)
 
 
-def term_children(t: Term) -> tuple[Term, ...]:
-    match t:
-        case Apply(_, args):
-            return args
-        case Deref(head, args):
-            return (head,) + args
-        case _:
-            return ()
+def children(node: Term | Formula) -> tuple[Term | Formula, ...]:
+    if isinstance(node, _LEAVES):
+        return ()
+    if isinstance(node, _APPLIED):
+        return node.args
+    if isinstance(node, _DEREFS):
+        return (node.head,) + node.args
+    if isinstance(node, _BINARY):
+        return (node.left, node.right)
+    if isinstance(node, _UNARY + _QUANTIFIERS):
+        return (node.body,)
+    raise TypeError(f"not a term or formula: {node!r}")
 
 
-def term_variables(t: Term) -> frozenset[str]:
-    match t:
-        case Variable(name):
-            return frozenset((name,))
-        case _:
-            out: frozenset[str] = frozenset()
-            for child in term_children(t):
-                out |= term_variables(child)
-            return out
+def rebuild(node: Term | Formula, kids) -> Term | Formula:
+    if isinstance(node, _LEAVES):
+        return node
+    kids = tuple(kids)
+    if isinstance(node, Apply):
+        return Apply(node.symbol, kids)
+    if isinstance(node, Atom):
+        return Atom(node.predicate, kids)
+    if isinstance(node, _DEREFS):
+        return type(node)(kids[0], kids[1:])
+    if isinstance(node, _BINARY):
+        return type(node)(*kids)
+    if isinstance(node, _UNARY):
+        return type(node)(kids[0])
+    if isinstance(node, _QUANTIFIERS):
+        return type(node)(node.var, node.type_name, kids[0])
+    raise TypeError(f"not a term or formula: {node!r}")
 
 
 def free_variables(expr: Term | Formula) -> frozenset[str]:
     """Free variables of an expression; quantifiers bind."""
-    if isinstance(expr, Term):
-        return term_variables(expr)
-    match expr:
-        case Truth():
-            return frozenset()
-        case Atom(_, args) | DerefAtom(_, args):
-            out: frozenset[str] = frozenset()
-            if isinstance(expr, DerefAtom):
-                out |= term_variables(expr.head)
-            for a in args:
-                out |= term_variables(a)
-            return out
-        case Not(body) | GuardC(body) | GuardI(body):
-            return free_variables(body)
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-            return free_variables(l) | free_variables(r)
-        case Exists(var, _, body) | Forall(var, _, body):
-            return free_variables(body) - {var}
-    raise TypeError(f"not a formula: {expr!r}")
+    if isinstance(expr, Variable):
+        return frozenset((expr.name,))
+    out: frozenset[str] = frozenset()
+    for child in children(expr):
+        out |= free_variables(child)
+    if isinstance(expr, _QUANTIFIERS):
+        return out - {expr.var}
+    return out
 
 
 def substitute(expr, var: str, replacement: Term):
     """Replace free occurrences of `var` by a closed term."""
-
-    def sub_term(t: Term) -> Term:
-        match t:
-            case Variable(name) if name == var:
-                return replacement
-            case Apply(symbol, args):
-                return Apply(symbol, tuple(sub_term(a) for a in args))
-            case Deref(head, args):
-                return Deref(sub_term(head), tuple(sub_term(a) for a in args))
-            case _:
-                return t
-
-    def sub_formula(f: Formula) -> Formula:
-        match f:
-            case Truth():
-                return f
-            case Atom(p, args):
-                return Atom(p, tuple(sub_term(a) for a in args))
-            case DerefAtom(head, args):
-                return DerefAtom(sub_term(head), tuple(sub_term(a) for a in args))
-            case Not(body):
-                return Not(sub_formula(body))
-            case And(l, r):
-                return And(sub_formula(l), sub_formula(r))
-            case Or(l, r):
-                return Or(sub_formula(l), sub_formula(r))
-            case Implies(l, r):
-                return Implies(sub_formula(l), sub_formula(r))
-            case Iff(l, r):
-                return Iff(sub_formula(l), sub_formula(r))
-            case Exists(v, tn, body):
-                return f if v == var else Exists(v, tn, sub_formula(body))
-            case Forall(v, tn, body):
-                return f if v == var else Forall(v, tn, sub_formula(body))
-            case GuardC(body):
-                return GuardC(sub_formula(body))
-            case GuardI(body):
-                return GuardI(sub_formula(body))
-        raise TypeError(f"not a formula: {f!r}")
-
-    return sub_term(expr) if isinstance(expr, Term) else sub_formula(expr)
+    if isinstance(expr, Variable) and expr.name == var:
+        return replacement
+    if isinstance(expr, _QUANTIFIERS) and expr.var == var:
+        return expr
+    return rebuild(expr, [substitute(c, var, replacement) for c in children(expr)])
 
 
 def has_intensional_nodes(expr: Term | Formula) -> bool:
     """True if the expression mentions a concept reference or dereference."""
-    if isinstance(expr, (ConceptRef, Deref, DerefAtom)):
+    if isinstance(expr, (ConceptRef,) + _DEREFS):
         return True
-    if isinstance(expr, Term):
-        return any(has_intensional_nodes(c) for c in term_children(expr))
-    match expr:
-        case Truth():
-            return False
-        case Atom(_, args):
-            return any(has_intensional_nodes(a) for a in args)
-        case Not(body) | GuardC(body) | GuardI(body) | Exists(_, _, body) | Forall(_, _, body):
-            return has_intensional_nodes(body)
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-            return has_intensional_nodes(l) or has_intensional_nodes(r)
-    raise TypeError(f"not a formula: {expr!r}")
+    return any(has_intensional_nodes(c) for c in children(expr))
 
 
 def has_guards(f: Formula) -> bool:
-    match f:
-        case GuardC(_) | GuardI(_):
-            return True
-        case Truth() | Atom() | DerefAtom():
-            return False
-        case Not(body) | Exists(_, _, body) | Forall(_, _, body):
-            return has_guards(body)
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-            return has_guards(l) or has_guards(r)
-    raise TypeError(f"not a formula: {f!r}")
+    if isinstance(f, (GuardC, GuardI)):
+        return True
+    return any(has_guards(c) for c in children(f))
 
 
 def atom_count(f: Formula) -> int:
     """Number of atomic formulas (Atom and DerefAtom nodes)."""
-    match f:
-        case Truth():
-            return 0
-        case Atom() | DerefAtom():
-            return 1
-        case Not(body) | GuardC(body) | GuardI(body) | Exists(_, _, body) | Forall(_, _, body):
-            return atom_count(body)
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-            return atom_count(l) + atom_count(r)
-    raise TypeError(f"not a formula: {f!r}")
+    if isinstance(f, (Atom, DerefAtom)):
+        return 1
+    return sum(atom_count(c) for c in children(f))
 
 
 def node_count(expr: Term | Formula) -> int:
-    if isinstance(expr, Term):
-        return 1 + sum(node_count(c) for c in term_children(expr))
-    match expr:
-        case Truth():
-            return 1
-        case Atom(_, args):
-            return 1 + sum(node_count(a) for a in args)
-        case DerefAtom(head, args):
-            return 1 + node_count(head) + sum(node_count(a) for a in args)
-        case Not(body) | GuardC(body) | GuardI(body) | Exists(_, _, body) | Forall(_, _, body):
-            return 1 + node_count(body)
-        case And(l, r) | Or(l, r) | Implies(l, r) | Iff(l, r):
-            return 1 + node_count(l) + node_count(r)
-    raise TypeError(f"not a formula: {expr!r}")
+    return 1 + sum(node_count(c) for c in children(expr))
 
 
 def desugar(f: Formula) -> Formula:
@@ -448,9 +393,9 @@ def format_formula(f: Formula, min_level: int = 0) -> str:
 
 
 def _type_line(vocab: Vocabulary, name: str) -> str:
-    supers = [sup for sub, sup in vocab.direct_edges if sub == name]
+    supers = vocab.direct_supertypes(name)
     line = f"type {name}"
-    if supers != ["Universe"]:
+    if supers != ("Universe",):
         line += f" <: {', '.join(supers)}"
     ext = vocab.extension_of(name)
     if ext is not None:
@@ -477,7 +422,7 @@ def format_theory(theory: Theory) -> str:
     for t in vocab.types:
         if t.builtin:
             continue
-        deps = {sup for sub, sup in vocab.direct_edges if sub == t.name}
+        deps = set(vocab.direct_supertypes(t.name))
         ext = vocab.extension_of(t.name)
         if ext is not None:
             deps |= set(ext.members)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import ast
 from .errors import IncomparableTypes
-from .typecheck import TypingContext, VarEntry, derive_term
+from .typecheck import TypingContext, VarEntry, derive_term, refold_and
 from .vocabulary import is_subtype
 
 
@@ -46,7 +46,7 @@ def guard_targets(ctx: TypingContext, body: ast.Formula) -> list[GuardTarget]:
         expected: str,
         path: tuple[int, ...],
     ) -> None:
-        if not ast.term_variables(term).isdisjoint(bound):
+        if not ast.free_variables(term).isdisjoint(bound):
             return
         principal = derive_term(scope, term, path).type_name
         if principal == expected or is_subtype(scope.vocab, principal, expected):
@@ -61,100 +61,48 @@ def guard_targets(ctx: TypingContext, body: ast.Formula) -> list[GuardTarget]:
         seen.add((term, expected))
         targets.append(GuardTarget(term, expected, principal, path))
 
-    def scan_term(
-        scope: TypingContext, bound: frozenset[str], t: ast.Term, path: tuple[int, ...]
-    ) -> None:
-        match t:
-            case ast.Apply(symbol, args):
-                sig = scope.lookup_symbol(symbol)
-                expected_types = sig.argument_types if sig is not None else ()
-                for i, (arg, expected) in enumerate(zip(args, expected_types)):
-                    consider(scope, bound, arg, expected, path + (i,))
-                    scan_term(scope, bound, arg, path + (i,))
-            case ast.Deref(head, args):
-                scan_term(scope, bound, head, path + (0,))
-                for i, arg in enumerate(args):
-                    scan_term(scope, bound, arg, path + (i + 1,))
-            case _:
-                pass
-
     def scan(
-        scope: TypingContext, bound: frozenset[str], f: ast.Formula, path: tuple[int, ...]
+        scope: TypingContext, bound: frozenset[str], node, path: tuple[int, ...]
     ) -> None:
-        match f:
-            case ast.Truth():
-                pass
-            case ast.Atom(ast.EQUALITY_ATOM, args):
-                # equality checks both sides at a common supertype, which
-                # always exists; nothing to guard
-                for i, arg in enumerate(args):
-                    scan_term(scope, bound, arg, path + (i,))
-            case ast.Atom(predicate, args):
-                sig = scope.lookup_symbol(predicate)
-                expected_types = sig.argument_types if sig is not None else ()
-                for i, (arg, expected) in enumerate(zip(args, expected_types)):
-                    consider(scope, bound, arg, expected, path + (i,))
-                    scan_term(scope, bound, arg, path + (i,))
-            case ast.DerefAtom(head, args):
-                scan_term(scope, bound, head, path + (0,))
-                for i, arg in enumerate(args):
-                    scan_term(scope, bound, arg, path + (i + 1,))
-            case ast.Not(body_) | ast.GuardC(body_) | ast.GuardI(body_):
-                scan(scope, bound, body_, path + (0,))
-            case ast.And(l, r) | ast.Or(l, r) | ast.Implies(l, r) | ast.Iff(l, r):
-                scan(scope, bound, l, path + (0,))
-                scan(scope, bound, r, path + (1,))
-            case ast.Exists(var, type_name, body_) | ast.Forall(var, type_name, body_):
-                scan(scope.push(VarEntry(var, type_name)), bound | {var}, body_, path + (0,))
-            case _:
-                raise TypeError(f"not a formula: {f!r}")
+        kids = ast.children(node)
+        # equality checks both sides at a common supertype, which always
+        # exists, so it has nothing to guard; other applications consider
+        # each argument their signature types, then scan it (an unknown
+        # symbol's arguments are not scanned at all)
+        symbol = None
+        if isinstance(node, ast.Apply):
+            symbol = node.symbol
+        elif isinstance(node, ast.Atom) and node.predicate != ast.EQUALITY_ATOM:
+            symbol = node.predicate
+        if symbol is not None:
+            sig = scope.lookup_symbol(symbol)
+            for i, (arg, expected) in enumerate(zip(kids, sig.argument_types if sig else ())):
+                consider(scope, bound, arg, expected, path + (i,))
+                scan(scope, bound, arg, path + (i,))
+            return
+        if isinstance(node, (ast.Exists, ast.Forall)):
+            scope, bound = scope.push(VarEntry(node.var, node.type_name)), bound | {node.var}
+        for i, kid in enumerate(kids):
+            scan(scope, bound, kid, path + (i,))
 
     scan(ctx, frozenset(), body, ())
     return targets
 
 
-def _guard_atom(target: GuardTarget) -> ast.Atom:
-    return ast.Atom(target.expected_type, (target.term,))
-
-
-def _conjoin(formulas: list[ast.Formula]) -> ast.Formula:
-    result = formulas[-1]
-    for f in reversed(formulas[:-1]):
-        result = ast.And(f, result)
-    return result
-
-
 def elaborate(ctx: TypingContext, formula: ast.Formula) -> ast.Formula:
     """Rewrite away every guard wrapper, innermost first. The output is
     wrapper-free; wrapper-free input comes back unchanged."""
-    match formula:
-        case ast.Truth() | ast.Atom() | ast.DerefAtom():
-            return formula
-        case ast.Not(body):
-            return ast.Not(elaborate(ctx, body))
-        case ast.And(l, r):
-            return ast.And(elaborate(ctx, l), elaborate(ctx, r))
-        case ast.Or(l, r):
-            return ast.Or(elaborate(ctx, l), elaborate(ctx, r))
-        case ast.Implies(l, r):
-            return ast.Implies(elaborate(ctx, l), elaborate(ctx, r))
-        case ast.Iff(l, r):
-            return ast.Iff(elaborate(ctx, l), elaborate(ctx, r))
-        case ast.Exists(var, type_name, body):
-            return ast.Exists(var, type_name, elaborate(ctx.push(VarEntry(var, type_name)), body))
-        case ast.Forall(var, type_name, body):
-            return ast.Forall(var, type_name, elaborate(ctx.push(VarEntry(var, type_name)), body))
-        case ast.GuardC(body):
-            inner = elaborate(ctx, body)
-            targets = guard_targets(ctx, inner)
-            if not targets:
-                return inner
-            return _conjoin([_guard_atom(t) for t in targets] + [inner])
-        case ast.GuardI(body):
-            inner = elaborate(ctx, body)
-            targets = guard_targets(ctx, inner)
-            if not targets:
-                return inner
-            antecedent = _conjoin([_guard_atom(t) for t in targets])
-            return ast.Implies(antecedent, inner)
-    raise TypeError(f"not a formula: {formula!r}")
+    if isinstance(formula, (ast.Truth, ast.Atom, ast.DerefAtom)):
+        return formula
+    if isinstance(formula, (ast.GuardC, ast.GuardI)):
+        inner = elaborate(ctx, formula.body)
+        targets = guard_targets(ctx, inner)
+        if not targets:
+            return inner
+        guards = [ast.Atom(t.expected_type, (t.term,)) for t in targets]
+        if isinstance(formula, ast.GuardC):
+            return refold_and(guards + [inner])
+        return ast.Implies(refold_and(guards), inner)
+    if isinstance(formula, (ast.Exists, ast.Forall)):
+        ctx = ctx.push(VarEntry(formula.var, formula.type_name))
+    return ast.rebuild(formula, [elaborate(ctx, c) for c in ast.children(formula)])

@@ -60,17 +60,9 @@ def is_intensional(vocab: Vocabulary, formula: ast.Formula) -> bool:
         return True
 
     def quantifies_concepts(f: ast.Formula) -> bool:
-        match f:
-            case ast.Exists(_, type_name, body) | ast.Forall(_, type_name, body):
-                if is_subtype(vocab, type_name, CONCEPT):
-                    return True
-                return quantifies_concepts(body)
-            case ast.Not(body) | ast.GuardC(body) | ast.GuardI(body):
-                return quantifies_concepts(body)
-            case ast.And(l, r) | ast.Or(l, r) | ast.Implies(l, r) | ast.Iff(l, r):
-                return quantifies_concepts(l) or quantifies_concepts(r)
-            case _:
-                return False
+        if isinstance(f, (ast.Exists, ast.Forall)) and is_subtype(vocab, f.type_name, CONCEPT):
+            return True
+        return any(quantifies_concepts(c) for c in ast.children(f))
 
     return quantifies_concepts(formula)
 
@@ -152,30 +144,17 @@ def _expand_quantifiers(interp: GroundInterpretation, f: ast.Formula) -> ast.For
             result = node(inst, result)
         return result
 
-    match f:
-        case ast.Exists(var, type_name, body) | ast.Forall(var, type_name, body):
-            if is_subtype(vocab, type_name, CONCEPT):
-                instances = [
-                    _expand_quantifiers(
-                        interp, ast.substitute(body, var, ast.ConceptRef(obj))
-                    )
-                    for obj in interp.extension(type_name)
-                ]
-                if isinstance(f, ast.Exists):
-                    return fold(instances, ast.Truth(False), ast.Or)
-                return fold(instances, ast.Truth(True), ast.And)
-            rebuilt = _expand_quantifiers(interp, body)
-            return type(f)(var, type_name, rebuilt)
-        case ast.Not(body):
-            return ast.Not(_expand_quantifiers(interp, body))
-        case ast.GuardC(body):
-            return ast.GuardC(_expand_quantifiers(interp, body))
-        case ast.GuardI(body):
-            return ast.GuardI(_expand_quantifiers(interp, body))
-        case ast.And(l, r) | ast.Or(l, r) | ast.Implies(l, r) | ast.Iff(l, r):
-            return type(f)(_expand_quantifiers(interp, l), _expand_quantifiers(interp, r))
-        case _:
-            return f
+    if isinstance(f, (ast.Truth, ast.Atom, ast.DerefAtom)):
+        return f
+    if isinstance(f, (ast.Exists, ast.Forall)) and is_subtype(vocab, f.type_name, CONCEPT):
+        instances = [
+            _expand_quantifiers(interp, ast.substitute(f.body, f.var, ast.ConceptRef(obj)))
+            for obj in interp.extension(f.type_name)
+        ]
+        if isinstance(f, ast.Exists):
+            return fold(instances, ast.Truth(False), ast.Or)
+        return fold(instances, ast.Truth(True), ast.And)
+    return ast.rebuild(f, [_expand_quantifiers(interp, c) for c in ast.children(f)])
 
 
 def _reduce_head(interp: GroundInterpretation, term: ast.Term) -> ConceptObject:
@@ -205,21 +184,19 @@ def _eliminate(interp: GroundInterpretation, node):
     their heads denote (the type predicate, for a type's concept)."""
     vocab = interp.vocab
 
-    def term(t: ast.Term) -> ast.Term:
-        match t:
-            case ast.Apply(symbol, args):
-                return ast.Apply(symbol, tuple(term(a) for a in args))
-            case ast.Deref(head, args):
-                return _apply_concept(head, args, ast.Apply)
-            case _:
-                return t
+    def walk(n):
+        if isinstance(n, ast.Deref):
+            return _apply_concept(n.head, n.args, ast.Apply)
+        if isinstance(n, ast.DerefAtom):
+            return _apply_concept(n.head, n.args, ast.Atom)
+        return ast.rebuild(n, [walk(c) for c in ast.children(n)])
 
     def _apply_concept(head: ast.Term, args: tuple[ast.Term, ...], build):
-        obj = _reduce_head(interp, term(head))
+        obj = _reduce_head(interp, walk(head))
         sig = deref_signature(vocab, obj)
         if sig is None:
             raise UnresolvableDeref(f"concept {obj} names nothing applicable")
-        new_args = tuple(term(a) for a in args)
+        new_args = tuple(walk(a) for a in args)
         if len(new_args) != sig.arity:
             raise GroundArityError(
                 f"{obj} dereferences to {sig.name!r} expecting {sig.arity} "
@@ -227,29 +204,7 @@ def _eliminate(interp: GroundInterpretation, node):
             )
         return build(sig.name, new_args)
 
-    def formula(f: ast.Formula) -> ast.Formula:
-        match f:
-            case ast.Truth():
-                return f
-            case ast.Atom(p, args):
-                return ast.Atom(p, tuple(term(a) for a in args))
-            case ast.DerefAtom(head, args):
-                return _apply_concept(head, args, ast.Atom)
-            case ast.Not(body):
-                return ast.Not(formula(body))
-            case ast.GuardC(body):
-                return ast.GuardC(formula(body))
-            case ast.GuardI(body):
-                return ast.GuardI(formula(body))
-            case ast.And(l, r) | ast.Or(l, r) | ast.Implies(l, r) | ast.Iff(l, r):
-                return type(f)(formula(l), formula(r))
-            case ast.Exists(var, tn, body):
-                return ast.Exists(var, tn, formula(body))
-            case ast.Forall(var, tn, body):
-                return ast.Forall(var, tn, formula(body))
-        raise TypeError(f"not a formula: {f!r}")
-
-    return term(node) if isinstance(node, ast.Term) else formula(node)
+    return walk(node)
 
 
 def ground_trace(

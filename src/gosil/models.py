@@ -58,8 +58,7 @@ def _maximal_user_types(vocab: Vocabulary) -> list[str]:
     for t in vocab.types:
         if t.builtin or is_subtype(vocab, t.name, CONCEPT):
             continue
-        parents = [sup for sub, sup in vocab.direct_edges if sub == t.name]
-        if parents == [UNIVERSE]:
+        if vocab.direct_supertypes(t.name) == (UNIVERSE,):
             out.append(t.name)
     return out
 
@@ -156,9 +155,8 @@ def find_models(
     interp = build_intensional_interp(theory)
 
     def parent_pool(name: str, type_sets: dict[str, tuple]) -> tuple:
-        parents = [sup for sub, sup in vocab.direct_edges if sub == name]
         pools = []
-        for p in parents:
+        for p in vocab.direct_supertypes(name):
             if p == UNIVERSE:
                 continue
             pools.append(type_sets[p])

@@ -58,7 +58,6 @@ from .vocabulary import (
     Vocabulary,
     concept_universe,
     deref_signature,
-    equality_signature,
     is_strict_subtype,
     is_subtype,
     resolve_concept,
@@ -305,15 +304,13 @@ def _check_structure(structure: Structure, report: ValidationReport) -> None:
             report.add("EmptyType", f"type {t.name!r} has no elements", t.name)
         if len(set(elems)) != len(elems):
             report.add("DuplicateElement", f"type {t.name!r} repeats an element", t.name)
-        for sub, sup in vocab.direct_edges:
-            if sub != t.name:
-                continue
+        for sup in vocab.direct_supertypes(t.name):
             for e in elems:
                 if not structure.member(e, sup):
                     report.add(
                         "SubtypeContainment",
-                        f"element {e} of {sub!r} is missing from supertype {sup!r}",
-                        sub,
+                        f"element {e} of {t.name!r} is missing from supertype {sup!r}",
+                        t.name,
                     )
     for name, graph in structure.graphs.items():
         sig = vocab.signature(name)
@@ -418,15 +415,6 @@ def _apply_builtin(structure: Structure, sig: Signature, elements: Row) -> Domai
     raise EvaluationError(f"unknown built-in {sig.name!r}")
 
 
-def _resolve_symbol(vocab: Vocabulary, name: str) -> Signature | None:
-    sig = vocab.signature(name)
-    if sig is not None:
-        return sig
-    if name.startswith("=_") and vocab.has_type(name[2:]):
-        return equality_signature(name[2:])
-    return None
-
-
 def _as_truth(value: DomainElement, what: str) -> bool:
     if not isinstance(value, TruthElement):
         raise EvaluationError(f"{what} evaluated to {value}, not a truth value")
@@ -489,7 +477,7 @@ def _compile_term(vocab: Vocabulary, term: ast.Term) -> Code:
             reference = ConceptElement(concept)
             return lambda s, asg: reference
         case ast.Apply(symbol, args):
-            sig = _resolve_symbol(vocab, symbol)
+            sig = vocab.resolve(symbol)
             if sig is None:
                 return _raising(EvaluationError, f"unknown symbol {symbol!r}")
             codes = [_compile_term(vocab, a) for a in args]

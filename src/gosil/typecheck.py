@@ -32,12 +32,6 @@ from .vocabulary import (
 
 
 @dataclass(frozen=True)
-class SymbolEntry:
-    name: str
-    signature: Signature
-
-
-@dataclass(frozen=True)
 class VarEntry:
     name: str
     type_name: str
@@ -49,14 +43,15 @@ class TermEntry:
     type_name: str
 
 
-ContextEntry = SymbolEntry | VarEntry | TermEntry
+ContextEntry = VarEntry | TermEntry
 
 
 @dataclass(frozen=True)
 class TypingContext:
-    """An ordered stack of annotations; the most recently pushed matching
-    entry wins, so guard refinements shadow quantifier types and inner
-    quantifiers shadow both."""
+    """An ordered stack of term annotations over a vocabulary; the most
+    recently pushed matching entry wins, so guard refinements shadow
+    quantifier types and inner quantifiers shadow both. Symbols resolve
+    through the vocabulary."""
 
     vocab: Vocabulary
     entries: tuple[ContextEntry, ...] = ()
@@ -65,10 +60,7 @@ class TypingContext:
         return TypingContext(self.vocab, self.entries + new)
 
     def lookup_symbol(self, name: str) -> Signature | None:
-        for entry in reversed(self.entries):
-            if isinstance(entry, SymbolEntry) and entry.name == name:
-                return entry.signature
-        return self.vocab.signature(name)
+        return self.vocab.resolve(name)
 
     def lookup_term_type(self, term: ast.Term) -> str | None:
         """Most recent annotation for this term. A TermEntry is skipped when
@@ -81,22 +73,15 @@ class TypingContext:
                     return entry.type_name
                 rebound.add(entry.name)
             elif isinstance(entry, TermEntry):
-                if entry.term == term and ast.term_variables(entry.term).isdisjoint(rebound):
+                if entry.term == term and ast.free_variables(entry.term).isdisjoint(rebound):
                     return entry.type_name
         return None
 
 
 def initial_context(vocab: Vocabulary) -> TypingContext:
-    """The context induced by the vocabulary: one entry per symbol, with the
-    type predicates and the built-in equality family included."""
-    entries: list[ContextEntry] = []
-    for sig in vocab.signatures:
-        entries.append(SymbolEntry(sig.name, sig))
-    for sig in vocab.type_predicates:
-        entries.append(SymbolEntry(sig.name, sig))
-    for sig in vocab.equality_signatures:
-        entries.append(SymbolEntry(sig.name, sig))
-    return TypingContext(vocab, tuple(entries))
+    """The context induced by the vocabulary: no annotations yet; every
+    symbol, type predicate and equality resolves through `vocab.resolve`."""
+    return TypingContext(vocab)
 
 
 @dataclass(frozen=True)
@@ -201,11 +186,16 @@ def principal_type(ctx: TypingContext, term: ast.Term) -> str:
 
 
 def flatten_and(f: ast.Formula) -> list[ast.Formula]:
-    match f:
-        case ast.And(l, r):
-            return flatten_and(l) + flatten_and(r)
-        case _:
-            return [f]
+    """The conjuncts of an &-chain in order, however it is nested."""
+    conjuncts: list[ast.Formula] = []
+    todo = [f]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.And):
+            todo += (node.right, node.left)
+        else:
+            conjuncts.append(node)
+    return conjuncts
 
 
 def refold_and(conjuncts: list[ast.Formula]) -> ast.Formula:
@@ -229,12 +219,15 @@ def guard_prefix(vocab: Vocabulary, f: ast.Formula) -> tuple[list[ast.Atom], ast
     re-folded remainder. None when there is no prefix."""
     if not isinstance(f, ast.And):
         return None
-    conjuncts = flatten_and(f)
-    k = 0
+    leftmost = f.left
+    while isinstance(leftmost, ast.And):
+        leftmost = leftmost.left
+    if not _is_type_predicate_atom(vocab, leftmost):
+        return None
+    conjuncts = flatten_and(f)  # at least two, the first a guard
+    k = 1
     while k < len(conjuncts) - 1 and _is_type_predicate_atom(vocab, conjuncts[k]):
         k += 1
-    if k == 0:
-        return None
     return conjuncts[:k], refold_and(conjuncts[k:])  # type: ignore[return-value]
 
 

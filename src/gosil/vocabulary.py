@@ -10,6 +10,17 @@ names whose concepts populate the type.
 
 Vocabulary values are immutable; the declare_* operations return extended
 copies, so previously issued queries keep their answers.
+
+Every name lookup goes through one index per vocabulary value: dicts from
+names to types, signatures and extensions, and from each type to its direct
+supertypes in declaration order. Where a malformed vocabulary repeats a
+name, the first declaration wins, as a scan would find it. The index is
+built on first use; declare_* hands the copy it returns its input's index
+extended by the new declaration instead of rebuilding it. The equality
+family is not indexed: `resolve` recognises `=_T` from the type set on
+demand. The index, the ancestor sets and the evaluator's cache are
+excluded from equality and hashing and are never constructor arguments, so
+`dataclasses.replace` starts a copy with empty caches.
 """
 
 from __future__ import annotations
@@ -90,20 +101,36 @@ class ConceptObject:
 
 
 @dataclass(frozen=True)
+class _Index:
+    """Dict lookups over a vocabulary's fields. `sizes` counts the entries
+    of each field indexed, so an index of a prefix can be extended."""
+
+    types: dict[str, TypeSymbol]
+    signatures: dict[str, Signature]
+    extensions: dict[str, ConceptExtension]
+    supertypes: dict[str, tuple[str, ...]]
+    sizes: tuple[int, int, int, int]
+
+
+_EMPTY_INDEX = _Index({}, {}, {}, {}, (0, 0, 0, 0))
+
+
+@dataclass(frozen=True)
 class Vocabulary:
     types: tuple[TypeSymbol, ...]
     direct_edges: tuple[tuple[str, str], ...]
     signatures: tuple[Signature, ...]
     extensions: tuple[ConceptExtension, ...]
-    _ancestors: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    _index: _Index | None = field(default=None, init=False, compare=False, repr=False)
+    _ancestors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # gosil.semantics: compiled code by (expression, variable types), also
     # indexed by expression id, and structure interpretations interned by content
-    _eval_cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    _eval_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     # -- lookup helpers ------------------------------------------------------
 
     def has_type(self, name: str) -> bool:
-        return any(t.name == name for t in self.types)
+        return name in _index_of(self).types
 
     def type_names(self) -> tuple[str, ...]:
         return tuple(t.name for t in self.types)
@@ -111,26 +138,64 @@ class Vocabulary:
     def signature(self, name: str) -> Signature | None:
         """Resolve a symbol name: declared symbols first, then the type
         predicate that shares a type's surface name."""
-        for sig in self.signatures:
-            if sig.name == name:
-                return sig
-        if self.has_type(name):
-            return type_predicate_signature(name)
-        return None
+        return _declared_or_predicate(_index_of(self), name)
+
+    def resolve(self, name: str) -> Signature | None:
+        """Every applicable name: `=_T` is the equality of type T, then
+        declared symbols, then type predicates."""
+        index = _index_of(self)
+        if name.startswith(EQUALITY + "_") and name[2:] in index.types:
+            return equality_signature(name[2:])
+        return _declared_or_predicate(index, name)
 
     def extension_of(self, type_name: str) -> ConceptExtension | None:
-        for ext in self.extensions:
-            if ext.type_name == type_name:
-                return ext
-        return None
+        return _index_of(self).extensions.get(type_name)
 
-    @property
-    def type_predicates(self) -> tuple[Signature, ...]:
-        return tuple(type_predicate_signature(t.name) for t in self.types)
+    def direct_supertypes(self, name: str) -> tuple[str, ...]:
+        """The declared supertypes of a type, in declaration order."""
+        return _index_of(self).supertypes.get(name, ())
 
     @property
     def equality_signatures(self) -> tuple[Signature, ...]:
         return tuple(equality_signature(t.name) for t in self.types)
+
+
+def _index_of(vocab: Vocabulary) -> _Index:
+    if vocab._index is None:
+        object.__setattr__(vocab, "_index", _extend_index(_EMPTY_INDEX, vocab))
+    return vocab._index
+
+
+def _declared_or_predicate(index: _Index, name: str) -> Signature | None:
+    sig = index.signatures.get(name)
+    if sig is None and name in index.types:
+        return type_predicate_signature(name)
+    return sig
+
+
+def _extend_index(base: _Index, vocab: Vocabulary) -> _Index:
+    """Index `vocab`, whose fields extend those `base` indexes."""
+    types, signatures = dict(base.types), dict(base.signatures)
+    extensions, supertypes = dict(base.extensions), dict(base.supertypes)
+    n_types, n_edges, n_sigs, n_exts = base.sizes
+    for t in vocab.types[n_types:]:
+        types.setdefault(t.name, t)
+    for sub, sup in vocab.direct_edges[n_edges:]:
+        supertypes[sub] = supertypes.get(sub, ()) + (sup,)
+    for sig in vocab.signatures[n_sigs:]:
+        signatures.setdefault(sig.name, sig)
+    for ext in vocab.extensions[n_exts:]:
+        extensions.setdefault(ext.type_name, ext)
+    sizes = (len(vocab.types), len(vocab.direct_edges), len(vocab.signatures), len(vocab.extensions))
+    return _Index(types, signatures, extensions, supertypes, sizes)
+
+
+def _declared(vocab: Vocabulary, **fields) -> Vocabulary:
+    """A copy of `vocab` with the given fields extended, indexed by
+    extending `vocab`'s index."""
+    extended = replace(vocab, **fields)
+    object.__setattr__(extended, "_index", _extend_index(_index_of(vocab), extended))
+    return extended
 
 
 def type_predicate_signature(type_name: str) -> Signature:
@@ -191,10 +256,10 @@ def declare_type(
         extension = replace(extension, type_name=name)
 
     new_edges = tuple((name, sup) for sup in supertypes) or ((name, UNIVERSE),)
-    return Vocabulary(
+    return _declared(
+        vocab,
         types=vocab.types + (TypeSymbol(name),),
         direct_edges=vocab.direct_edges + new_edges,
-        signatures=vocab.signatures,
         extensions=vocab.extensions + ((extension,) if extension else ()),
     )
 
@@ -212,12 +277,7 @@ def declare_symbol(
         if not vocab.has_type(t):
             raise UnknownType(f"unknown type {t!r} in signature of {name!r}")
     sig = Signature(name, tuple(argument_types), result_type)
-    return Vocabulary(
-        types=vocab.types,
-        direct_edges=vocab.direct_edges,
-        signatures=vocab.signatures + (sig,),
-        extensions=vocab.extensions,
-    )
+    return _declared(vocab, signatures=vocab.signatures + (sig,))
 
 
 # -- subtyping queries -------------------------------------------------------------
@@ -230,9 +290,8 @@ def _ancestor_set(vocab: Vocabulary, name: str) -> frozenset[str]:
     seen = {name}
     frontier = [name]
     while frontier:
-        current = frontier.pop()
-        for sub, sup in vocab.direct_edges:
-            if sub == current and sup not in seen:
+        for sup in _index_of(vocab).supertypes.get(frontier.pop(), ()):
+            if sup not in seen:
                 seen.add(sup)
                 frontier.append(sup)
     result = frozenset(seen)
@@ -305,10 +364,7 @@ def deref_signature(vocab: Vocabulary, obj: ConceptObject) -> Signature | None:
         return type_predicate_signature(obj.name)
     if obj.name.endswith(TYPE_PREDICATE_MARK) and vocab.has_type(obj.name[:-1]):
         return type_predicate_signature(obj.name[:-1])
-    for t in vocab.types:
-        if obj.name == equality_signature(t.name).name:
-            return equality_signature(t.name)
-    return vocab.signature(obj.name)
+    return vocab.resolve(obj.name)
 
 
 # -- validation -----------------------------------------------------------------------
@@ -340,9 +396,7 @@ def validate(vocab: Vocabulary) -> ValidationReport:
 
     def visit(node: str) -> bool:
         colors[node] = 1
-        for sub, sup in vocab.direct_edges:
-            if sub != node:
-                continue
+        for sup in _index_of(vocab).supertypes.get(node, ()):
             state = colors.get(sup, 0)
             if state == 1:
                 return False

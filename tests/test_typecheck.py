@@ -311,3 +311,17 @@ def test_equality_sentence_over_nat(running_example, vocab):
     sentence = parse_formula("?a[Animal]: age(a) = 15", vocab)
     d = check_sentence(running_example, sentence)
     assert d.type_name == BOOL
+
+
+def test_flatten_and_long_chain():
+    from gosil.typecheck import flatten_and
+
+    atoms = [ast.Atom(f"p{i}") for i in range(3000)]
+    chain = atoms[-1]
+    for atom in reversed(atoms[:-1]):
+        chain = ast.And(atom, chain)
+    assert flatten_and(chain) == atoms
+    left_nested = atoms[0]
+    for atom in atoms[1:]:
+        left_nested = ast.And(left_nested, atom)
+    assert flatten_and(left_nested) == atoms

@@ -220,3 +220,29 @@ def test_validate_flags_missing_arithmetic(animals):
     )
     kinds = {v.kind for v in validate(broken).violations}
     assert "MissingBuiltin" in kinds
+
+
+def test_replace_starts_fresh_caches(animals):
+    from dataclasses import replace
+
+    assert is_subtype(animals, "Cat", "Animal")
+    assert animals.signature("tom") is not None
+    no_edge = replace(
+        animals, direct_edges=tuple(e for e in animals.direct_edges if e != ("Cat", "Animal"))
+    )
+    assert no_edge._ancestors is not animals._ancestors
+    assert not is_subtype(no_edge, "Cat", "Animal")
+    assert no_edge.direct_supertypes("Cat") == ()
+    no_tom = replace(animals, signatures=tuple(s for s in animals.signatures if s.name != "tom"))
+    assert no_tom.signature("tom") is None
+    assert no_tom.resolve("tom") is None
+    assert is_subtype(no_tom, "Cat", "Animal")
+
+
+def test_resolve_covers_every_applicable_name(animals):
+    assert animals.resolve("meow") == animals.signature("meow")
+    assert animals.resolve("Cat") == Signature("Cat", (UNIVERSE,), BOOL, builtin=True)
+    assert animals.resolve("=_Cat") == Signature("=_Cat", ("Cat", "Cat"), BOOL, builtin=True)
+    assert animals.signature("=_Cat") is None
+    for name in ("=_Mouse", "=_", "undeclared"):
+        assert animals.resolve(name) is None
