@@ -21,7 +21,14 @@ import sys
 
 from . import ast
 from .elaboration import elaborate
-from .errors import GosilError, ParseError, StructureError, TypingError
+from .errors import (
+    ElaborationError,
+    GosilError,
+    GroundingError,
+    ParseError,
+    StructureError,
+    TypingError,
+)
 from .grounding import build_intensional_interp, ground_trace, is_intensional
 from .models import find_models
 from .parser import parse_theory
@@ -58,13 +65,13 @@ def cmd_check(args, out) -> int:
     records = []
     for axiom in theory.axioms:
         record: dict = {"label": axiom.label}
-        if args.trace and is_intensional(theory.vocabulary, axiom.formula):
-            interp = build_intensional_interp(theory)
-            for step, formula in ground_trace(axiom.formula, interp):
-                out.write(f"{axiom.label}: {step}: {ast.format_formula(formula)}\n")
         try:
+            if args.trace and is_intensional(theory.vocabulary, axiom.formula):
+                interp = build_intensional_interp(theory)
+                for step, formula in ground_trace(axiom.formula, interp):
+                    out.write(f"{axiom.label}: {step}: {ast.format_formula(formula)}\n")
             derivation = check_sentence(theory, axiom.formula)
-        except TypingError as err:
+        except (TypingError, ElaborationError, GroundingError) as err:
             failures += 1
             out.write(f"{axiom.label}: ill-typed\n")
             out.write(_diagnostic(args.theory, err, axiom.loc) + "\n")
@@ -72,8 +79,8 @@ def cmd_check(args, out) -> int:
             record["error"] = {
                 "kind": err.kind,
                 "message": err.message,
-                "expected": err.expected,
-                "found": err.found,
+                "expected": getattr(err, "expected", None),
+                "found": getattr(err, "found", None),
                 "line": (err.loc or axiom.loc).line if (err.loc or axiom.loc) else None,
                 "column": (err.loc or axiom.loc).column if (err.loc or axiom.loc) else None,
             }

@@ -242,6 +242,32 @@ def ground(
     return ground_trace(formula, interp, free_var_types)[-1][1]
 
 
+def dependencies(formula: ast.Formula, interp: GroundInterpretation) -> frozenset[str]:
+    """The user symbols whose graphs can decide a sentence's value: those
+    applied in its grounded form, plus, when it has guards or intensional
+    nodes, every concept-valued function, whose graphs fix the
+    interpretation guards expand under. Grounding errors propagate; a
+    sentence `typecheck.check_sentence` accepted has been grounded this way
+    already."""
+    vocab = interp.vocab
+    found: set[str] = set()
+    todo: list = [ground(formula, interp)]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Atom):
+            found.add(node.predicate)
+        elif isinstance(node, ast.Apply):
+            found.add(node.symbol)
+        todo.extend(ast.children(node))
+    if ast.has_guards(formula) or ast.has_intensional_nodes(formula):
+        found.update(
+            s.name
+            for s in vocab.signatures
+            if not s.builtin and is_subtype(vocab, s.result_type, CONCEPT)
+        )
+    return frozenset(found & {s.name for s in vocab.signatures if not s.builtin})
+
+
 def grounded_size(
     formula: ast.Formula,
     interp: GroundInterpretation,

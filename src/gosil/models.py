@@ -1,4 +1,4 @@
-"""Brute-force model search over bounded domains.
+"""Bounded model search by depth-first search over symbol assignments.
 
 Enumeration encoding (which fixes the deterministic output order):
 
@@ -14,22 +14,49 @@ Enumeration encoding (which fixes the deterministic output order):
     total maps in mixed-radix order (last argument tuple varies fastest),
     with rows forced by concept-function facts pinned first.
 
-Candidates failing an axiom are discarded; no symmetry breaking is applied.
-The total candidate count is computed up front and refused if it exceeds the
+Models are returned in that order; no symmetry breaking is applied. The
+total candidate count is computed up front and refused if it exceeds the
 explosion cap.
+
+Search strategy. The result is that of testing every candidate in the order
+above, evaluating the axioms in declaration order up to the first false one,
+but most candidates are never built. Each type set is searched depth first,
+one symbol per level, over option lists built once per type set; symbols
+with a single option are fixed first and the rest in declaration order, so
+the order is unchanged. An axiom depends on the user symbols of its
+grounded form, plus every concept-valued function when it has guards or
+intensional nodes (their graphs fix the interpretation guards expand
+under). It is checked at the level that fixes its last dependency, on a
+fresh structure holding only its dependencies' graphs, and its verdict
+(true, false, or the error it raised) is memoised per type set under the
+option indices of those dependencies. A subtree is left as soon as some
+axiom does not hold on it and every axiom declared before that one has been
+checked and holds; if that axiom raised, its error is raised. Until then
+only symbols that the earlier axioms read keep all their options. Only
+emitted models are validated, and a type set whose first candidate fails
+validation is skipped: the enumeration is constructive, so one type set's
+candidates pass or fail validation together.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from . import ast
-from .errors import BoundMissing, ExplosionGuard, TypingError, IllTypedSentence
-from .grounding import build_intensional_interp
+from .errors import (
+    BoundMissing,
+    ExplosionGuard,
+    GosilError,
+    IllTypedSentence,
+    TypingError,
+)
+from .grounding import build_intensional_interp, dependencies
 from .semantics import (
     FALSE,
     TRUE,
     ConceptElement,
+    DomainElement,
     FunctionGraph,
     NaturalElement,
     PlainElement,
@@ -81,32 +108,237 @@ def _nonempty_subsets(elems: tuple) -> list[tuple]:
     return out
 
 
-def _symbol_domains(
-    vocab: Vocabulary,
-    sig: Signature,
-    type_sets: dict[str, tuple],
-    nat_bound: int | None,
-    concept_elements: tuple,
-):
-    def domain(type_name: str) -> tuple:
-        if type_name == NAT:
-            if nat_bound is None:
-                raise BoundMissing(
-                    f"symbol {sig.name!r} ranges over {NAT}; set a nat bound"
-                )
-            return tuple(NaturalElement(i) for i in range(nat_bound + 1))
-        if type_name == BOOL:
-            return (TRUE, FALSE)
-        if type_name == CONCEPT:
-            return concept_elements
-        if type_name == UNIVERSE:
-            raise BoundMissing(
-                f"symbol {sig.name!r} ranges over {UNIVERSE}, which model "
-                "search does not enumerate"
-            )
-        return type_sets[type_name]
+class _Enumeration:
+    """The candidate space of a theory under its bounds: the type sets and,
+    per type set, each symbol's graph options, both in the documented
+    order."""
 
-    return [domain(t) for t in sig.argument_types], domain(sig.result_type)
+    def __init__(
+        self,
+        theory: ast.Theory,
+        domain_bounds: dict[str, int],
+        nat_bound: int | None,
+    ):
+        vocab = theory.vocabulary
+        self.vocab = vocab
+        self.nat_bound = nat_bound
+        self.symbols = [s for s in vocab.signatures if not s.builtin]
+        self.base_sets: dict[str, tuple] = {
+            name: tuple(
+                PlainElement(f"{name.lower()}{i}") for i in range(domain_bounds[name])
+            )
+            for name in _maximal_user_types(vocab)
+        }
+        self.base_sets.update(_forced_type_sets(vocab))
+        self.concept_elements = Structure(vocab, {}, {}).elements(CONCEPT)
+        self.dependents = _dependent_user_types(vocab)
+        self.interp = build_intensional_interp(theory)
+        self.fact_rows: dict[str, dict[Row, DomainElement]] = {}
+        for (fname, args), value in self.interp.facts.items():
+            self.fact_rows.setdefault(fname, {})[
+                tuple(ConceptElement(a) for a in args)
+            ] = ConceptElement(value)
+
+    def _parent_pool(self, name: str, type_sets: dict[str, tuple]) -> tuple:
+        pools = [
+            type_sets[p] for p in self.vocab.direct_supertypes(name) if p != UNIVERSE
+        ]
+        if not pools:
+            return ()
+        return tuple(e for e in pools[0] if all(e in pool for pool in pools[1:]))
+
+    def type_sets(self, index: int = 0, type_sets: dict[str, tuple] | None = None):
+        """Every assignment of the dependent types from `index` on, in
+        order, each extending `type_sets` (the base sets by default)."""
+        if type_sets is None:
+            type_sets = dict(self.base_sets)
+        if index == len(self.dependents):
+            yield dict(type_sets)
+            return
+        name = self.dependents[index]
+        for subset in _nonempty_subsets(self._parent_pool(name, type_sets)):
+            type_sets[name] = subset
+            yield from self.type_sets(index + 1, type_sets)
+        type_sets.pop(name, None)
+
+    def space(self, sig: Signature, type_sets: dict[str, tuple]):
+        """What enumeration chooses for one symbol: its argument domains,
+        its result domain, and the rows concept-function facts pin (none for
+        a predicate)."""
+        def domain(type_name: str) -> tuple:
+            if type_name == NAT:
+                if self.nat_bound is None:
+                    raise BoundMissing(
+                        f"symbol {sig.name!r} ranges over {NAT}; set a nat bound"
+                    )
+                return tuple(NaturalElement(i) for i in range(self.nat_bound + 1))
+            if type_name == BOOL:
+                return (TRUE, FALSE)
+            if type_name == CONCEPT:
+                return self.concept_elements
+            if type_name == UNIVERSE:
+                raise BoundMissing(
+                    f"symbol {sig.name!r} ranges over {UNIVERSE}, which model "
+                    "search does not enumerate"
+                )
+            return type_sets[type_name]
+
+        pinned = {} if sig.is_predicate else self.fact_rows.get(sig.name, {})
+        return [domain(t) for t in sig.argument_types], domain(sig.result_type), pinned
+
+    def option_count(self, sig: Signature, type_sets: dict[str, tuple]) -> int:
+        """The number of graph options, computed without building them."""
+        arg_domains, result_domain, pinned = self.space(sig, type_sets)
+        tuples = math.prod(len(d) for d in arg_domains)
+        if sig.is_predicate:
+            return 2 ** tuples
+        return max(1, len(result_domain)) ** max(0, tuples - len(pinned))
+
+    def options(self, sig: Signature, type_sets: dict[str, tuple]) -> list[FunctionGraph]:
+        """The graph options of one symbol, in order."""
+        arg_domains, result_domain, pinned = self.space(sig, type_sets)
+        tuples = list(itertools.product(*arg_domains))
+        if sig.is_predicate:
+            options = []
+            for mask in range(2 ** len(tuples)):
+                true_rows = {t for i, t in enumerate(tuples) if mask & (1 << i)}
+                options.append(FunctionGraph.for_predicate(sig.name, true_rows))
+            return options
+        free_tuples = [t for t in tuples if t not in pinned]
+        options = []
+        for values in itertools.product(result_domain, repeat=len(free_tuples)):
+            mapping = dict(pinned)
+            mapping.update(zip(free_tuples, values))
+            options.append(FunctionGraph.for_function(sig.name, mapping))
+        return options
+
+    def count(self, cap: int) -> int:
+        """The candidate count, with every dependent type at its widest;
+        counting stops once it exceeds `cap`."""
+        total = 1
+        type_sets = dict(self.base_sets)
+        for name in self.dependents:
+            pool = self._parent_pool(name, type_sets)
+            choices = 2 ** len(pool) - 1
+            if choices <= 0:
+                return 0
+            total *= choices
+            type_sets[name] = pool
+        for sig in self.symbols:
+            total *= self.option_count(sig, type_sets)
+            if total > cap:
+                return total
+        return total
+
+
+class _TypeSetSearch:
+    """The search over one type set's graph options, one symbol per level,
+    appending models to `results` until it holds `limit` of them.
+    `chosen[level]` is the option index fixed at each level above the
+    current one; `memo` maps (axiom, option index of each dependency) to the
+    axiom's verdict."""
+
+    def __init__(
+        self,
+        enumeration: _Enumeration,
+        type_sets: dict[str, tuple],
+        axioms: list[ast.Formula],
+        deps: list[frozenset[str]],
+        results: list[Structure],
+        limit: int | None,
+    ):
+        self.vocab = enumeration.vocab
+        self.nat_bound = enumeration.nat_bound
+        self.type_sets = type_sets
+        self.axioms = axioms
+        self.results = results
+        self.limit = limit
+        options = {s.name: enumeration.options(s, type_sets) for s in enumeration.symbols}
+        # a symbol with one option cannot change the order: fix it first
+        self.names = sorted(options, key=lambda name: len(options[name]) != 1)
+        self.options = [options[name] for name in self.names]
+        level = {name: i for i, name in enumerate(self.names)}
+        self.declared_levels = [level[name] for name in options]
+        self.dep_levels = [sorted(level[s] for s in d) for d in deps]
+        # depth: the number of fixed symbols once every dependency is fixed
+        depths = [levels[-1] + 1 if levels else 0 for levels in self.dep_levels]
+        self.checks: list[list[int]] = [[] for _ in range(len(self.names) + 1)]
+        for a, depth in enumerate(depths):
+            self.checks[depth].append(a)
+        # ready[c]: the depth by which axioms 0..c-1 have all been checked
+        self.ready = list(itertools.accumulate(depths, max, initial=0))
+        # first_reader[level]: the first axiom that reads that level's symbol
+        self.first_reader = [
+            min(
+                (a for a, levels in enumerate(self.dep_levels) if lvl in levels),
+                default=len(axioms),
+            )
+            for lvl in range(len(self.names))
+        ]
+        self.chosen = [0] * len(self.names)
+        self.memo: dict[tuple, bool | GosilError] = {}
+
+    def has_candidates(self) -> bool:
+        """Whether any candidate exists and passes validation; candidates of
+        one type set pass or fail together, so the first one decides."""
+        return all(self.options) and validate_structure(self.vocab, self.candidate()).ok
+
+    def graphs(self, levels) -> dict[str, FunctionGraph]:
+        """The chosen graphs of the symbols at `levels`."""
+        return {self.names[lvl]: self.options[lvl][self.chosen[lvl]] for lvl in levels}
+
+    def candidate(self) -> Structure:
+        """The complete candidate the chosen options make."""
+        graphs = self.graphs(self.declared_levels)
+        return Structure(self.vocab, dict(self.type_sets), graphs, self.nat_bound)
+
+    def verdict(self, a: int) -> bool | GosilError:
+        levels = self.dep_levels[a]
+        key = (a, *[self.chosen[lvl] for lvl in levels])
+        verdict = self.memo.get(key)
+        if verdict is None:
+            partial = Structure(self.vocab, self.type_sets, self.graphs(levels), self.nat_bound)
+            try:
+                verdict = bool(evaluate(partial, self.axioms[a]))
+            except GosilError as err:
+                # without its traceback the stored error holds no frame, and
+                # through it no reference back to this search
+                verdict = err.with_traceback(None)
+            self.memo[key] = verdict
+        return verdict
+
+    def descend(self, depth: int, cut: int | None = None, failure=None) -> bool:
+        """Search below the first `depth` levels; True once `limit` models
+        are found. `cut` is the first axiom known not to hold on this subtree
+        (None while every checked axiom holds) and `failure` its verdict:
+        False or the error it raised."""
+        for a in self.checks[depth]:
+            if cut is not None and a >= cut:
+                break
+            verdict = self.verdict(a)
+            if verdict is not True:
+                cut, failure = a, verdict
+                break
+        if cut is not None:
+            if self.ready[cut] <= depth:  # every axiom before the cut holds
+                if failure is False:
+                    return False
+                raise failure
+        elif depth == len(self.names):
+            model = self.candidate()
+            if not validate_structure(self.vocab, model).ok:
+                return False
+            self.results.append(model)
+            return self.limit is not None and len(self.results) >= self.limit
+        options = self.options[depth]
+        # below a cut only symbols read by axioms before it can still decide
+        # whether one of them raises, so any other symbol keeps one option
+        width = 1 if cut is not None and self.first_reader[depth] >= cut else len(options)
+        for i in range(width):
+            self.chosen[depth] = i
+            if self.descend(depth + 1, cut, failure):
+                return True
+        return False
 
 
 def find_models(
@@ -142,125 +374,19 @@ def find_models(
                 f"axiom {axiom.label!r} is ill-typed: {err.message}"
             ) from err
 
-    carriers: dict[str, tuple] = {
-        name: tuple(
-            PlainElement(f"{name.lower()}{i}") for i in range(domain_bounds[name])
-        )
-        for name in _maximal_user_types(vocab)
-    }
-    forced_types = _forced_type_sets(vocab)
-    concept_elements = Structure(vocab, {}, {}).elements(CONCEPT)
-
-    dependents = _dependent_user_types(vocab)
-    interp = build_intensional_interp(theory)
-
-    def parent_pool(name: str, type_sets: dict[str, tuple]) -> tuple:
-        pools = []
-        for p in vocab.direct_supertypes(name):
-            if p == UNIVERSE:
-                continue
-            pools.append(type_sets[p])
-        if not pools:
-            return ()
-        common = [e for e in pools[0] if all(e in pool for pool in pools[1:])]
-        return tuple(common)
-
-    # candidate counting before enumeration
-    def count_candidates() -> int:
-        total = 1
-        type_sets = dict(carriers)
-        type_sets.update(forced_types)
-        for name in dependents:
-            pool = parent_pool(name, type_sets)
-            choices = 2 ** len(pool) - 1
-            if choices <= 0:
-                return 0
-            total *= choices
-            type_sets[name] = pool  # widest possibility, for pool computation
-        for sig in vocab.signatures:
-            if sig.builtin:
-                continue
-            arg_domains, result_domain = _symbol_domains(
-                vocab, sig, type_sets, nat_bound, concept_elements
-            )
-            tuples = 1
-            for d in arg_domains:
-                tuples *= len(d)
-            if sig.is_predicate:
-                total *= 2 ** tuples
-            else:
-                forced_rows = sum(
-                    1 for (fname, _args) in interp.facts if fname == sig.name
-                )
-                total *= max(1, len(result_domain)) ** max(0, tuples - forced_rows)
-            if total > explosion_cap:
-                return total
-        return total
-
-    candidates = count_candidates()
+    enumeration = _Enumeration(theory, domain_bounds, nat_bound)
+    candidates = enumeration.count(explosion_cap)
     if candidates > explosion_cap:
         raise ExplosionGuard(
             f"search space of {candidates} candidates exceeds the cap of "
             f"{explosion_cap}"
         )
 
-    fact_rows: dict[str, dict[Row, object]] = {}
-    for (fname, args), value in interp.facts.items():
-        fact_rows.setdefault(fname, {})[
-            tuple(ConceptElement(a) for a in args)
-        ] = ConceptElement(value)
-
+    axioms = [axiom.formula for axiom in theory.axioms]
+    deps = [dependencies(f, enumeration.interp) for f in axioms]
     results: list[Structure] = []
-
-    def instantiate_types(index: int, type_sets: dict[str, tuple]):
-        if index == len(dependents):
-            yield dict(type_sets)
-            return
-        name = dependents[index]
-        pool = parent_pool(name, type_sets)
-        for subset in _nonempty_subsets(pool):
-            type_sets[name] = subset
-            yield from instantiate_types(index + 1, type_sets)
-        type_sets.pop(name, None)
-
-    def instantiate_symbols(sigs: list[Signature], type_sets: dict[str, tuple]):
-        if not sigs:
-            yield {}
-            return
-        sig, rest = sigs[0], sigs[1:]
-        arg_domains, result_domain = _symbol_domains(
-            vocab, sig, type_sets, nat_bound, concept_elements
-        )
-        tuples = list(itertools.product(*arg_domains))
-        if sig.is_predicate:
-            options = []
-            for mask in range(2 ** len(tuples)):
-                true_rows = {t for i, t in enumerate(tuples) if mask & (1 << i)}
-                options.append(FunctionGraph.for_predicate(sig.name, true_rows))
-        else:
-            pinned = fact_rows.get(sig.name, {})
-            free_tuples = [t for t in tuples if t not in pinned]
-            options = []
-            for values in itertools.product(result_domain, repeat=len(free_tuples)):
-                mapping = dict(pinned)
-                mapping.update(zip(free_tuples, values))
-                options.append(FunctionGraph.for_function(sig.name, mapping))
-        for graph in options:
-            for others in instantiate_symbols(rest, type_sets):
-                yield {sig.name: graph, **others}
-
-    user_sigs = [s for s in vocab.signatures if not s.builtin]
-    base_sets = dict(carriers)
-    base_sets.update(forced_types)
-    for type_sets in instantiate_types(0, dict(base_sets)):
-        for graphs in instantiate_symbols(user_sigs, type_sets):
-            structure = Structure(vocab, dict(type_sets), graphs, nat_bound)
-            if not validate_structure(vocab, structure).ok:
-                continue
-            if all(
-                evaluate(structure, axiom.formula) for axiom in theory.axioms
-            ):
-                results.append(structure)
-                if limit is not None and len(results) >= limit:
-                    return results
+    for type_sets in enumeration.type_sets():
+        search = _TypeSetSearch(enumeration, type_sets, axioms, deps, results, limit)
+        if search.has_candidates() and search.descend(0):
+            break
     return results

@@ -150,7 +150,9 @@ def _row_key(item: tuple[Row, DomainElement]):
 @dataclass(frozen=True)
 class Structure:
     """A complete finite interpretation: user-suppliable type sets and
-    symbol graphs, with everything forced derived on demand."""
+    symbol graphs, with everything forced derived on demand. Model search
+    also evaluates sentences on partial ones, holding only the graphs a
+    sentence reads; applying a symbol that has no graph raises."""
 
     vocab: Vocabulary
     type_sets: dict[str, tuple[DomainElement, ...]]

@@ -538,7 +538,7 @@ def _app_valid(vocab: Vocabulary, d: TypingDerivation) -> bool:
                 and ps[0].type_name == ps[1].type_name
                 and vocab.has_type(ps[0].type_name)
             )
-        sig = vocab.signature(name)
+        sig = vocab.resolve(name)
         if sig is None:
             return False
         return (

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from gosil.cli import main
 
 
@@ -149,3 +151,35 @@ def test_eval_with_nat_bound(tmp_path):
     code, output = run("eval", str(theory), "--structure", str(structure))
     assert code == 1
     assert "UnboundedNatQuantifier" in output
+
+
+@pytest.mark.parametrize(
+    "middle, kind",
+    [
+        ("?c[Concept]: $(c)(a, a)", "GroundArityError"),
+        ("!d[Dog]: <<i: meow(d)>>", "IncomparableTypes"),
+    ],
+    ids=["grounding", "elaboration"],
+)
+def test_check_reports_grounding_and_elaboration_errors_per_axiom(tmp_path, middle, kind):
+    # the middle axiom fails to ground or to elaborate: the checker still
+    # reaches the last one and prints the JSON payload
+    theory = tmp_path / "middle.gos"
+    theory.write_text(
+        "type A\nconst a : A\ntype Cat <: A\ntype Dog <: A\npred meow : Cat\n"
+        "axiom first: true\n"
+        f"axiom middle: {middle}\n"
+        "axiom last: ?x[A]: x = a\n"
+    )
+    code, output = run("check", str(theory), "--json")
+    assert code == 1
+    lines = output.splitlines()
+    assert lines[:2] == ["first: well-typed", "middle: ill-typed"]
+    assert lines[2].startswith(f"{theory}:7:1: error: {kind}: ")
+    assert lines[3] == "last: well-typed"
+    payload = json.loads(lines[-1])
+    verdicts = [(a["label"], a["verdict"]) for a in payload["axioms"]]
+    assert verdicts == [("first", "well-typed"), ("middle", "ill-typed"), ("last", "well-typed")]
+    error = payload["axioms"][1]["error"]
+    assert (error["kind"], error["line"], error["column"]) == (kind, 7, 1)
+    assert (error["expected"], error["found"]) == (None, None)

@@ -5,7 +5,7 @@ import pytest
 from generators import guarded_dereference_instance, random_vocabulary
 from gosil import ast
 from gosil.errors import TypingError
-from gosil.parser import parse_formula
+from gosil.parser import parse_formula, parse_theory
 from gosil.typecheck import (
     TermEntry,
     VarEntry,
@@ -325,3 +325,16 @@ def test_flatten_and_long_chain():
     for atom in atoms[1:]:
         left_nested = ast.And(left_nested, atom)
     assert flatten_and(left_nested) == atoms
+
+
+def test_validator_accepts_grounded_equality_atom():
+    # grounding names equality at a type as `=_T`; the checker resolves it,
+    # and the validator must accept the derivation the checker builds
+    from gosil.parser import parse_theory
+
+    theory = parse_theory("type A\nconst a : A\nconst b : A\n")
+    atom = ast.Atom("=_A", (ast.Apply("a", ()), ast.Apply("b", ())))
+    d = check_sentence(theory, atom)
+    assert spine(d) == ("T-app", ["T-app", "T-app"])
+    assert tuple(p.type_name for p in d.premises) == ("A", "A")
+    assert validate_derivation(theory.vocabulary, d)
