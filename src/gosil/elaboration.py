@@ -37,56 +37,63 @@ def guard_targets(ctx: TypingContext, body: ast.Formula) -> list[GuardTarget]:
     types unrelated to the expected type are an error here, where the
     diagnostic can still point at the wrapper."""
     targets: list[GuardTarget] = []
-    seen: set[tuple[ast.Term, str]] = set()
-
-    def consider(
-        scope: TypingContext,
-        bound: frozenset[str],
-        term: ast.Term,
-        expected: str,
-        path: tuple[int, ...],
-    ) -> None:
-        if not ast.free_variables(term).isdisjoint(bound):
-            return
-        principal = derive_term(scope, term, path).type_name
-        if principal == expected or is_subtype(scope.vocab, principal, expected):
-            return
-        if not is_subtype(scope.vocab, expected, principal):
-            raise IncomparableTypes(
-                f"argument {ast.format_term(term)} has type {principal}, "
-                f"unrelated to expected {expected}"
-            )
-        if (term, expected) in seen:
-            return
-        seen.add((term, expected))
-        targets.append(GuardTarget(term, expected, principal, path))
-
-    def scan(
-        scope: TypingContext, bound: frozenset[str], node, path: tuple[int, ...]
-    ) -> None:
-        kids = ast.children(node)
-        # equality checks both sides at a common supertype, which always
-        # exists, so it has nothing to guard; other applications consider
-        # each argument their signature types, then scan it (an unknown
-        # symbol's arguments are not scanned at all)
-        symbol = None
-        if isinstance(node, ast.Apply):
-            symbol = node.symbol
-        elif isinstance(node, ast.Atom) and node.predicate != ast.EQUALITY_ATOM:
-            symbol = node.predicate
-        if symbol is not None:
-            sig = scope.lookup_symbol(symbol)
-            for i, (arg, expected) in enumerate(zip(kids, sig.argument_types if sig else ())):
-                consider(scope, bound, arg, expected, path + (i,))
-                scan(scope, bound, arg, path + (i,))
-            return
-        if isinstance(node, (ast.Exists, ast.Forall)):
-            scope, bound = scope.push(VarEntry(node.var, node.type_name)), bound | {node.var}
-        for i, kid in enumerate(kids):
-            scan(scope, bound, kid, path + (i,))
-
-    scan(ctx, frozenset(), body, ())
+    _scan(ctx, frozenset(), body, (), targets, set())
     return targets
+
+
+def _scan(
+    scope: TypingContext,
+    bound: frozenset[str],
+    node,
+    path: tuple[int, ...],
+    targets: list[GuardTarget],
+    seen: set[tuple[ast.Term, str]],
+) -> None:
+    kids = ast.children(node)
+    # equality checks both sides at a common supertype, which always
+    # exists, so it has nothing to guard; other applications consider
+    # each argument their signature types, then scan it (an unknown
+    # symbol's arguments are not scanned at all)
+    symbol = None
+    if isinstance(node, ast.Apply):
+        symbol = node.symbol
+    elif isinstance(node, ast.Atom) and node.predicate != ast.EQUALITY_ATOM:
+        symbol = node.predicate
+    if symbol is not None:
+        sig = scope.lookup_symbol(symbol)
+        for i, (arg, expected) in enumerate(zip(kids, sig.argument_types if sig else ())):
+            _consider(scope, bound, arg, expected, path + (i,), targets, seen)
+            _scan(scope, bound, arg, path + (i,), targets, seen)
+        return
+    if isinstance(node, (ast.Exists, ast.Forall)):
+        scope, bound = scope.push(VarEntry(node.var, node.type_name)), bound | {node.var}
+    for i, kid in enumerate(kids):
+        _scan(scope, bound, kid, path + (i,), targets, seen)
+
+
+def _consider(
+    scope: TypingContext,
+    bound: frozenset[str],
+    term: ast.Term,
+    expected: str,
+    path: tuple[int, ...],
+    targets: list[GuardTarget],
+    seen: set[tuple[ast.Term, str]],
+) -> None:
+    if not ast.free_variables(term).isdisjoint(bound):
+        return
+    principal = derive_term(scope, term, path).type_name
+    if principal == expected or is_subtype(scope.vocab, principal, expected):
+        return
+    if not is_subtype(scope.vocab, expected, principal):
+        raise IncomparableTypes(
+            f"argument {ast.format_term(term)} has type {principal}, "
+            f"unrelated to expected {expected}"
+        )
+    if (term, expected) in seen:
+        return
+    seen.add((term, expected))
+    targets.append(GuardTarget(term, expected, principal, path))
 
 
 def elaborate(ctx: TypingContext, formula: ast.Formula) -> ast.Formula:

@@ -56,15 +56,13 @@ class GroundInterpretation:
 def is_intensional(vocab: Vocabulary, formula: ast.Formula) -> bool:
     """True when grounding has work to do: the formula mentions concept
     references/dereferences or quantifies over a concept type."""
-    if ast.has_intensional_nodes(formula):
+    return ast.has_intensional_nodes(formula) or _quantifies_concepts(vocab, formula)
+
+
+def _quantifies_concepts(vocab: Vocabulary, f: ast.Formula) -> bool:
+    if isinstance(f, (ast.Exists, ast.Forall)) and is_subtype(vocab, f.type_name, CONCEPT):
         return True
-
-    def quantifies_concepts(f: ast.Formula) -> bool:
-        if isinstance(f, (ast.Exists, ast.Forall)) and is_subtype(vocab, f.type_name, CONCEPT):
-            return True
-        return any(quantifies_concepts(c) for c in ast.children(f))
-
-    return quantifies_concepts(formula)
+    return any(_quantifies_concepts(vocab, c) for c in ast.children(f))
 
 
 def build_intensional_interp(theory: ast.Theory) -> GroundInterpretation:
@@ -182,29 +180,27 @@ def _reduce_head(interp: GroundInterpretation, term: ast.Term) -> ConceptObject:
 def _eliminate(interp: GroundInterpretation, node):
     """Pass 2: rewrite dereferences to direct applications of the symbols
     their heads denote (the type predicate, for a type's concept)."""
-    vocab = interp.vocab
+    if isinstance(node, ast.Deref):
+        return _apply_concept(interp, node.head, node.args, ast.Apply)
+    if isinstance(node, ast.DerefAtom):
+        return _apply_concept(interp, node.head, node.args, ast.Atom)
+    return ast.rebuild(node, [_eliminate(interp, c) for c in ast.children(node)])
 
-    def walk(n):
-        if isinstance(n, ast.Deref):
-            return _apply_concept(n.head, n.args, ast.Apply)
-        if isinstance(n, ast.DerefAtom):
-            return _apply_concept(n.head, n.args, ast.Atom)
-        return ast.rebuild(n, [walk(c) for c in ast.children(n)])
 
-    def _apply_concept(head: ast.Term, args: tuple[ast.Term, ...], build):
-        obj = _reduce_head(interp, walk(head))
-        sig = deref_signature(vocab, obj)
-        if sig is None:
-            raise UnresolvableDeref(f"concept {obj} names nothing applicable")
-        new_args = tuple(walk(a) for a in args)
-        if len(new_args) != sig.arity:
-            raise GroundArityError(
-                f"{obj} dereferences to {sig.name!r} expecting {sig.arity} "
-                f"argument(s), got {len(new_args)}"
-            )
-        return build(sig.name, new_args)
-
-    return walk(node)
+def _apply_concept(
+    interp: GroundInterpretation, head: ast.Term, args: tuple[ast.Term, ...], build
+):
+    obj = _reduce_head(interp, _eliminate(interp, head))
+    sig = deref_signature(interp.vocab, obj)
+    if sig is None:
+        raise UnresolvableDeref(f"concept {obj} names nothing applicable")
+    new_args = tuple(_eliminate(interp, a) for a in args)
+    if len(new_args) != sig.arity:
+        raise GroundArityError(
+            f"{obj} dereferences to {sig.name!r} expecting {sig.arity} "
+            f"argument(s), got {len(new_args)}"
+        )
+    return build(sig.name, new_args)
 
 
 def ground_trace(

@@ -32,10 +32,27 @@ fresh structure holding only its dependencies' graphs, and its verdict
 option indices of those dependencies. A subtree is left as soon as some
 axiom does not hold on it and every axiom declared before that one has been
 checked and holds; if that axiom raised, its error is raised. Until then
-only symbols that the earlier axioms read keep all their options. Only
-emitted models are validated, and a type set whose first candidate fails
-validation is skipped: the enumeration is constructive, so one type set's
-candidates pass or fail validation together.
+only symbols that the earlier axioms read keep all their options.
+
+Once a level's axioms are checked, the rest of its subtree is decided by
+the depth, the cut (the first axiom known not to hold, and its verdict) and
+the options chosen at the levels above that axioms checked deeper read.
+Under that key each completed subtree stores the option indices of the
+leaves it reached; on a hit those leaves are replayed through the same
+leaf step instead of walking the subtree again, so order, errors and
+`limit` are unchanged. A subtree that stopped at `limit` or raised is not
+stored. A symbol that no later axiom reads drops out of every key below
+it, so the rest of the type set is searched once for all its options.
+
+A type set whose first candidate fails validation is skipped: the
+enumeration is constructive, so one type set's candidates pass or fail
+validation together. A leaf is emitted only if it passes validation,
+composed from its parts: the type-set part, checked once per type set,
+and each chosen option's graph part, checked once per option on a
+structure holding only that graph. This is exact here because every
+option's rows come from the type set's domains and 0..nat_bound, so a
+graph checked on its own sees the same members and the same naturals as
+inside the full candidate.
 """
 
 from __future__ import annotations
@@ -64,7 +81,9 @@ from .semantics import (
     Structure,
     _forced_type_sets,
     evaluate,
+    validate_graph,
     validate_structure,
+    validate_type_sets,
 )
 from .typecheck import check_sentence
 from .vocabulary import (
@@ -236,7 +255,8 @@ class _TypeSetSearch:
     appending models to `results` until it holds `limit` of them.
     `chosen[level]` is the option index fixed at each level above the
     current one; `memo` maps (axiom, option index of each dependency) to the
-    axiom's verdict."""
+    axiom's verdict, and `subtrees` maps a subtree's key to the option
+    indices, from its depth on, of each leaf it reached."""
 
     def __init__(
         self,
@@ -275,8 +295,26 @@ class _TypeSetSearch:
             )
             for lvl in range(len(self.names))
         ]
+        # key_levels[depth]: the levels above `depth` read by axioms checked
+        # below it; with depth, cut and failure they decide the subtree
+        self.key_levels = [
+            sorted(
+                {
+                    lvl
+                    for d in range(depth + 1, len(self.names) + 1)
+                    for a in self.checks[d]
+                    for lvl in self.dep_levels[a]
+                    if lvl < depth
+                }
+            )
+            for depth in range(len(self.names) + 1)
+        ]
         self.chosen = [0] * len(self.names)
         self.memo: dict[tuple, bool | GosilError] = {}
+        self.subtrees: dict[tuple, list[tuple[int, ...]]] = {}
+        self.reached: list[tuple[int, ...]] = []
+        self.type_sets_ok: bool | None = None
+        self.graph_ok: dict[tuple[int, int], bool] = {}
 
     def has_candidates(self) -> bool:
         """Whether any candidate exists and passes validation; candidates of
@@ -307,6 +345,33 @@ class _TypeSetSearch:
             self.memo[key] = verdict
         return verdict
 
+    def valid(self) -> bool:
+        """Whether the complete candidate passes validation, composed from
+        the type-set part, checked once, and each chosen option's graph
+        part, checked once per option."""
+        if self.type_sets_ok is None:
+            self.type_sets_ok = validate_type_sets(self.vocab, self.type_sets).ok
+        if not self.type_sets_ok:
+            return False
+        for lvl, i in enumerate(self.chosen):
+            ok = self.graph_ok.get((lvl, i))
+            if ok is None:
+                graph = self.options[lvl][i]
+                ok = validate_graph(self.vocab, self.type_sets, graph, self.nat_bound).ok
+                self.graph_ok[lvl, i] = ok
+            if not ok:
+                return False
+        return True
+
+    def leaf(self) -> bool:
+        """Emit the complete candidate if it is valid; True once `limit`
+        models are found."""
+        self.reached.append(tuple(self.chosen))
+        if not self.valid():
+            return False
+        self.results.append(self.candidate())
+        return self.limit is not None and len(self.results) >= self.limit
+
     def descend(self, depth: int, cut: int | None = None, failure=None) -> bool:
         """Search below the first `depth` levels; True once `limit` models
         are found. `cut` is the first axiom known not to hold on this subtree
@@ -325,11 +390,17 @@ class _TypeSetSearch:
                     return False
                 raise failure
         elif depth == len(self.names):
-            model = self.candidate()
-            if not validate_structure(self.vocab, model).ok:
-                return False
-            self.results.append(model)
-            return self.limit is not None and len(self.results) >= self.limit
+            return self.leaf()
+        key = (depth, cut, failure, *[self.chosen[lvl] for lvl in self.key_levels[depth]])
+        suffixes = self.subtrees.get(key)
+        if suffixes is not None:
+            # searched before: the same leaves, through the same leaf step
+            for suffix in suffixes:
+                self.chosen[depth:] = suffix
+                if self.leaf():
+                    return True
+            return False
+        start = len(self.reached)
         options = self.options[depth]
         # below a cut only symbols read by axioms before it can still decide
         # whether one of them raises, so any other symbol keeps one option
@@ -338,6 +409,8 @@ class _TypeSetSearch:
             self.chosen[depth] = i
             if self.descend(depth + 1, cut, failure):
                 return True
+        # a subtree that stopped at `limit` or raised is never stored
+        self.subtrees[key] = [leaf[depth:] for leaf in self.reached[start:]]
         return False
 
 

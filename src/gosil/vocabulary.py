@@ -232,6 +232,9 @@ def declare_type(
         raise DuplicateType(f"type {name!r} is already declared")
     if vocab.signature(name) is not None:
         raise DuplicateType(f"{name!r} is already a symbol name")
+    equality = f"{EQUALITY}_{name}"
+    if vocab.signature(equality) is not None:
+        raise DuplicateType(f"type {name!r} would shadow symbol {equality!r}")
     if name in supertypes:
         raise CyclicSubtyping(f"type {name!r} cannot be its own supertype")
     for sup in supertypes:
@@ -270,8 +273,10 @@ def declare_symbol(
     argument_types: list[str] | tuple[str, ...],
     result_type: str,
 ) -> Vocabulary:
-    """Add a function or predicate symbol (predicate iff result is Bool)."""
-    if vocab.signature(name) is not None or vocab.has_type(name):
+    """Add a function or predicate symbol (predicate iff result is Bool).
+    A name `resolve` already answers is taken, the `=_T` equality of a
+    declared type T included."""
+    if vocab.resolve(name) is not None:
         raise DuplicateSymbol(f"symbol {name!r} is already declared")
     for t in tuple(argument_types) + (result_type,):
         if not vocab.has_type(t):
@@ -427,6 +432,12 @@ def validate(vocab: Vocabulary) -> ValidationReport:
         seen_symbols.add(sig.name)
         if sig.name in names:
             report.add("DuplicateSymbol", f"symbol {sig.name!r} collides with a type", sig.name)
+        if not sig.builtin and sig.name.startswith(EQUALITY + "_") and sig.name[2:] in names:
+            report.add(
+                "DuplicateSymbol",
+                f"symbol {sig.name!r} collides with the equality of type {sig.name[2:]!r}",
+                sig.name,
+            )
         for t in sig.argument_types + (sig.result_type,):
             if t not in names:
                 report.add("UnknownType", f"signature of {sig.name!r} uses unknown type {t!r}", sig.name)

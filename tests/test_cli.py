@@ -105,6 +105,17 @@ def test_models_unsat_exit_code(tmp_path):
     assert "// 0 model(s)" in output
 
 
+def test_models_bound_errors_exit_one(sounds_path):
+    code, output = run("models", str(sounds_path))
+    assert code == 1
+    assert "error: BoundMissing: no domain bound for maximal type 'Animal'" in output
+    code, output = run(
+        "models", str(sounds_path), "--bound", "Animal=2", "--nat-bound", "3", "--cap", "10"
+    )
+    assert code == 1
+    assert "error: ExplosionGuard: search space of" in output
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.gos"
     bad.write_text("type Cat\npred meow : Cat\nconst tom : Cat\naxiom b: meow(tom,\n")

@@ -31,6 +31,13 @@ for _name in ("running_example", "sounds"):
         ("eval", f"fixtures/{_name}.gos", "--structure", "fixtures/s0.str", "--json"),
         0 if _name == "sounds" else 1,
     )
+_SOUNDS_MODELS = ("models", "fixtures/sounds.gos", "--bound", "Animal=2", "--nat-bound", "3")
+CASES["sounds.models"] = (_SOUNDS_MODELS, 0)
+CASES["sounds.models_limit"] = ((*_SOUNDS_MODELS, "--limit", "5"), 0)
+CASES["running_example.models"] = (
+    ("models", "fixtures/running_example.gos", "--bound", "Animal=1", "--nat-bound", "1"),
+    1,
+)
 
 
 def transcript(argv) -> tuple[int, str]:

@@ -212,3 +212,28 @@ def test_grounded_size_edge_cases():
     assert grounded_size(f, interp, {"t": "S"}) == 0  # empty extension
     plain = parse_formula("S(t)", vocab, {"t": "S"})
     assert grounded_size(plain, interp, {"t": "S"}) == 1
+
+
+def test_model_search_leaves_no_grounding_or_elaboration_closure(sounds_path):
+    # a self-recursive closure is a reference cycle that keeps its context
+    # (the GroundInterpretation among it) alive until a collection
+    import gc
+
+    from gosil.models import find_models
+
+    theory = parse_theory(sounds_path.read_text())
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        find_models(theory, {"Animal": 2}, nat_bound=3)
+        gc.collect()
+        leaked = [
+            obj
+            for obj in gc.garbage
+            if callable(obj)
+            and getattr(obj, "__module__", None) in ("gosil.grounding", "gosil.elaboration")
+        ]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert leaked == []

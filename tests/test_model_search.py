@@ -2,10 +2,13 @@
 replaced, kept in reference_models: on every theory the outcome, the list of
 formatted models or the exception class and message, must agree. Plus the
 candidate count against the options the search builds, the closed-form
-model count at Animal=3, and the order in which errors are reported."""
+model count at Animal=3, the order in which errors are reported, replayed
+subtrees, and the search's validation, composed from a type-set part and
+per-graph parts, against `validate_structure` on every candidate."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -18,7 +21,13 @@ from gosil import ast
 from gosil.errors import GosilError
 from gosil.models import _Enumeration, find_models
 from gosil.parser import parse_theory
-from gosil.semantics import format_structure
+from gosil.semantics import (
+    Structure,
+    format_structure,
+    validate_graph,
+    validate_structure,
+    validate_type_sets,
+)
 from gosil.typecheck import check_sentence
 
 MAKING_SOUND = "!a[Animal]: makingSound(a) <=> (Cat(a) & meow(a)) | (Dog(a) & bark(a))"
@@ -197,3 +206,107 @@ def test_error_before_a_failing_axiom_is_reported():
     )
     kind, error, _message = agree(theory, {"A": 1})
     assert (kind, error.__name__) == ("raised", "UnboundedNatQuantifier")
+
+
+def candidates(theory, bounds, nat_bound=None):
+    """Every candidate of the enumeration, in order: its type sets and its
+    graphs in declaration order, as the search assembles them."""
+    enumeration = _Enumeration(theory, bounds, nat_bound)
+    for type_sets in enumeration.type_sets():
+        options = [enumeration.options(sig, type_sets) for sig in enumeration.symbols]
+        for graphs in itertools.product(*options):
+            yield type_sets, {g.name: g for g in graphs}
+
+
+def assert_composed_validation_agrees(theory, bounds, nat_bound=None) -> tuple[int, int]:
+    """The type-set part plus each graph's part, checked on its own, against
+    `validate_structure` on the full candidate; returns the number of
+    candidates and how many of them fail validation."""
+    vocab = theory.vocabulary
+    count = failing = 0
+    for type_sets, graphs in candidates(theory, bounds, nat_bound):
+        whole = validate_structure(vocab, Structure(vocab, type_sets, graphs, nat_bound))
+        parts = list(validate_type_sets(vocab, type_sets).violations)
+        for graph in graphs.values():
+            parts += validate_graph(vocab, type_sets, graph, nat_bound).violations
+        assert parts == whole.violations
+        count += 1
+        failing += not whole.ok
+    return count, failing
+
+
+def test_composed_validation_agrees_on_sounds(sounds_path):
+    theory = parse_theory(sounds_path.read_text())
+    counts = [assert_composed_validation_agrees(theory, {"Animal": n}, 3) for n in (1, 2)]
+    assert counts == [(32, 0), (6144, 0)]
+
+
+def test_composed_validation_agrees_on_random_theories():
+    # the random theories share the fuzz vocabulary and the Animal bound,
+    # so their candidates are those of the nat bounds they are run with
+    nat_bounds = set()
+    for seed in range(220):
+        rng = random.Random(seed)
+        theory = random_theory(rng)
+        rng.choice((None, None, 1, 3))
+        nat_bounds.add(rng.choice((0, 1)))
+    counts = {
+        nat_bound: assert_composed_validation_agrees(theory, {"Animal": 1}, nat_bound)
+        for nat_bound in sorted(nat_bounds)
+    }
+    assert counts == {0: (16, 0), 1: (512, 0)}
+
+
+@pytest.mark.parametrize("source", [OUTSIDE_SUPERTYPE, EMPTY_EXTENSION])
+def test_composed_validation_agrees_on_failing_candidates(source):
+    count, failing = assert_composed_validation_agrees(parse_theory(source), {"A": 1})
+    assert count == failing > 0
+
+
+# `u` is read by no axiom, so the search walks the rest of each type set
+# once, for u's first option, and replays it for the others. `second`
+# raises exactly where `first` fails, so it is never reported; `third`
+# raises once B has two elements and q is not empty, in the last type set.
+REPLAY = """
+type A
+type B <: A
+pred u : A
+pred p : B
+pred q : B
+axiom first: (?x[B]: p(x)) => (?x[B]: q(x))
+axiom second: ((?x[B]: p(x)) & ~(?x[B]: q(x))) => ?n[Nat]: true
+axiom third: (?x[B]: ?y[B]: ~(x = y) & q(x)) => ?n[Nat]: true
+"""
+
+
+@pytest.mark.parametrize("limit", [None, 1, 5, 14])
+def test_replayed_subtrees_agree_with_reference(limit):
+    # per type set with |B| = 1, each of u's four options has three models:
+    # 5 stops in the replay for u's second option, 14 in the second type set
+    kind, *found = agree(parse_theory(REPLAY), {"A": 2}, limit=limit)
+    if limit is None:
+        assert (kind, found[0].__name__) == ("raised", "UnboundedNatQuantifier")
+    else:
+        assert (kind, len(found[0])) == ("models", limit)
+
+
+# Below q, the levels axioms still to be checked read are p's alone, but
+# `a1`'s verdict on q differs: False on the empty q, true on a singleton,
+# an error on both elements. The subtree key must keep them apart.
+CUT_KEY = """
+type A
+pred p : A
+pred q : A
+pred r : A
+axiom a0: (?x[A]: p(x)) | (?x[A]: r(x))
+axiom a1: (?x[A]: q(x)) & ((?x[A]: ?y[A]: ~(x = y) & q(x) & q(y)) => ?n[Nat]: true)
+"""
+
+
+@pytest.mark.parametrize("limit", [None, 3])
+def test_subtree_key_separates_cuts_and_failures(limit):
+    kind, *found = agree(parse_theory(CUT_KEY), {"A": 2}, limit=limit)
+    if limit is None:
+        assert (kind, found[0].__name__) == ("raised", "UnboundedNatQuantifier")
+    else:
+        assert (kind, len(found[0])) == ("models", limit)

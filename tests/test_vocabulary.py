@@ -246,3 +246,27 @@ def test_resolve_covers_every_applicable_name(animals):
     assert animals.signature("=_Cat") is None
     for name in ("=_Mouse", "=_", "undeclared"):
         assert animals.resolve(name) is None
+
+
+def test_equality_spelled_symbol_rejected(animals):
+    # `resolve` answers `=_Cat` with Cat's equality, so a symbol of that
+    # name could be declared but never applied
+    with pytest.raises(DuplicateSymbol):
+        declare_symbol(animals, "=_Cat", ["Cat"], BOOL)
+    # before its type exists the name is free, and the type is then refused
+    early = declare_symbol(animals, "=_Mouse", ["Cat"], BOOL)
+    assert early.resolve("=_Mouse") == early.signature("=_Mouse")
+    with pytest.raises(DuplicateType):
+        declare_type(early, "Mouse", [])
+
+
+def test_validate_reports_equality_spelled_symbol(animals):
+    from dataclasses import replace
+
+    shadowed = replace(
+        animals, signatures=animals.signatures + (Signature("=_Cat", ("Cat",), BOOL),)
+    )
+    violations = [v for v in validate(shadowed).violations if v.where == "=_Cat"]
+    assert [v.kind for v in violations] == ["DuplicateSymbol"]
+    assert "equality" in violations[0].message
+    assert validate(animals).ok
