@@ -12,6 +12,7 @@ level.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import Location
 from .vocabulary import ConceptObject, Vocabulary
@@ -192,7 +193,19 @@ class Theory:
 # back as the very same object, location included; every node rebuild makes
 # has loc=None, even when `kids` are the old children. A walker that must
 # keep a node's location returns the node itself instead of rebuilding it.
-# Both raise TypeError on anything that is not a term or formula node.
+# Both dispatch on the exact class of a node and raise TypeError on anything
+# else.
+#
+# walk and fold are the one traversal of every structural walker. Both keep
+# their own stack, so no tree is too deep for them, and call children once
+# per node. walk(expr) yields the nodes in preorder. fold(expr, combine,
+# enter) is post-order: combine(node, values) gets the values of the node's
+# children in source order. enter(node), if given, runs on each node in
+# preorder, before anything below it, and returns None to visit its
+# children, or else the node's value, which skips them. With
+# combine=rebuild, leaves come back as themselves and every other node
+# visited is new, with loc=None; a node that enter gives as its own value
+# keeps its location.
 
 _LEAVES = (Variable, NatLiteral, ConceptRef, Truth)
 _APPLIED = (Apply, Atom)  # symbol or predicate over args
@@ -200,196 +213,216 @@ _DEREFS = (Deref, DerefAtom)
 _UNARY = (Not, GuardC, GuardI)
 _BINARY = (And, Or, Implies, Iff)
 _QUANTIFIERS = (Exists, Forall)
+_CHILDREN = {  # keyed by exact class: one lookup instead of a chain of isinstance tests
+    **dict.fromkeys(_LEAVES, lambda node: ()),
+    **dict.fromkeys(_APPLIED, attrgetter("args")),
+    **dict.fromkeys(_DEREFS, lambda node: (node.head,) + node.args),
+    **dict.fromkeys(_BINARY, attrgetter("left", "right")),
+    **dict.fromkeys(_UNARY + _QUANTIFIERS, lambda node: (node.body,)),
+}
 
 
 def children(node: Term | Formula) -> tuple[Term | Formula, ...]:
-    if isinstance(node, _LEAVES):
-        return ()
-    if isinstance(node, _APPLIED):
-        return node.args
-    if isinstance(node, _DEREFS):
-        return (node.head,) + node.args
-    if isinstance(node, _BINARY):
-        return (node.left, node.right)
-    if isinstance(node, _UNARY + _QUANTIFIERS):
-        return (node.body,)
-    raise TypeError(f"not a term or formula: {node!r}")
+    try:
+        return _CHILDREN[type(node)](node)
+    except KeyError:
+        raise TypeError(f"not a term or formula: {node!r}") from None
+
+
+_REBUILT = {  # a node of the class of `node` over `kids`, other fields kept
+    **dict.fromkeys(_LEAVES, lambda node, kids: node),
+    Apply: lambda node, kids: Apply(node.symbol, kids),
+    Atom: lambda node, kids: Atom(node.predicate, kids),
+    **dict.fromkeys(_DEREFS, lambda node, kids: type(node)(kids[0], kids[1:])),
+    **dict.fromkeys(_BINARY, lambda node, kids: type(node)(*kids)),
+    **dict.fromkeys(_UNARY, lambda node, kids: type(node)(kids[0])),
+    **dict.fromkeys(_QUANTIFIERS, lambda node, kids: type(node)(node.var, node.type_name, kids[0])),
+}
 
 
 def rebuild(node: Term | Formula, kids) -> Term | Formula:
-    if isinstance(node, _LEAVES):
-        return node
-    kids = tuple(kids)
-    if isinstance(node, Apply):
-        return Apply(node.symbol, kids)
-    if isinstance(node, Atom):
-        return Atom(node.predicate, kids)
-    if isinstance(node, _DEREFS):
-        return type(node)(kids[0], kids[1:])
-    if isinstance(node, _BINARY):
-        return type(node)(*kids)
-    if isinstance(node, _UNARY):
-        return type(node)(kids[0])
-    if isinstance(node, _QUANTIFIERS):
-        return type(node)(node.var, node.type_name, kids[0])
-    raise TypeError(f"not a term or formula: {node!r}")
+    try:
+        build = _REBUILT[type(node)]
+    except KeyError:
+        raise TypeError(f"not a term or formula: {node!r}") from None
+    return build(node, tuple(kids))
+
+
+def walk(expr: Term | Formula):
+    """Every node of `expr` in preorder."""
+    todo = [expr]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo.extend(reversed(children(node)))
+
+
+_EXIT = object()  # pushed below the children of a node: combine them when popped
+
+
+def fold(expr: Term | Formula, combine, enter=None):
+    """Post-order fold of `expr`; see the comment above `children`."""
+    values: list = []
+    exits: list = []  # (node, number of children) of the nodes being folded
+    todo: list = [expr]
+    pop, push = todo.pop, todo.append
+    while todo:
+        node = pop()
+        if node is _EXIT:  # the values of the innermost node's children are on top
+            node, n = exits.pop()
+            values[-n:] = (combine(node, values[-n:]),)
+        elif enter is not None and (entered := enter(node)) is not None:
+            values.append(entered)
+        elif kids := children(node):
+            exits.append((node, len(kids)))
+            push(_EXIT)
+            todo += kids[::-1]
+        else:
+            values.append(combine(node, ()))
+    return values[0]
 
 
 def free_variables(expr: Term | Formula) -> frozenset[str]:
     """Free variables of an expression; quantifiers bind."""
-    if isinstance(expr, Variable):
-        return frozenset((expr.name,))
-    out: frozenset[str] = frozenset()
-    for child in children(expr):
-        out |= free_variables(child)
-    if isinstance(expr, _QUANTIFIERS):
-        return out - {expr.var}
-    return out
+
+    def combine(node, kids) -> frozenset[str]:
+        if isinstance(node, Variable):
+            return frozenset((node.name,))
+        out = frozenset().union(*kids)
+        return out - {node.var} if isinstance(node, _QUANTIFIERS) else out
+
+    return fold(expr, combine)
 
 
 def substitute(expr, var: str, replacement: Term):
     """Replace free occurrences of `var` by a closed term."""
-    if isinstance(expr, Variable) and expr.name == var:
-        return replacement
-    if isinstance(expr, _QUANTIFIERS) and expr.var == var:
-        return expr
-    return rebuild(expr, [substitute(c, var, replacement) for c in children(expr)])
+
+    def enter(node):
+        if isinstance(node, Variable) and node.name == var:
+            return replacement
+        if isinstance(node, _QUANTIFIERS) and node.var == var:
+            return node
+        return None
+
+    return fold(expr, rebuild, enter)
 
 
 def has_intensional_nodes(expr: Term | Formula) -> bool:
     """True if the expression mentions a concept reference or dereference."""
-    if isinstance(expr, (ConceptRef,) + _DEREFS):
-        return True
-    return any(has_intensional_nodes(c) for c in children(expr))
+    return any(isinstance(node, (ConceptRef,) + _DEREFS) for node in walk(expr))
 
 
 def has_guards(f: Formula) -> bool:
-    if isinstance(f, (GuardC, GuardI)):
-        return True
-    return any(has_guards(c) for c in children(f))
+    return any(isinstance(node, (GuardC, GuardI)) for node in walk(f))
 
 
 def atom_count(f: Formula) -> int:
     """Number of atomic formulas (Atom and DerefAtom nodes)."""
-    if isinstance(f, (Atom, DerefAtom)):
-        return 1
-    return sum(atom_count(c) for c in children(f))
+    return sum(isinstance(node, (Atom, DerefAtom)) for node in walk(f))
 
 
 def node_count(expr: Term | Formula) -> int:
-    return 1 + sum(node_count(c) for c in children(expr))
+    return sum(1 for _ in walk(expr))
+
+
+# The core form of each shortcut node, over its desugared children.
+_DESUGARED = {
+    Not: lambda node, kids: Not(kids[0]),
+    Or: lambda node, kids: Or(*kids),
+    And: lambda node, kids: Not(Or(Not(kids[0]), Not(kids[1]))),
+    Implies: lambda node, kids: Or(Not(kids[0]), kids[1]),
+    Iff: lambda node, kids: Not(Or(Not(Or(Not(kids[0]), kids[1])), Not(Or(Not(kids[1]), kids[0])))),
+    Exists: lambda node, kids: Exists(node.var, node.type_name, kids[0]),
+    Forall: lambda node, kids: Not(Exists(node.var, node.type_name, Not(kids[0]))),
+}
 
 
 def desugar(f: Formula) -> Formula:
     """Rewrite to the core connectives (true/false, atoms, ~, |, ?) using the
     standard shortcut definitions. Used to cross-check the native evaluation
     of &, =>, <=>, and ! against the core."""
-    match f:
-        case Truth() | Atom() | DerefAtom():
-            return f
-        case Not(body):
-            return Not(desugar(body))
-        case Or(l, r):
-            return Or(desugar(l), desugar(r))
-        case And(l, r):
-            return Not(Or(Not(desugar(l)), Not(desugar(r))))
-        case Implies(l, r):
-            return Or(Not(desugar(l)), desugar(r))
-        case Iff(l, r):
-            dl, dr = desugar(l), desugar(r)
-            return desugar(And(Or(Not(dl), dr), Or(Not(dr), dl)))
-        case Exists(v, tn, body):
-            return Exists(v, tn, desugar(body))
-        case Forall(v, tn, body):
-            return Not(Exists(v, tn, Not(desugar(body))))
-    raise TypeError(f"cannot desugar {f!r}")
+
+    def enter(node):
+        if isinstance(node, (Truth, Atom, DerefAtom)):
+            return node
+        if type(node) not in _DESUGARED:
+            raise TypeError(f"cannot desugar {node!r}")
+        return None
+
+    return fold(f, lambda node, kids: _DESUGARED[type(node)](node, kids), enter)
 
 
 # -- canonical printing ------------------------------------------------------------
 
-_LEVEL_QUANT = 0
-_LEVEL_IFF = 1
-_LEVEL_IMP = 2
-_LEVEL_OR = 3
-_LEVEL_AND = 4
-_LEVEL_NOT = 5
-_LEVEL_ATOM = 6
+_LEVEL_QUANT, _LEVEL_IFF, _LEVEL_IMP, _LEVEL_OR, _LEVEL_AND, _LEVEL_NOT, _LEVEL_ATOM = range(7)
+_LEVELS = {Exists: _LEVEL_QUANT, Forall: _LEVEL_QUANT, Iff: _LEVEL_IFF, Implies: _LEVEL_IMP,
+           Or: _LEVEL_OR, And: _LEVEL_AND, Not: _LEVEL_NOT}  # any other formula: _LEVEL_ATOM
 
 _ARITHMETIC_OPS = ("+", "-", "*")
 
 
 def format_term(t: Term) -> str:
-    match t:
-        case Variable(name):
-            return name
-        case NatLiteral(value):
-            return str(value)
-        case ConceptRef(concept):
-            return f"`{concept.name}"
-        case Apply(symbol, (l, r)) if symbol in _ARITHMETIC_OPS:
-            return f"({format_term(l)} {symbol} {format_term(r)})"
-        case Apply(symbol, ()):
-            return symbol
-        case Apply(symbol, args):
-            return f"{symbol}({', '.join(format_term(a) for a in args)})"
-        case Deref(head, args):
-            return f"$({format_term(head)})({', '.join(format_term(a) for a in args)})"
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _level(f: Formula) -> int:
-    match f:
-        case Exists() | Forall():
-            return _LEVEL_QUANT
-        case Iff():
-            return _LEVEL_IFF
-        case Implies():
-            return _LEVEL_IMP
-        case Or():
-            return _LEVEL_OR
-        case And():
-            return _LEVEL_AND
-        case Not():
-            return _LEVEL_NOT
-        case _:
-            return _LEVEL_ATOM
+    if not isinstance(t, Term):
+        raise TypeError(f"not a term: {t!r}")
+    return _spell(t)
 
 
 def format_formula(f: Formula, min_level: int = 0) -> str:
-    match f:
-        case Truth(value):
-            body = "true" if value else "false"
-        case Atom("=", (l, r)):
-            body = f"{format_term(l)} = {format_term(r)}"
-        case Atom(p, ()):
-            body = p
-        case Atom(p, args):
-            body = f"{p}({', '.join(format_term(a) for a in args)})"
-        case DerefAtom(head, args):
-            body = f"$({format_term(head)})({', '.join(format_term(a) for a in args)})"
-        case Not(inner):
-            body = f"~{format_formula(inner, _LEVEL_NOT)}"
-        case And(l, r):
-            body = f"{format_formula(l, _LEVEL_AND + 1)} & {format_formula(r, _LEVEL_AND)}"
-        case Or(l, r):
-            body = f"{format_formula(l, _LEVEL_OR + 1)} | {format_formula(r, _LEVEL_OR)}"
-        case Implies(l, r):
-            body = f"{format_formula(l, _LEVEL_IMP + 1)} => {format_formula(r, _LEVEL_IMP)}"
-        case Iff(l, r):
-            body = f"{format_formula(l, _LEVEL_IFF)} <=> {format_formula(r, _LEVEL_IFF + 1)}"
-        case Exists(var, tn, inner):
-            body = f"?{var}[{tn}]: {format_formula(inner)}"
-        case Forall(var, tn, inner):
-            body = f"!{var}[{tn}]: {format_formula(inner)}"
-        case GuardC(inner):
-            body = f"<<c: {format_formula(inner)}>>"
-        case GuardI(inner):
-            body = f"<<i: {format_formula(inner)}>>"
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
-    if _level(f) < min_level:
-        return f"({body})"
-    return body
+    return _operand(f, _spell(f), min_level)
+
+
+def _operand(f: Formula, body: str, min_level: int) -> str:
+    """Formula `f`, spelled `body`, where its position binds at `min_level`."""
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
+    return f"({body})" if _LEVELS.get(type(f), _LEVEL_ATOM) < min_level else body
+
+
+def _applied(name: str, kids: list[str]) -> str:
+    return f"{name}({', '.join(kids)})" if kids else name
+
+
+def _infix(op: str, left_level: int, right_level: int):
+    def spell(node, kids) -> str:
+        left = _operand(node.left, kids[0], left_level)
+        return f"{left} {op} {_operand(node.right, kids[1], right_level)}"
+
+    return spell
+
+
+# The spelling of each class of node from the spellings of its children;
+# & | => are right-associative and <=> left-associative.
+_SPELLING = {
+    Variable: lambda node, kids: node.name,
+    NatLiteral: lambda node, kids: str(node.value),
+    ConceptRef: lambda node, kids: f"`{node.concept.name}",
+    Truth: lambda node, kids: "true" if node.value else "false",
+    Apply: lambda node, kids: (
+        f"({kids[0]} {node.symbol} {kids[1]})"
+        if node.symbol in _ARITHMETIC_OPS and len(kids) == 2
+        else _applied(node.symbol, kids)
+    ),
+    Atom: lambda node, kids: (
+        f"{kids[0]} = {kids[1]}"
+        if node.predicate == EQUALITY_ATOM and len(kids) == 2
+        else _applied(node.predicate, kids)
+    ),
+    **dict.fromkeys(_DEREFS, lambda node, kids: f"$({kids[0]})({', '.join(kids[1:])})"),
+    Not: lambda node, kids: f"~{_operand(node.body, kids[0], _LEVEL_NOT)}",
+    And: _infix("&", _LEVEL_AND + 1, _LEVEL_AND),
+    Or: _infix("|", _LEVEL_OR + 1, _LEVEL_OR),
+    Implies: _infix("=>", _LEVEL_IMP + 1, _LEVEL_IMP),
+    Iff: _infix("<=>", _LEVEL_IFF, _LEVEL_IFF + 1),
+    Exists: lambda node, kids: f"?{node.var}[{node.type_name}]: {_operand(node.body, kids[0], 0)}",
+    Forall: lambda node, kids: f"!{node.var}[{node.type_name}]: {_operand(node.body, kids[0], 0)}",
+    GuardC: lambda node, kids: f"<<c: {_operand(node.body, kids[0], 0)}>>",
+    GuardI: lambda node, kids: f"<<i: {_operand(node.body, kids[0], 0)}>>",
+}
+
+
+def _spell(expr: Term | Formula) -> str:
+    """The canonical spelling of a term or formula, built bottom-up."""
+    return fold(expr, lambda node, kids: _SPELLING[type(node)](node, kids))
 
 
 def _type_line(vocab: Vocabulary, name: str) -> str:

@@ -7,10 +7,10 @@
     gosil models theory.gos --bound T=n ... [--limit k] [--nat-bound N]
 
 Exit codes: 0 when everything succeeded (all axioms well-typed / true /
-some model found), 1 on a type error or a false axiom or no models, and 2
-on usage, parse, or I/O errors. Identical invocations produce byte-identical
-output; every diagnostic goes through one formatter carrying
-file:line:column when known.
+some model found), 1 on a type error or a false axiom or no models, 2 on
+usage, parse, or I/O errors, and 3 on an internal error (one line, no
+traceback). Identical invocations produce byte-identical output; every
+diagnostic goes through one formatter carrying file:line:column when known.
 """
 
 from __future__ import annotations
@@ -246,6 +246,10 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except GosilError as err:
         out.write(_diagnostic(args.theory, err) + "\n")
         return 1
+    except Exception as err:  # a fault in gosil itself: one line, never a traceback
+        message = " ".join(str(err).splitlines())
+        out.write(f"{args.theory}: internal error: {type(err).__name__}: {message}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 
 from . import ast
 from .errors import IncomparableTypes
-from .typecheck import TypingContext, VarEntry, derive_term, refold_and
+from .typecheck import TypingContext, VarEntry, derive_term, refold
 from .vocabulary import is_subtype
+
+_QUANTIFIERS = (ast.Exists, ast.Forall)
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,7 @@ def _scan(
             _consider(scope, bound, arg, expected, path + (i,), targets, seen)
             _scan(scope, bound, arg, path + (i,), targets, seen)
         return
-    if isinstance(node, (ast.Exists, ast.Forall)):
+    if isinstance(node, _QUANTIFIERS):
         scope, bound = scope.push(VarEntry(node.var, node.type_name)), bound | {node.var}
     for i, kid in enumerate(kids):
         _scan(scope, bound, kid, path + (i,), targets, seen)
@@ -99,17 +101,27 @@ def _consider(
 def elaborate(ctx: TypingContext, formula: ast.Formula) -> ast.Formula:
     """Rewrite away every guard wrapper, innermost first. The output is
     wrapper-free; wrapper-free input comes back unchanged."""
-    if isinstance(formula, (ast.Truth, ast.Atom, ast.DerefAtom)):
-        return formula
-    if isinstance(formula, (ast.GuardC, ast.GuardI)):
-        inner = elaborate(ctx, formula.body)
-        targets = guard_targets(ctx, inner)
+    scopes = [ctx]  # the context of the node being folded, innermost last
+
+    def enter(node):
+        if isinstance(node, (ast.Truth, ast.Atom, ast.DerefAtom)):
+            return node
+        if isinstance(node, _QUANTIFIERS):
+            scopes.append(scopes[-1].push(VarEntry(node.var, node.type_name)))
+        return None
+
+    def combine(node, kids):
+        if isinstance(node, _QUANTIFIERS):
+            scopes.pop()
+        if not isinstance(node, (ast.GuardC, ast.GuardI)):
+            return ast.rebuild(node, kids)
+        inner = kids[0]
+        targets = guard_targets(scopes[-1], inner)
         if not targets:
             return inner
         guards = [ast.Atom(t.expected_type, (t.term,)) for t in targets]
-        if isinstance(formula, ast.GuardC):
-            return refold_and(guards + [inner])
-        return ast.Implies(refold_and(guards), inner)
-    if isinstance(formula, (ast.Exists, ast.Forall)):
-        ctx = ctx.push(VarEntry(formula.var, formula.type_name))
-    return ast.rebuild(formula, [elaborate(ctx, c) for c in ast.children(formula)])
+        if isinstance(node, ast.GuardC):
+            return refold(guards + [inner])
+        return ast.Implies(refold(guards), inner)
+
+    return ast.fold(formula, combine, enter)

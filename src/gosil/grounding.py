@@ -22,7 +22,7 @@ from .errors import (
     UnknownConceptMember,
     UnresolvableDeref,
 )
-from .typecheck import VarEntry, initial_context
+from .typecheck import VarEntry, initial_context, refold
 from .vocabulary import (
     CONCEPT,
     ConceptObject,
@@ -34,6 +34,8 @@ from .vocabulary import (
 )
 
 FactKey = tuple[str, tuple[ConceptObject, ...]]
+_QUANTIFIERS = (ast.Exists, ast.Forall)
+_DEREFS = (ast.Deref, ast.DerefAtom)
 
 
 @dataclass(frozen=True)
@@ -56,13 +58,10 @@ class GroundInterpretation:
 def is_intensional(vocab: Vocabulary, formula: ast.Formula) -> bool:
     """True when grounding has work to do: the formula mentions concept
     references/dereferences or quantifies over a concept type."""
-    return ast.has_intensional_nodes(formula) or _quantifies_concepts(vocab, formula)
-
-
-def _quantifies_concepts(vocab: Vocabulary, f: ast.Formula) -> bool:
-    if isinstance(f, (ast.Exists, ast.Forall)) and is_subtype(vocab, f.type_name, CONCEPT):
-        return True
-    return any(_quantifies_concepts(vocab, c) for c in ast.children(f))
+    return ast.has_intensional_nodes(formula) or any(
+        isinstance(node, _QUANTIFIERS) and is_subtype(vocab, node.type_name, CONCEPT)
+        for node in ast.walk(formula)
+    )
 
 
 def build_intensional_interp(theory: ast.Theory) -> GroundInterpretation:
@@ -131,28 +130,31 @@ def _check_totality(interp: GroundInterpretation) -> None:
 def _expand_quantifiers(interp: GroundInterpretation, f: ast.Formula) -> ast.Formula:
     """Pass 1: replace concept-typed quantifiers by finite expansions over
     their extensions, substituting concept references for the variable.
-    Outer quantifiers expand before the instances are recursed into."""
+    A quantifier's body is expanded once, then instantiated per member;
+    substituting and expanding commute, and the extension is looked up
+    before the body is entered, so errors come in outermost-first order."""
     vocab = interp.vocab
 
-    def fold(instances: list[ast.Formula], empty: ast.Formula, node) -> ast.Formula:
-        if not instances:
-            return empty
-        result = instances[-1]
-        for inst in reversed(instances[:-1]):
-            result = node(inst, result)
-        return result
+    def concept_quantifier(node) -> bool:
+        return isinstance(node, _QUANTIFIERS) and is_subtype(vocab, node.type_name, CONCEPT)
 
-    if isinstance(f, (ast.Truth, ast.Atom, ast.DerefAtom)):
-        return f
-    if isinstance(f, (ast.Exists, ast.Forall)) and is_subtype(vocab, f.type_name, CONCEPT):
+    def enter(node):
+        if isinstance(node, (ast.Truth, ast.Atom, ast.DerefAtom)):
+            return node
+        if concept_quantifier(node) and not interp.extension(node.type_name):
+            return ast.Truth(isinstance(node, ast.Forall))
+        return None
+
+    def combine(node, kids):
+        if not concept_quantifier(node):
+            return ast.rebuild(node, kids)
         instances = [
-            _expand_quantifiers(interp, ast.substitute(f.body, f.var, ast.ConceptRef(obj)))
-            for obj in interp.extension(f.type_name)
+            ast.substitute(kids[0], node.var, ast.ConceptRef(obj))
+            for obj in interp.extension(node.type_name)
         ]
-        if isinstance(f, ast.Exists):
-            return fold(instances, ast.Truth(False), ast.Or)
-        return fold(instances, ast.Truth(True), ast.And)
-    return ast.rebuild(f, [_expand_quantifiers(interp, c) for c in ast.children(f)])
+        return refold(instances, ast.Or if isinstance(node, ast.Exists) else ast.And)
+
+    return ast.fold(f, combine, enter)
 
 
 def _reduce_head(interp: GroundInterpretation, term: ast.Term) -> ConceptObject:
@@ -177,30 +179,40 @@ def _reduce_head(interp: GroundInterpretation, term: ast.Term) -> ConceptObject:
     )
 
 
-def _eliminate(interp: GroundInterpretation, node):
+def _eliminate(interp: GroundInterpretation, expr):
     """Pass 2: rewrite dereferences to direct applications of the symbols
-    their heads denote (the type predicate, for a type's concept)."""
-    if isinstance(node, ast.Deref):
-        return _apply_concept(interp, node.head, node.args, ast.Apply)
-    if isinstance(node, ast.DerefAtom):
-        return _apply_concept(interp, node.head, node.args, ast.Atom)
-    return ast.rebuild(node, [_eliminate(interp, c) for c in ast.children(node)])
+    their heads denote (the type predicate, for a type's concept). A head
+    is reduced as soon as it is rewritten, before the arguments are
+    visited, so errors come in that order."""
+    heads: list[ast.Term] = []  # heads of the dereferences entered, innermost last
 
+    def enter(node):
+        if isinstance(node, _DEREFS):
+            heads.append(node.head)
+        return None
 
-def _apply_concept(
-    interp: GroundInterpretation, head: ast.Term, args: tuple[ast.Term, ...], build
-):
-    obj = _reduce_head(interp, _eliminate(interp, head))
-    sig = deref_signature(interp.vocab, obj)
-    if sig is None:
-        raise UnresolvableDeref(f"concept {obj} names nothing applicable")
-    new_args = tuple(_eliminate(interp, a) for a in args)
-    if len(new_args) != sig.arity:
-        raise GroundArityError(
-            f"{obj} dereferences to {sig.name!r} expecting {sig.arity} "
-            f"argument(s), got {len(new_args)}"
-        )
-    return build(sig.name, new_args)
+    def combine(node, kids):
+        if isinstance(node, _DEREFS):
+            (obj, sig), args = kids[0], tuple(kids[1:])
+            if len(args) != sig.arity:
+                raise GroundArityError(
+                    f"{obj} dereferences to {sig.name!r} expecting {sig.arity} "
+                    f"argument(s), got {len(args)}"
+                )
+            value = (ast.Apply if isinstance(node, ast.Deref) else ast.Atom)(sig.name, args)
+        else:
+            value = ast.rebuild(node, kids)
+        if not heads or node is not heads[-1]:
+            return value
+        # a head, rewritten before any argument of its dereference is visited
+        heads.pop()
+        obj = _reduce_head(interp, value)
+        sig = deref_signature(interp.vocab, obj)
+        if sig is None:
+            raise UnresolvableDeref(f"concept {obj} names nothing applicable")
+        return obj, sig
+
+    return ast.fold(expr, combine, enter)
 
 
 def ground_trace(
@@ -246,15 +258,11 @@ def dependencies(formula: ast.Formula, interp: GroundInterpretation) -> frozense
     sentence `typecheck.check_sentence` accepted has been grounded this way
     already."""
     vocab = interp.vocab
-    found: set[str] = set()
-    todo: list = [ground(formula, interp)]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, ast.Atom):
-            found.add(node.predicate)
-        elif isinstance(node, ast.Apply):
-            found.add(node.symbol)
-        todo.extend(ast.children(node))
+    found = {
+        node.predicate if isinstance(node, ast.Atom) else node.symbol
+        for node in ast.walk(ground(formula, interp))
+        if isinstance(node, (ast.Atom, ast.Apply))
+    }
     if ast.has_guards(formula) or ast.has_intensional_nodes(formula):
         found.update(
             s.name

@@ -444,7 +444,7 @@ def find_models(
             check_sentence(theory, axiom.formula)
         except TypingError as err:
             raise IllTypedSentence(
-                f"axiom {axiom.label!r} is ill-typed: {err.message}"
+                f"axiom {axiom.label!r} is ill-typed: {err.message}", err.loc or axiom.loc
             ) from err
 
     enumeration = _Enumeration(theory, domain_bounds, nat_bound)

@@ -96,12 +96,7 @@ class TypingDerivation:
     note: str | None = field(default=None, compare=False)
 
     def conclusion(self) -> str:
-        expr_text = (
-            ast.format_term(self.expr)
-            if isinstance(self.expr, ast.Term)
-            else ast.format_formula(self.expr)
-        )
-        return f"{expr_text} : {self.type_name}"
+        return f"{self.expr} : {self.type_name}"
 
 
 RULE_NAMES = (
@@ -113,6 +108,9 @@ RULE_NAMES = (
 
 
 # -- terms -------------------------------------------------------------------------
+
+
+_UNGROUNDED = "dereference must be grounded before type checking"
 
 
 def derive_term(ctx: TypingContext, term: ast.Term, path: tuple[int, ...] = ()) -> TypingDerivation:
@@ -130,31 +128,32 @@ def derive_term(ctx: TypingContext, term: ast.Term, path: tuple[int, ...] = ()) 
         case ast.ConceptRef():
             return TypingDerivation("T-con", term, CONCEPT)
         case ast.Apply(symbol, args):
-            sig = ctx.lookup_symbol(symbol)
-            if sig is None:
-                raise TypingError(
-                    "UnknownSymbol", f"unknown symbol {symbol!r}", term, path
-                )
-            if len(args) != sig.arity:
-                raise TypingError(
-                    "ArgumentTypeMismatch",
-                    f"{symbol!r} expects {sig.arity} argument(s), got {len(args)}",
-                    term,
-                    path,
-                )
-            premises = tuple(
-                _derive_at(ctx, arg, expected, path + (i,))
-                for i, (arg, expected) in enumerate(zip(args, sig.argument_types))
-            )
+            sig, premises = _application(ctx, term, symbol, args, path)
             return TypingDerivation("T-app", term, sig.result_type, premises)
         case ast.Deref():
-            raise TypingError(
-                "IntensionalNotGrounded",
-                "dereference must be grounded before type checking",
-                term,
-                path,
-            )
+            raise TypingError("IntensionalNotGrounded", _UNGROUNDED, term, path)
     raise TypeError(f"not a term: {term!r}")
+
+
+def _application(
+    ctx: TypingContext, node, name: str, args: tuple[ast.Term, ...], path: tuple[int, ...]
+) -> tuple[Signature, tuple[TypingDerivation, ...]]:
+    """The signature `name` resolves to in an application `node` over `args`,
+    and a derivation of each argument at its argument type."""
+    sig = ctx.lookup_symbol(name)
+    if sig is None:
+        raise TypingError("UnknownSymbol", f"unknown symbol {name!r}", node, path)
+    if len(args) != sig.arity:
+        raise TypingError(
+            "ArgumentTypeMismatch",
+            f"{name!r} expects {sig.arity} argument(s), got {len(args)}",
+            node,
+            path,
+        )
+    return sig, tuple(
+        _derive_at(ctx, arg, expected, path + (i,))
+        for i, (arg, expected) in enumerate(zip(args, sig.argument_types))
+    )
 
 
 def _derive_at(
@@ -187,8 +186,7 @@ def principal_type(ctx: TypingContext, term: ast.Term) -> str:
 
 def flatten_and(f: ast.Formula) -> list[ast.Formula]:
     """The conjuncts of an &-chain in order, however it is nested."""
-    conjuncts: list[ast.Formula] = []
-    todo = [f]
+    conjuncts, todo = [], [f]
     while todo:
         node = todo.pop()
         if isinstance(node, ast.And):
@@ -198,10 +196,11 @@ def flatten_and(f: ast.Formula) -> list[ast.Formula]:
     return conjuncts
 
 
-def refold_and(conjuncts: list[ast.Formula]) -> ast.Formula:
-    result = conjuncts[-1]
-    for c in reversed(conjuncts[:-1]):
-        result = ast.And(c, result)
+def refold(parts: list[ast.Formula], connective=ast.And) -> ast.Formula:
+    """The right-nested chain p1 c (p2 c (... c pn)) of one or more parts."""
+    result = parts[-1]
+    for part in reversed(parts[:-1]):
+        result = connective(part, result)
     return result
 
 
@@ -228,7 +227,7 @@ def guard_prefix(vocab: Vocabulary, f: ast.Formula) -> tuple[list[ast.Atom], ast
     k = 1
     while k < len(conjuncts) - 1 and _is_type_predicate_atom(vocab, conjuncts[k]):
         k += 1
-    return conjuncts[:k], refold_and(conjuncts[k:])  # type: ignore[return-value]
+    return conjuncts[:k], refold(conjuncts[k:])  # type: ignore[return-value]
 
 
 def implication_guard(vocab: Vocabulary, f: ast.Formula) -> tuple[list[ast.Atom], ast.Formula] | None:
@@ -244,6 +243,9 @@ def implication_guard(vocab: Vocabulary, f: ast.Formula) -> tuple[list[ast.Atom]
 # -- formulas ------------------------------------------------------------------------
 
 
+_BINARY_RULES = {ast.And: "T-and", ast.Or: "T-or", ast.Implies: "T-imp", ast.Iff: "T-iff"}
+
+
 def typecheck(ctx: TypingContext, formula: ast.Formula, path: tuple[int, ...] = ()) -> TypingDerivation:
     """Derive `formula : Bool`, or raise TypingError."""
     match formula:
@@ -254,66 +256,20 @@ def typecheck(ctx: TypingContext, formula: ast.Formula, path: tuple[int, ...] = 
         case ast.Atom():
             return _check_atom(ctx, formula, path)
         case ast.DerefAtom():
-            raise TypingError(
-                "IntensionalNotGrounded",
-                "dereference must be grounded before type checking",
-                formula,
-                path,
-            )
+            raise TypingError("IntensionalNotGrounded", _UNGROUNDED, formula, path)
         case ast.Not(body):
-            return TypingDerivation(
-                "T-neg", formula, BOOL, (typecheck(ctx, body, path + (0,)),)
-            )
-        case ast.And():
-            split = guard_prefix(ctx.vocab, formula)
-            if split is not None:
-                return _check_guarded(ctx, formula, split, "G-c", path)
-            return TypingDerivation(
-                "T-and",
-                formula,
-                BOOL,
-                (
-                    typecheck(ctx, formula.left, path + (0,)),
-                    typecheck(ctx, formula.right, path + (1,)),
-                ),
-            )
-        case ast.Or(l, r):
-            return TypingDerivation(
-                "T-or",
-                formula,
-                BOOL,
-                (typecheck(ctx, l, path + (0,)), typecheck(ctx, r, path + (1,))),
-            )
-        case ast.Implies():
-            split = implication_guard(ctx.vocab, formula)
-            if split is not None:
-                return _check_guarded(ctx, formula, split, "G-i", path)
-            return TypingDerivation(
-                "T-imp",
-                formula,
-                BOOL,
-                (
-                    typecheck(ctx, formula.left, path + (0,)),
-                    typecheck(ctx, formula.right, path + (1,)),
-                ),
-            )
-        case ast.Iff(l, r):
-            return TypingDerivation(
-                "T-iff",
-                formula,
-                BOOL,
-                (typecheck(ctx, l, path + (0,)), typecheck(ctx, r, path + (1,))),
-            )
-        case ast.Exists(var, type_name, body):
+            return TypingDerivation("T-neg", formula, BOOL, (typecheck(ctx, body, path + (0,)),))
+        case ast.And() if (split := guard_prefix(ctx.vocab, formula)) is not None:
+            return _check_guarded(ctx, formula, split, "G-c", path)
+        case ast.Implies() if (split := implication_guard(ctx.vocab, formula)) is not None:
+            return _check_guarded(ctx, formula, split, "G-i", path)
+        case ast.And(l, r) | ast.Or(l, r) | ast.Implies(l, r) | ast.Iff(l, r):
+            premises = (typecheck(ctx, l, path + (0,)), typecheck(ctx, r, path + (1,)))
+            return TypingDerivation(_BINARY_RULES[type(formula)], formula, BOOL, premises)
+        case ast.Exists(var, type_name, body) | ast.Forall(var, type_name, body):
             inner = ctx.push(VarEntry(var, type_name))
-            return TypingDerivation(
-                "T-ex", formula, BOOL, (typecheck(inner, body, path + (0,)),)
-            )
-        case ast.Forall(var, type_name, body):
-            inner = ctx.push(VarEntry(var, type_name))
-            return TypingDerivation(
-                "T-all", formula, BOOL, (typecheck(inner, body, path + (0,)),)
-            )
+            rule = "T-ex" if isinstance(formula, ast.Exists) else "T-all"
+            return TypingDerivation(rule, formula, BOOL, (typecheck(inner, body, path + (0,)),))
         case ast.GuardC() | ast.GuardI():
             raise ValueError(
                 "implicit guard wrappers must be elaborated before type checking"
@@ -331,22 +287,7 @@ def _check_atom(ctx: TypingContext, atom: ast.Atom, path: tuple[int, ...]) -> Ty
             for d in (left, right)
         )
         return TypingDerivation("T-app", atom, BOOL, premises)
-    sig = ctx.lookup_symbol(atom.predicate)
-    if sig is None:
-        raise TypingError(
-            "UnknownSymbol", f"unknown symbol {atom.predicate!r}", atom, path
-        )
-    if len(atom.args) != sig.arity:
-        raise TypingError(
-            "ArgumentTypeMismatch",
-            f"{atom.predicate!r} expects {sig.arity} argument(s), got {len(atom.args)}",
-            atom,
-            path,
-        )
-    premises = tuple(
-        _derive_at(ctx, arg, expected, path + (i,))
-        for i, (arg, expected) in enumerate(zip(atom.args, sig.argument_types))
-    )
+    sig, premises = _application(ctx, atom, atom.predicate, atom.args, path)
     d = TypingDerivation("T-app", atom, sig.result_type, premises)
     if sig.result_type == BOOL:
         return d
@@ -447,12 +388,9 @@ def render_derivation(derivation: TypingDerivation) -> str:
 
 
 def derivation_to_dict(d: TypingDerivation) -> dict:
-    expr_text = (
-        ast.format_term(d.expr) if isinstance(d.expr, ast.Term) else ast.format_formula(d.expr)
-    )
     out = {
         "rule": d.rule,
-        "expression": expr_text,
+        "expression": str(d.expr),
         "type": d.type_name,
         "children": [derivation_to_dict(p) for p in d.premises],
     }
@@ -564,7 +502,7 @@ def _guard_valid(vocab: Vocabulary, d: TypingDerivation) -> bool:
             return False
         conjuncts = flatten_and(e)
         guards = conjuncts[: len(ps) - 1]
-        body = refold_and(conjuncts[len(ps) - 1 :])
+        body = refold(conjuncts[len(ps) - 1 :])
     if len(guards) != len(ps) - 1:
         return False
     for guard, premise in zip(guards, ps[:-1]):

@@ -1,7 +1,8 @@
 """The generate-and-test model finder that gosil.models replaced, kept as
 a test-only oracle: it builds every candidate, validates it, and evaluates
 the axioms in declaration order, stopping at the first false one. Only the
-imports differ from the original."""
+imports differ from the original, and the location that `IllTypedSentence`
+carries, which the library added later."""
 
 from __future__ import annotations
 
@@ -123,7 +124,7 @@ def find_models(
             check_sentence(theory, axiom.formula)
         except TypingError as err:
             raise IllTypedSentence(
-                f"axiom {axiom.label!r} is ill-typed: {err.message}"
+                f"axiom {axiom.label!r} is ill-typed: {err.message}", err.loc or axiom.loc
             ) from err
 
     carriers: dict[str, tuple] = {

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -194,3 +198,33 @@ def test_check_reports_grounding_and_elaboration_errors_per_axiom(tmp_path, midd
     error = payload["axioms"][1]["error"]
     assert (error["kind"], error["line"], error["column"]) == (kind, 7, 1)
     assert (error["expected"], error["found"]) == (None, None)
+
+
+def test_internal_error_is_one_line_with_exit_three(monkeypatch, running_example_path):
+    from gosil import cli
+
+    def broken(args, out):
+        raise RuntimeError("the walker broke\nin two lines")
+
+    monkeypatch.setattr(cli, "cmd_check", broken)
+    code, output = run("check", str(running_example_path))
+    assert code == 3
+    message = "the walker broke in two lines"
+    assert output == f"{running_example_path}: internal error: RuntimeError: {message}\n"
+
+
+def test_deep_input_ends_without_a_traceback(tmp_path):
+    # the parser still recurses once per `~`: this ends in an internal error
+    theory = tmp_path / "deep.gos"
+    theory.write_text("axiom deep: " + "~" * 3000 + "true\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-m", "gosil.cli", "check", str(theory)],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 3
+    assert "Traceback" not in done.stderr
+    assert done.stdout.startswith(f"{theory}: internal error: RecursionError: ")
+    assert done.stdout.count("\n") == 1

@@ -1,0 +1,234 @@
+"""The structural walkers on `ast.walk`/`ast.fold` against the recursive ones
+they replaced, kept in reference_walkers: on every case the outcome, the
+value or the exception class and message, must agree, and so must the class
+and location of every node of a value. Plus every walker on trees far deeper
+than Python's recursion limit, and a check that none of them calls itself."""
+
+from __future__ import annotations
+
+import ast as pyast
+import inspect
+import random
+import textwrap
+
+import pytest
+
+import reference_walkers as ref
+from generators import FUZZ_FREE_VARS, fuzz_vocabulary, random_formula
+from gosil import ast, elaboration, grounding
+from gosil.errors import UnresolvableDeref
+from gosil.parser import parse_formula
+from gosil.typecheck import VarEntry, initial_context
+
+VOCAB = fuzz_vocabulary()
+INTERP = grounding.build_intensional_interp(ast.Theory(VOCAB))
+CTX = initial_context(VOCAB).push(*(VarEntry(v, t) for v, t in FUZZ_FREE_VARS.items()))
+MEOW = ast.ConceptRef(next(c for c in INTERP.extension("Sound") if c.name == "meow"))
+TOM_AGE = ast.Apply("age", (ast.Apply("tom"),))
+
+# Concept quantifiers, guards and dereferences, one construct or a mix of
+# them per formula; x is a free Animal, y a free Universe.
+HANDWRITTEN = (
+    "?s[Sound]: <<c: $(s)(x)>>",
+    "!s[Sound]: $(s)(x) => <<i: likes(x, tom)>>",
+    "?s[Sound]: ?t[Sound]: $(s)(x) & ~$(t)(tom)",
+    "!s[Sound]: !s[Sound]: $(s)(x)",
+    "!s[Sound]: ?x[Animal]: $(s)(x) | meow(x)",
+    "?c[Concept]: <<c: $(c)(x)>>",
+    "<<c: meow(x)>> & <<i: bark(x) | likes(x, tom)>>",
+    "!a[Animal]: <<c: $(`meow)(a)>> <=> <<i: $(`bark)(a)>>",
+    "$(`meow)(tom) & $(`Cat)(x)",
+    "$(`likes)(x)",
+    "$($(`age)(x))(x)",
+    "$(`meow)($(y)(), tom)",
+    "$(x)($(y)())",
+    "$(`Sound)(`meow) | age(x) = 3",
+)
+
+
+def located(value):
+    """A value with the class and location of each of its nodes spelled out,
+    since node equality ignores locations."""
+    if isinstance(value, (ast.Term, ast.Formula)):
+        return value, [(type(n).__name__, n.loc) for n in ast.walk(value)]
+    if isinstance(value, list):
+        return [located(v) for v in value]
+    if isinstance(value, tuple):
+        return tuple(located(v) for v in value)
+    return value
+
+
+def outcome(walker, *args) -> tuple:
+    try:
+        return ("value", located(walker(*args)))
+    except Exception as err:  # the class and message are what is compared
+        return ("raised", type(err), str(err))
+
+
+def walker_pairs(f: ast.Formula):
+    """(name, library call, reference call) for every walker on `f`."""
+    expanded = ref._expand_quantifiers(INTERP, f)  # no concept type lacks an extension
+    yield "free_variables", ast.free_variables, ref.free_variables, (f,)
+    for var in FUZZ_FREE_VARS:
+        for replacement in (MEOW, TOM_AGE):
+            yield "substitute", ast.substitute, ref.substitute, (f, var, replacement)
+    for name in ("has_intensional_nodes", "has_guards", "atom_count", "node_count", "desugar"):
+        yield name, getattr(ast, name), getattr(ref, name), (f,)
+    yield "format_formula", ast.format_formula, ref.format_formula, (f,)
+    for term in (n for n in ast.walk(f) if isinstance(n, ast.Term)):
+        yield "format_term", ast.format_term, ref.format_term, (term,)
+    yield "is_intensional", grounding.is_intensional, ref.is_intensional, (VOCAB, f)
+    yield "_expand_quantifiers", grounding._expand_quantifiers, ref._expand_quantifiers, (INTERP, f)
+    yield "_eliminate", grounding._eliminate, ref._eliminate, (INTERP, f)
+    yield "_eliminate", grounding._eliminate, ref._eliminate, (INTERP, expanded)
+    yield "ground_trace", grounding.ground_trace, ref.ground_trace, (f, INTERP, FUZZ_FREE_VARS)
+    yield "dependencies", grounding.dependencies, ref.dependencies, (f, INTERP)
+    yield "elaborate", elaboration.elaborate, ref.elaborate, (CTX, f)
+
+
+def agree(f: ast.Formula, seen: set[tuple[str, str]]) -> None:
+    for name, walker, reference, args in walker_pairs(f):
+        found = outcome(walker, *args)
+        assert found == outcome(reference, *args), (name, ast.format_formula(f))
+        seen.add((name, found[0]))
+
+
+def random_cases(count: int, seed: int) -> list[ast.Formula]:
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        generated = random_formula(rng, VOCAB, list(FUZZ_FREE_VARS), depth=4)
+        # parsed back, every node carries a location to compare
+        cases.append(parse_formula(ast.format_formula(generated), VOCAB, FUZZ_FREE_VARS))
+    return cases
+
+
+def test_walkers_agree_with_reference_on_random_formulas():
+    seen: set[tuple[str, str]] = set()
+    for f in random_cases(1000, 20_261_019):
+        agree(f, seen)
+    # the corpus reaches both outcomes of the walkers that raise on it
+    for name in ("desugar", "_eliminate", "ground_trace", "dependencies", "elaborate"):
+        assert {(name, "value"), (name, "raised")} <= seen, name
+
+
+@pytest.mark.parametrize("text", HANDWRITTEN)
+def test_walkers_agree_with_reference_on_intensional_formulas(text):
+    agree(parse_formula(text, VOCAB, FUZZ_FREE_VARS), set())
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # both the head and the argument fail: the head is reduced first
+        ("$(x)($(y)())", "1:3: UnresolvableDeref: dereference head x does not reduce"),
+        # the arity is wrong and the argument fails: arguments come first
+        ("$(`meow)($(y)(), tom)", "1:12: UnresolvableDeref: dereference head y does not"),
+    ],
+)
+def test_eliminate_reports_errors_in_evaluation_order(text, message):
+    f = parse_formula(text, VOCAB, FUZZ_FREE_VARS)
+    with pytest.raises(UnresolvableDeref) as raised:
+        grounding._eliminate(INTERP, f)
+    assert str(raised.value).startswith(message)
+
+
+# -- trees deeper than the recursion limit -------------------------------------
+
+DEPTH = 10_000
+ATOM = ast.Atom("likes", (ast.Variable("x"), ast.Apply("tom")))
+
+
+def negations() -> ast.Formula:
+    f = ATOM
+    for _ in range(DEPTH):
+        f = ast.Not(f)
+    return f
+
+
+def conjunction() -> ast.Formula:
+    f = ATOM
+    for _ in range(DEPTH - 1):
+        f = ast.And(ATOM, f)
+    return f
+
+
+def spelled_chain(tree: ast.Formula, atom: str) -> str:
+    return "~" * DEPTH + atom if isinstance(tree, ast.Not) else " & ".join([atom] * DEPTH)
+
+
+# `dependencies` and `ground_trace` are left out: they compare trees with
+# `==`, and the dataclass `__eq__` still recurses once per level.
+@pytest.mark.parametrize("build", [negations, conjunction])
+def test_walkers_handle_trees_deeper_than_the_recursion_limit(build):
+    tree = build()
+    chain = isinstance(tree, ast.Not)
+    nodes = DEPTH + 3 if chain else 4 * DEPTH - 1
+    assert ast.node_count(tree) == len(list(ast.walk(tree))) == nodes
+    assert ast.atom_count(tree) == (1 if chain else DEPTH)
+    assert ast.free_variables(tree) == {"x"}
+    assert not ast.has_intensional_nodes(tree) and not ast.has_guards(tree)
+    assert not grounding.is_intensional(VOCAB, tree)
+    assert ast.format_formula(tree) == spelled_chain(tree, "likes(x, tom)")
+    substituted = ast.substitute(tree, "x", MEOW)
+    assert ast.format_formula(substituted) == spelled_chain(tree, "likes(`meow, tom)")
+    for copy in (
+        ast.fold(tree, ast.rebuild),
+        grounding._expand_quantifiers(INTERP, tree),
+        grounding._eliminate(INTERP, tree),
+        elaboration.elaborate(CTX, tree),
+    ):
+        assert ast.format_formula(copy) == spelled_chain(tree, "likes(x, tom)")
+    # each conjunction becomes ~(~l | ~r): three more nodes
+    assert ast.node_count(ast.desugar(tree)) == (nodes if chain else nodes + 3 * (DEPTH - 1))
+
+
+def test_term_walkers_handle_terms_deeper_than_the_recursion_limit():
+    term = ast.Variable("x")
+    for _ in range(DEPTH):
+        term = ast.Apply("+", (term, ast.NatLiteral(1)))
+    assert ast.format_term(term) == "(" * DEPTH + "x" + " + 1)" * DEPTH
+    assert ast.free_variables(term) == {"x"}
+    assert ast.format_term(ast.substitute(term, "x", TOM_AGE)).startswith("(" * DEPTH + "age(tom)")
+
+
+REWRITTEN = (
+    "ast.walk",
+    "ast.fold",
+    "ast.free_variables",
+    "ast.substitute",
+    "ast.has_intensional_nodes",
+    "ast.has_guards",
+    "ast.atom_count",
+    "ast.node_count",
+    "ast.desugar",
+    "ast.format_term",
+    "ast.format_formula",
+    "ast._spell",
+    "grounding.is_intensional",
+    "grounding._expand_quantifiers",
+    "grounding._eliminate",
+    "grounding.dependencies",
+    "elaboration.elaborate",
+)
+
+
+def called_names(node: pyast.AST) -> set[str]:
+    names = set()
+    for call in pyast.walk(node):
+        if isinstance(call, pyast.Call):
+            func = call.func
+            names.add(func.id if isinstance(func, pyast.Name) else getattr(func, "attr", ""))
+    return names
+
+
+@pytest.mark.parametrize("name", REWRITTEN)
+def test_no_rewritten_walker_calls_itself(name):
+    module, function = name.split(".")
+    modules = {"ast": ast, "grounding": grounding, "elaboration": elaboration}
+    walker = getattr(modules[module], function)
+    (definition,) = pyast.parse(textwrap.dedent(inspect.getsource(walker))).body
+    assert function not in called_names(definition)
+    for inner in pyast.walk(definition):
+        if isinstance(inner, pyast.FunctionDef) and inner is not definition:
+            assert inner.name not in called_names(inner), inner.name
