@@ -283,7 +283,12 @@ def fold(expr: Term | Formula, combine, enter=None):
 
 
 def free_variables(expr: Term | Formula) -> frozenset[str]:
-    """Free variables of an expression; quantifiers bind."""
+    """Free variables of an expression; quantifiers bind. A variable or a
+    childless node, the commonest arguments, is answered without a fold."""
+    if isinstance(expr, Variable):
+        return frozenset((expr.name,))
+    if not children(expr):
+        return frozenset()
 
     def combine(node, kids) -> frozenset[str]:
         if isinstance(node, Variable):

@@ -59,9 +59,12 @@ def is_intensional(vocab: Vocabulary, formula: ast.Formula) -> bool:
     """True when grounding has work to do: the formula mentions concept
     references/dereferences or quantifies over a concept type."""
     return ast.has_intensional_nodes(formula) or any(
-        isinstance(node, _QUANTIFIERS) and is_subtype(vocab, node.type_name, CONCEPT)
-        for node in ast.walk(formula)
+        _is_concept_quantifier(vocab, node) for node in ast.walk(formula)
     )
+
+
+def _is_concept_quantifier(vocab: Vocabulary, node) -> bool:
+    return isinstance(node, _QUANTIFIERS) and is_subtype(vocab, node.type_name, CONCEPT)
 
 
 def build_intensional_interp(theory: ast.Theory) -> GroundInterpretation:
@@ -135,18 +138,15 @@ def _expand_quantifiers(interp: GroundInterpretation, f: ast.Formula) -> ast.For
     before the body is entered, so errors come in outermost-first order."""
     vocab = interp.vocab
 
-    def concept_quantifier(node) -> bool:
-        return isinstance(node, _QUANTIFIERS) and is_subtype(vocab, node.type_name, CONCEPT)
-
     def enter(node):
         if isinstance(node, (ast.Truth, ast.Atom, ast.DerefAtom)):
             return node
-        if concept_quantifier(node) and not interp.extension(node.type_name):
+        if _is_concept_quantifier(vocab, node) and not interp.extension(node.type_name):
             return ast.Truth(isinstance(node, ast.Forall))
         return None
 
     def combine(node, kids):
-        if not concept_quantifier(node):
+        if not _is_concept_quantifier(vocab, node):
             return ast.rebuild(node, kids)
         instances = [
             ast.substitute(kids[0], node.var, ast.ConceptRef(obj))
@@ -222,16 +222,21 @@ def ground_trace(
 ) -> list[tuple[str, ast.Formula]]:
     """The grounding pipeline with intermediate results, for tracing: the
     original formula, the quantifier expansion, the intensional elimination,
-    and (when wrappers are present) the guard elaboration."""
+    and (when wrappers are present) the guard elaboration. A pass is shown
+    when it changes the formula: the expansion exactly when the formula
+    holds a concept-typed quantifier, the elimination exactly when it holds
+    a dereference. Deciding that with one walk, not by comparing trees,
+    keeps every step within the explicit stack of `ast.walk`."""
+    vocab = interp.vocab
     steps = [("original", formula)]
     expanded = _expand_quantifiers(interp, formula)
-    if expanded != formula:
+    if any(_is_concept_quantifier(vocab, node) for node in ast.walk(formula)):
         steps.append(("grounded concept quantifiers", expanded))
     eliminated = _eliminate(interp, expanded)
-    if eliminated != expanded:
+    if any(isinstance(node, _DEREFS) for node in ast.walk(expanded)):
         steps.append(("eliminated intensional terms", eliminated))
     if ast.has_guards(eliminated):
-        ctx = initial_context(interp.vocab)
+        ctx = initial_context(vocab)
         if free_var_types:
             ctx = ctx.push(*(VarEntry(v, t) for v, t in free_var_types.items()))
         elaborated = elaboration.elaborate(ctx, eliminated)

@@ -19,8 +19,16 @@ expanding the wrapper for the resulting instance, mirroring what grounding
 does instance by instance.
 
 Evaluation compiles an expression once into nested closures, cached on the
-vocabulary by (expression, variable types). Symbols are resolved at compile
-time; errors still surface only when the node raising them is evaluated.
+vocabulary by (expression, variable types). Each application is bound to its
+signature when it is compiled: the membership test of each argument position
+and the built-in or graph lookup giving its value are chosen then, and an
+atom's code yields a bool without building a truth element. A dereference
+binds the application once per head concept it meets. Save for that first
+binding and for guard wrappers, which read each structure's interpretation
+once and expand once per instance, evaluating compiled code looks up no
+name. Errors still surface only when the node raising them is evaluated,
+in the order the definition gives them.
+
 Each wrapper node memoises its compiled expansion per instance, keyed by the
 structure's intensional interpretation (interned by content, so structures
 agreeing on their concept part share it) and the (variable, concept)
@@ -31,9 +39,9 @@ expansion is not memoised and raises again on every evaluation.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from . import ast, elaboration, grounding
 from .errors import (
@@ -52,6 +60,7 @@ from .typecheck import VarEntry, check_sentence, initial_context
 from .vocabulary import (
     BOOL,
     CONCEPT,
+    EQUALITY,
     NAT,
     UNIVERSE,
     ConceptObject,
@@ -69,6 +78,8 @@ from .vocabulary import (
 
 
 class DomainElement:
+    __slots__ = ()
+
     def __str__(self) -> str:
         return self.identifier
 
@@ -77,7 +88,7 @@ class DomainElement:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlainElement(DomainElement):
     token: str
 
@@ -86,7 +97,7 @@ class PlainElement(DomainElement):
         return self.token
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NaturalElement(DomainElement):
     value: int
 
@@ -95,7 +106,7 @@ class NaturalElement(DomainElement):
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TruthElement(DomainElement):
     value: bool
 
@@ -104,7 +115,7 @@ class TruthElement(DomainElement):
         return "true" if self.value else "false"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConceptElement(DomainElement):
     concept: ConceptObject
 
@@ -119,8 +130,12 @@ FALSE = TruthElement(False)
 Row = tuple[DomainElement, ...]
 Assignment = dict[str, DomainElement]
 
+# the element class of each built-in type but Universe, which holds them all;
+# a user type holds the elements of its set
+_KINDS = {BOOL: TruthElement, NAT: NaturalElement, CONCEPT: ConceptElement}
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class FunctionGraph:
     """The graph of one symbol. Function graphs map every argument tuple to
     its result; predicate graphs store the true rows, all other tuples being
@@ -129,23 +144,25 @@ class FunctionGraph:
     name: str
     is_predicate: bool
     rows: tuple[tuple[Row, DomainElement], ...]
+    _rows_text: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def mapping(self) -> dict[Row, DomainElement]:
         return dict(self.rows)
 
-    @cached_property
+    @property
     def rows_text(self) -> str:
         """The rows as `format_structure` prints them, sorted by their
-        text. Computed on first use and kept in the instance `__dict__`,
-        so a graph that is never printed carries nothing extra."""
-        if self.is_predicate:
-            rows = (f"({', '.join(e.identifier for e in args)})" for args, _ in self.rows)
-        else:
-            rows = (
-                f"({', '.join(e.identifier for e in args)}) -> {result.identifier}"
-                for args, result in self.rows
-            )
-        return ", ".join(sorted(rows))
+        text. Computed on first use and kept."""
+        if self._rows_text is None:
+            if self.is_predicate:
+                rows = (f"({', '.join(e.identifier for e in args)})" for args, _ in self.rows)
+            else:
+                rows = (
+                    f"({', '.join(e.identifier for e in args)}) -> {result.identifier}"
+                    for args, result in self.rows
+                )
+            object.__setattr__(self, "_rows_text", ", ".join(sorted(rows)))
+        return self._rows_text
 
     @staticmethod
     def for_function(name: str, mapping: dict[Row, DomainElement]) -> "FunctionGraph":
@@ -162,7 +179,7 @@ def _row_key(item: tuple[Row, DomainElement]):
     return tuple(e.identifier for e in args) + (result.identifier,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Structure:
     """A complete finite interpretation: user-suppliable type sets and
     symbol graphs, with everything forced derived on demand. Model search
@@ -173,7 +190,9 @@ class Structure:
     type_sets: dict[str, tuple[DomainElement, ...]]
     graphs: dict[str, FunctionGraph]
     nat_bound: int | None = None
-    _cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    _interp: grounding.GroundInterpretation | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def elements(self, type_name: str) -> tuple[DomainElement, ...]:
         """The enumerable elements of a type, in canonical order."""
@@ -205,15 +224,7 @@ class Structure:
 
     def member(self, element: DomainElement, type_name: str) -> bool:
         """Membership test; unlike elements(), total even for Nat."""
-        if type_name == UNIVERSE:
-            return True
-        if type_name == BOOL:
-            return isinstance(element, TruthElement)
-        if type_name == NAT:
-            return isinstance(element, NaturalElement)
-        if type_name == CONCEPT:
-            return isinstance(element, ConceptElement)
-        return element in self.type_sets.get(type_name, ())
+        return _membership(type_name)(self, element)
 
     def graph(self, name: str) -> FunctionGraph | None:
         return self.graphs.get(name)
@@ -421,60 +432,6 @@ def _argument_tuples(structure: Structure, sig: Signature):
 Code = Callable[[Structure, Assignment], object]
 
 
-def _apply(
-    structure: Structure,
-    sig: Signature,
-    elements: Row,
-    via_deref: bool,
-) -> DomainElement:
-    """Apply a symbol's graph to evaluated arguments. Elements outside the
-    declared argument types have no defined value."""
-    if len(elements) != sig.arity:
-        raise RuntimeDerefMismatch(
-            f"{sig.name!r} expects {sig.arity} argument(s), got {len(elements)}"
-        )
-    for e, arg_type in zip(elements, sig.argument_types):
-        if not structure.member(e, arg_type):
-            message = f"{sig.name!r} is undefined at {e} (not in {arg_type!r})"
-            if via_deref:
-                raise RuntimeDerefMismatch(message)
-            raise EvaluationError(message)
-    if sig.builtin:
-        return _apply_builtin(structure, sig, elements)
-    graph = structure.graph(sig.name)
-    if graph is None:
-        raise EvaluationError(f"no interpretation for symbol {sig.name!r}")
-    for args, result in reversed(graph.rows):  # the last row wins, as in a dict
-        if args == elements:
-            return TRUE if graph.is_predicate else result
-    if graph.is_predicate:
-        return FALSE
-    shown = ", ".join(str(e) for e in elements)
-    raise EvaluationError(f"{sig.name!r} has no value at ({shown})")
-
-
-def _apply_builtin(structure: Structure, sig: Signature, elements: Row) -> DomainElement:
-    if sig.name in ("+", "-", "*"):
-        a, b = elements
-        assert isinstance(a, NaturalElement) and isinstance(b, NaturalElement)
-        if sig.name == "+":
-            return NaturalElement(a.value + b.value)
-        if sig.name == "*":
-            return NaturalElement(a.value * b.value)
-        return NaturalElement(max(0, a.value - b.value))  # truncated at zero
-    if sig.name.startswith("=_"):
-        return TRUE if elements[0] == elements[1] else FALSE
-    if structure.vocab.has_type(sig.name):  # type predicate
-        return TRUE if structure.member(elements[0], sig.name) else FALSE
-    raise EvaluationError(f"unknown built-in {sig.name!r}")
-
-
-def _as_truth(value: DomainElement, what: str) -> bool:
-    if not isinstance(value, TruthElement):
-        raise EvaluationError(f"{what} evaluated to {value}, not a truth value")
-    return value.value
-
-
 def evaluate(
     structure: Structure,
     expr: ast.Term | ast.Formula,
@@ -520,9 +477,10 @@ def _compile_term(vocab: Vocabulary, term: ast.Term) -> Code:
     match term:
         case ast.Variable(name):
             def variable(s, asg):
-                if name not in asg:
-                    raise UnassignedVariable(f"variable {name!r} has no assigned value")
-                return asg[name]
+                try:
+                    return asg[name]
+                except KeyError:
+                    raise UnassignedVariable(f"variable {name!r} has no assigned value") from None
             return variable
         case ast.NatLiteral(value):
             natural = NaturalElement(value)
@@ -531,29 +489,9 @@ def _compile_term(vocab: Vocabulary, term: ast.Term) -> Code:
             reference = ConceptElement(concept)
             return lambda s, asg: reference
         case ast.Apply(symbol, args):
-            sig = vocab.resolve(symbol)
-            if sig is None:
-                return _raising(EvaluationError, f"unknown symbol {symbol!r}")
-            codes = [_compile_term(vocab, a) for a in args]
-            return lambda s, asg: _apply(s, sig, tuple([c(s, asg) for c in codes]), False)
+            return _compile_application(vocab, symbol, args, None)
         case ast.Deref(head, args):
-            head_code = _compile_term(vocab, head)
-            codes = [_compile_term(vocab, a) for a in args]
-            sigs: dict[ConceptObject, Signature | None] = {}  # by head concept
-            def deref(s, asg):
-                value = head_code(s, asg)
-                if not isinstance(value, ConceptElement):
-                    raise RuntimeDerefMismatch(
-                        f"dereference head evaluated to {value}, not a concept"
-                    )
-                if value.concept not in sigs:
-                    sigs[value.concept] = deref_signature(vocab, value.concept)
-                if (sig := sigs[value.concept]) is None:
-                    raise RuntimeDerefMismatch(
-                        f"concept {value.concept} names nothing applicable"
-                    )
-                return _apply(s, sig, tuple([c(s, asg) for c in codes]), True)
-            return deref
+            return _compile_deref(vocab, head, args, None)
     return _raising(TypeError, f"not a term: {term!r}")
 
 
@@ -568,11 +506,9 @@ def _compile_formula(vocab: Vocabulary, f: ast.Formula, types: dict[str, str]) -
             left, right = _compile_term(vocab, l), _compile_term(vocab, r)
             return lambda s, asg: left(s, asg) == right(s, asg)
         case ast.Atom(predicate, args):
-            apply = _compile_term(vocab, ast.Apply(predicate, args))
-            return lambda s, asg: _as_truth(apply(s, asg), predicate)
+            return _compile_application(vocab, predicate, args, predicate)
         case ast.DerefAtom(head, args):
-            deref = _compile_term(vocab, ast.Deref(head, args))
-            return lambda s, asg: _as_truth(deref(s, asg), "dereference")
+            return _compile_deref(vocab, head, args, "dereference")
         case ast.Not(body):
             inner = sub(body)
             return lambda s, asg: not inner(s, asg)
@@ -590,13 +526,183 @@ def _compile_formula(vocab: Vocabulary, f: ast.Formula, types: dict[str, str]) -
             return lambda s, asg: left(s, asg) == right(s, asg)
         case ast.Exists(var, type_name, body):
             inner = sub(body, {**types, var: type_name})
-            return lambda s, asg: any(inner(s, {**asg, var: d}) for d in s.elements(type_name))
+            def exists(s, asg):
+                scope = dict(asg)  # one per call, rebound per element
+                for scope[var] in s.elements(type_name):
+                    if inner(s, scope):
+                        return True
+                return False
+            return exists
         case ast.Forall(var, type_name, body):
             inner = sub(body, {**types, var: type_name})
-            return lambda s, asg: all(inner(s, {**asg, var: d}) for d in s.elements(type_name))
+            def forall(s, asg):
+                scope = dict(asg)
+                for scope[var] in s.elements(type_name):
+                    if not inner(s, scope):
+                        return False
+                return True
+            return forall
         case ast.GuardC() | ast.GuardI():
             return _compile_guard(f, types)
     return _raising(TypeError, f"not a formula: {f!r}")
+
+
+# -- applications ----------------------------------------------------------------------
+#
+# An application is bound to its signature when it is compiled. `truth`
+# names an atom, whose code yields a bool; it is None for a term, whose code
+# yields a DomainElement. `mismatch` is the error for an argument outside its
+# declared type: EvaluationError applied directly, RuntimeDerefMismatch
+# through a dereference. The errors come in the definition's order: the
+# arguments are evaluated, then counted, then checked, then the graph is
+# looked up.
+
+
+def _compile_application(
+    vocab: Vocabulary, symbol: str, args: tuple[ast.Term, ...], truth: str | None
+) -> Code:
+    sig = vocab.resolve(symbol)
+    if sig is None:
+        return _raising(EvaluationError, f"unknown symbol {symbol!r}")
+    return _bind(vocab, sig, [_compile_term(vocab, a) for a in args], EvaluationError, truth)
+
+
+def _compile_deref(
+    vocab: Vocabulary, head: ast.Term, args: tuple[ast.Term, ...], truth: str | None
+) -> Code:
+    """A dereference binds its application once per head concept it meets."""
+    head_code = _compile_term(vocab, head)
+    codes = [_compile_term(vocab, a) for a in args]
+    appliers: dict[ConceptObject, Code] = {}  # by head concept
+
+    def deref(s, asg):
+        value = head_code(s, asg)
+        if not isinstance(value, ConceptElement):
+            raise RuntimeDerefMismatch(
+                f"dereference head evaluated to {value}, not a concept"
+            )
+        apply = appliers.get(value.concept)
+        if apply is None:
+            sig = deref_signature(vocab, value.concept)
+            apply = appliers[value.concept] = (
+                _raising(RuntimeDerefMismatch, f"concept {value.concept} names nothing applicable")
+                if sig is None
+                else _bind(vocab, sig, codes, RuntimeDerefMismatch, truth)
+            )
+        return apply(s, asg)
+
+    return deref
+
+
+def _as_truth(value: DomainElement, what: str) -> bool:
+    if not isinstance(value, TruthElement):
+        raise EvaluationError(f"{what} evaluated to {value}, not a truth value")
+    return value.value
+
+
+# subtraction truncates at zero
+_ARITHMETIC = {"+": operator.add, "*": operator.mul, "-": lambda a, b: max(0, a - b)}
+
+
+def _bind(
+    vocab: Vocabulary,
+    sig: Signature,
+    codes: list[Code],
+    mismatch: type[EvaluationError],
+    truth: str | None,
+) -> Code:
+    """The code applying `sig` to the arguments `codes`: a graph lookup for
+    a user symbol, else the built-in's own computation."""
+    name = sig.name
+    if len(codes) != sig.arity:
+        def wrong_arity(s, asg):
+            for code in codes:
+                code(s, asg)
+            raise RuntimeDerefMismatch(
+                f"{name!r} expects {sig.arity} argument(s), got {len(codes)}"
+            )
+        return wrong_arity
+    arguments = _arguments(sig, codes, mismatch)
+    if not sig.builtin:
+        return _graph_lookup(name, arguments, truth)
+    if name in _ARITHMETIC:
+        op = _ARITHMETIC[name]
+        def value(s, asg):
+            a, b = arguments(s, asg)
+            return NaturalElement(op(a.value, b.value))
+        return value if truth is None else lambda s, asg: _as_truth(value(s, asg), truth)
+    if name.startswith(EQUALITY + "_"):
+        def holds(s, asg):
+            a, b = arguments(s, asg)
+            return a == b
+    elif vocab.has_type(name):  # a type predicate is its membership test
+        test = _membership(name)
+        def holds(s, asg):
+            return test(s, arguments(s, asg)[0])
+    else:
+        def holds(s, asg):
+            arguments(s, asg)
+            raise EvaluationError(f"unknown built-in {name!r}")
+    return holds if truth is not None else lambda s, asg: TRUE if holds(s, asg) else FALSE
+
+
+def _membership(type_name: str) -> Callable[[Structure, DomainElement], bool]:
+    """The membership test of `type_name`, chosen once for every element."""
+    if type_name == UNIVERSE:
+        return lambda s, e: True
+    kind = _KINDS.get(type_name)
+    if kind is not None:
+        return lambda s, e: isinstance(e, kind)
+    return lambda s, e: e in s.type_sets.get(type_name, ())
+
+
+def _arguments(
+    sig: Signature, codes: list[Code], mismatch: type[EvaluationError]
+) -> Callable[[Structure, Assignment], Row]:
+    """The code evaluating the arguments into a row, all of them before any
+    is checked against its declared type."""
+    tests = [
+        (i, _membership(arg_type))
+        for i, arg_type in enumerate(sig.argument_types)
+        if arg_type != UNIVERSE
+    ]
+
+    def arguments(s, asg):
+        elements = tuple([code(s, asg) for code in codes])
+        for i, test in tests:
+            if not test(s, elements[i]):
+                raise mismatch(
+                    f"{sig.name!r} is undefined at {elements[i]} "
+                    f"(not in {sig.argument_types[i]!r})"
+                )
+        return elements
+
+    return arguments
+
+
+def _graph_lookup(name: str, arguments, truth: str | None) -> Code:
+    """Applying a user symbol scans the rows of its graph in the structure.
+    A predicate graph holds at the rows it lists; in a function graph the
+    last row for the arguments wins, as in a dict."""
+    listed, unlisted = (TRUE, FALSE) if truth is None else (True, False)
+
+    def lookup(s, asg):
+        elements = arguments(s, asg)
+        graph = s.graphs.get(name)
+        if graph is None:
+            raise EvaluationError(f"no interpretation for symbol {name!r}")
+        if graph.is_predicate:
+            for args, _ in graph.rows:
+                if args == elements:
+                    return listed
+            return unlisted
+        for args, result in reversed(graph.rows):
+            if args == elements:
+                return result if truth is None else _as_truth(result, truth)
+        shown = ", ".join(str(e) for e in elements)
+        raise EvaluationError(f"{name!r} has no value at ({shown})")
+
+    return lookup
 
 
 def _compile_guard(wrapper: ast.Formula, types: dict[str, str]) -> Code:
@@ -651,9 +757,8 @@ def interpretation_of(structure: Structure) -> grounding.GroundInterpretation:
     Interned by content on the vocabulary, so structures that agree on their
     concept part share one object, and with it the guard expansions
     memoised for it."""
-    cached = structure._cache.get("interp")
-    if cached is not None:
-        return cached
+    if structure._interp is not None:
+        return structure._interp
     vocab = structure.vocab
     extensions: dict[str, tuple[ConceptObject, ...]] = {}
     for t in vocab.types:
@@ -678,7 +783,7 @@ def interpretation_of(structure: Structure) -> grounding.GroundInterpretation:
     interp = interned.get(key)
     if interp is None:
         interp = interned[key] = grounding.GroundInterpretation(vocab, extensions, facts)
-    structure._cache["interp"] = interp
+    object.__setattr__(structure, "_interp", interp)
     return interp
 
 
@@ -699,7 +804,7 @@ def satisfies(structure: Structure, sentence: ast.Formula) -> bool:
     try:
         check_sentence(_theory_of(structure), sentence)
     except TypingError as err:
-        raise IllTypedSentence(f"sentence is ill-typed: {err.message}") from err
+        raise IllTypedSentence(f"sentence is ill-typed: {err.message}", err.loc) from err
     return bool(evaluate(structure, sentence))
 
 

@@ -1,8 +1,10 @@
 """The compiled evaluator against the tree-walking reference in
 reference_eval: every outcome, a value or the exception class and message,
-must agree. Plus the keys of the per-instance guard memo: answers follow
-each structure's own facts, each scope gets its own code, and a failed
-expansion is never cached."""
+must agree, on the oracle structures, on random formulas, and on
+hand-built structures that reach each outcome of an application. Plus the
+keys of the per-instance guard memo: answers follow each structure's own
+facts, each scope gets its own code, and a failed expansion is never
+cached."""
 
 from __future__ import annotations
 
@@ -14,15 +16,18 @@ import reference_eval
 from generators import FUZZ_FREE_VARS, fuzz_vocabulary, random_formula
 from test_acceptance import _oracle_structures
 
+from gosil import ast
 from gosil.errors import EvaluationError, IncomparableTypes, UnresolvableDeref
-from gosil.parser import parse_formula
+from gosil.parser import parse_formula, parse_term
 from gosil.semantics import (
+    FALSE,
     TRUE,
     ConceptElement,
     FunctionGraph,
     NaturalElement,
     PlainElement,
     Structure,
+    TruthElement,
     assemble_structure,
     evaluate,
     interpretation_of,
@@ -152,3 +157,123 @@ def test_failed_expansion_raises_every_time(vocab, s0, text, types, error):
         assert first is None or str(raised.value) == first
         first = str(raised.value)
         agree(s0, f, {"x": PlainElement("d")}, types)
+
+
+# -- applications bound to their signatures ---------------------------------------------
+
+
+A, B = PlainElement("a"), PlainElement("b")
+MEOW_CONCEPT = ConceptElement(resolve_concept(fuzz_vocabulary(), "meow"))
+SCOPE = {**FUZZ_FREE_VARS, "w": "Animal"}  # w is never assigned
+
+
+def _with_graphs(**graphs: FunctionGraph | None) -> Structure:
+    """The fuzz structure with some graphs replaced; None drops one. The
+    result need not be valid: the evaluator must still agree with the
+    reference on it."""
+    base = _fuzz_structure()
+    merged = {**base.graphs, **graphs}
+    kept = {name: g for name, g in merged.items() if g is not None}
+    return Structure(base.vocab, base.type_sets, kept, base.nat_bound)
+
+
+def _expr(text: str):
+    """A formula, or a term where `text` starts with "term "."""
+    if text.startswith("term "):
+        return parse_term(text.removeprefix("term "), fuzz_vocabulary(), SCOPE)
+    return parse_formula(text, fuzz_vocabulary(), SCOPE)
+
+
+DUPLICATE_ROWS = FunctionGraph("age", False, (((A,), NaturalElement(1)), ((A,), NaturalElement(5))))
+# Bool-valued symbols given function graphs
+MEOW_FUNCTION = FunctionGraph("meow", False, (((A,), FALSE),))
+LIKES_FUNCTION = FunctionGraph("likes", False, (((A, A), TRUE),))
+RAINING_FUNCTION = FunctionGraph("raining", False, (((), NaturalElement(2)),))
+
+
+@pytest.mark.parametrize(
+    "graphs, text, x, expected",
+    [
+        # duplicate argument rows: the last one wins, applied and dereferenced
+        ({"age": DUPLICATE_ROWS}, "term age(x)", A, ("value", NaturalElement(5))),
+        ({"age": DUPLICATE_ROWS}, "$(`age)(x) = 5", A, ("value", True)),
+        # a Bool-valued symbol with a function graph
+        ({"meow": MEOW_FUNCTION}, "meow(x)", A, ("value", False)),
+        ({"meow": MEOW_FUNCTION}, "$(`meow)(x)", A, ("value", False)),
+        ({"likes": LIKES_FUNCTION}, "likes(x, x)", A, ("value", True)),
+        ({"likes": LIKES_FUNCTION}, "likes(tom, x)", B, "EvaluationError: 'likes' has no value at (a, b)"),
+        ({"meow": MEOW_FUNCTION}, "term $(`meow)(x)", A, ("value", FALSE)),
+        ({"raining": RAINING_FUNCTION}, "raining", A, "EvaluationError: raining evaluated to 2, not"),
+        ({"raining": RAINING_FUNCTION}, "$(`raining)()", A, "EvaluationError: dereference evaluated to 2"),
+        # an argument outside its declared type, directly and dereferenced
+        ({}, "meow(x)", B, "EvaluationError: 'meow' is undefined at b (not in 'Cat')"),
+        ({}, "$(`meow)(x)", B, "RuntimeDerefMismatch: 'meow' is undefined at b (not in 'Cat')"),
+        ({}, "likes(x, y)", A, "EvaluationError: 'likes' is undefined at `meow (not in 'Animal')"),
+        ({}, "shift(y, x)", A, "EvaluationError: 'shift' is undefined at `meow (not in 'Nat')"),
+        # the arguments are evaluated before they are checked
+        ({}, "likes(y, w)", A, "UnassignedVariable"),
+        # an arity mismatch through a dereference, after the arguments
+        ({}, "$(`meow)(x, x)", A, "RuntimeDerefMismatch: 'meow' expects 1 argument(s), got 2"),
+        ({}, "$(`meow)(y, w)", A, "UnassignedVariable"),
+        # a missing graph, looked up after the arguments are checked
+        ({"meow": None}, "meow(x)", A, "EvaluationError: no interpretation for symbol 'meow'"),
+        ({"meow": None}, "meow(x)", B, "EvaluationError: 'meow' is undefined at b"),
+        ({"meow": None}, "$(`meow)(x)", A, "EvaluationError: no interpretation for symbol 'meow'"),
+        # a function with no value at the arguments
+        ({"age": FunctionGraph.for_function("age", {(A,): NaturalElement(1)})}, "term age(x)", B,
+         "EvaluationError: 'age' has no value at (b)"),
+    ],
+)
+def test_applications_agree_with_reference(graphs, text, x, expected):
+    structure = _with_graphs(**graphs)
+    got = agree(structure, _expr(text), {"x": x, "y": MEOW_CONCEPT}, SCOPE)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert got[0] == "raised" and str(got[2]).startswith(expected), got
+
+
+TYPE_PREDICATE_VALUES = (A, B, MEOW_CONCEPT, NaturalElement(0), TRUE)
+
+
+@pytest.mark.parametrize(
+    "type_name, holds",
+    [
+        ("Universe", (True, True, True, True, True)),
+        ("Bool", (False, False, False, False, True)),
+        ("Nat", (False, False, False, True, False)),
+        ("Concept", (False, False, True, False, False)),
+        ("Cat", (True, False, False, False, False)),
+        ("Sound", (False, False, True, False, False)),
+    ],
+)
+def test_type_predicates_agree_with_reference(type_name, holds):
+    structure = _fuzz_structure()
+    forms = (f"{type_name}(y)", f"$(`{type_name})(y)", f"$(`{type_name}^)(y)")
+    for value, expected in zip(TYPE_PREDICATE_VALUES, holds):
+        asg = {"y": value}
+        for text in forms:
+            assert agree(structure, _expr(text), asg, SCOPE) == ("value", expected), text
+        term = ast.Apply(type_name, (ast.Variable("y"),))
+        assert agree(structure, term, asg, SCOPE) == ("value", TruthElement(expected))
+
+
+@pytest.mark.parametrize(
+    "expr, expected",
+    [
+        (ast.Atom("=_Animal", (ast.Variable("x"), ast.Apply("tom"))), ("value", True)),
+        (ast.Apply("=_Animal", (ast.Variable("x"), ast.Variable("x"))), ("value", TRUE)),
+        (ast.Atom("=_Cat", (ast.Variable("y"), ast.Variable("x"))), "EvaluationError: '=_Cat' is undefined at `meow"),
+        (ast.Atom("+", (ast.NatLiteral(1), ast.NatLiteral(2))), "EvaluationError: + evaluated to 3, not"),
+        (ast.Apply("-", (ast.NatLiteral(1), ast.NatLiteral(2))), ("value", NaturalElement(0))),
+        (ast.Apply("*", (ast.NatLiteral(2), ast.NatLiteral(3))), ("value", NaturalElement(6))),
+        (ast.Apply("+", (ast.NatLiteral(1), ast.Variable("y"))), "EvaluationError: '+' is undefined at `meow"),
+        (ast.Apply("unknown", (ast.Variable("w"),)), "EvaluationError: unknown symbol 'unknown'"),
+    ],
+)
+def test_builtins_agree_with_reference(expr, expected):
+    got = agree(_fuzz_structure(), expr, {"x": A, "y": MEOW_CONCEPT}, SCOPE)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert got[0] == "raised" and str(got[2]).startswith(expected), got

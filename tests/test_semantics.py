@@ -160,6 +160,13 @@ def test_satisfies_rejects_ill_typed(vocab, s0, axioms):
         satisfies(s0, axioms["any_sound"])
 
 
+def test_satisfies_locates_an_ill_typed_sentence(vocab, s0):
+    with pytest.raises(IllTypedSentence) as raised:
+        satisfies(s0, parse_formula("bark(tom)", vocab))
+    assert str(raised.value.loc) == "1:6"
+    assert str(raised.value).startswith("1:6: IllTypedSentence: sentence is ill-typed:")
+
+
 def test_satisfies_intensional_and_wrapped_axioms(s0, axioms):
     for label in (
         "cat_meowing",

@@ -112,6 +112,17 @@ def test_walkers_agree_with_reference_on_random_formulas():
         assert {(name, "value"), (name, "raised")} <= seen, name
 
 
+def test_free_variables_agrees_with_reference_on_every_subexpression():
+    # every node, so the variables and childless nodes answered without a
+    # fold are reached as well as the trees folded
+    seen = set()
+    for f in random_cases(1000, 20_261_019):
+        for node in ast.walk(f):
+            assert ast.free_variables(node) == ref.free_variables(node), ast.format_formula(f)
+            seen.add("variable" if isinstance(node, ast.Variable) else len(ast.children(node)) > 0)
+    assert seen == {"variable", False, True}
+
+
 @pytest.mark.parametrize("text", HANDWRITTEN)
 def test_walkers_agree_with_reference_on_intensional_formulas(text):
     agree(parse_formula(text, VOCAB, FUZZ_FREE_VARS), set())
@@ -157,8 +168,6 @@ def spelled_chain(tree: ast.Formula, atom: str) -> str:
     return "~" * DEPTH + atom if isinstance(tree, ast.Not) else " & ".join([atom] * DEPTH)
 
 
-# `dependencies` and `ground_trace` are left out: they compare trees with
-# `==`, and the dataclass `__eq__` still recurses once per level.
 @pytest.mark.parametrize("build", [negations, conjunction])
 def test_walkers_handle_trees_deeper_than_the_recursion_limit(build):
     tree = build()
@@ -181,6 +190,35 @@ def test_walkers_handle_trees_deeper_than_the_recursion_limit(build):
         assert ast.format_formula(copy) == spelled_chain(tree, "likes(x, tom)")
     # each conjunction becomes ~(~l | ~r): three more nodes
     assert ast.node_count(ast.desugar(tree)) == (nodes if chain else nodes + 3 * (DEPTH - 1))
+
+
+@pytest.mark.parametrize(
+    "inner, grounded, passes, reads",
+    [
+        (
+            ast.DerefAtom(MEOW, (ast.Apply("tom"),)),
+            "meow(tom)",
+            ["eliminated intensional terms"],
+            {"meow", "tom"},
+        ),
+        (
+            parse_formula("?s[Sound]: $(s)(tom)", VOCAB),
+            "(meow(tom) | bark(tom))",
+            ["grounded concept quantifiers", "eliminated intensional terms"],
+            {"meow", "bark", "tom"},
+        ),
+    ],
+)
+def test_grounding_handles_chains_deeper_than_the_recursion_limit(inner, grounded, passes, reads):
+    tree = inner
+    for _ in range(DEPTH):
+        tree = ast.Not(tree)
+    steps = grounding.ground_trace(tree, INTERP)
+    assert [name for name, _ in steps] == ["original", *passes]
+    assert steps[0][1] is tree
+    assert ast.format_formula(steps[-1][1]) == "~" * DEPTH + grounded
+    assert ast.format_formula(grounding.ground(tree, INTERP)) == "~" * DEPTH + grounded
+    assert grounding.dependencies(tree, INTERP) == reads
 
 
 def test_term_walkers_handle_terms_deeper_than_the_recursion_limit():
