@@ -30,7 +30,7 @@ from .errors import (
     TypingError,
 )
 from .grounding import build_intensional_interp, ground_trace, is_intensional
-from .models import find_models
+from .models import DEFAULT_EXPLOSION_CAP, find_models
 from .parser import parse_theory
 from .semantics import evaluate, format_structure, parse_structure
 from .typecheck import (
@@ -76,13 +76,14 @@ def cmd_check(args, out) -> int:
             out.write(f"{axiom.label}: ill-typed\n")
             out.write(_diagnostic(args.theory, err, axiom.loc) + "\n")
             record["verdict"] = "ill-typed"
+            loc = err.loc or axiom.loc
             record["error"] = {
                 "kind": err.kind,
                 "message": err.message,
                 "expected": getattr(err, "expected", None),
                 "found": getattr(err, "found", None),
-                "line": (err.loc or axiom.loc).line if (err.loc or axiom.loc) else None,
-                "column": (err.loc or axiom.loc).column if (err.loc or axiom.loc) else None,
+                "line": loc.line if loc else None,
+                "column": loc.column if loc else None,
             }
         else:
             out.write(f"{axiom.label}: well-typed\n")
@@ -225,7 +226,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     models.add_argument("--bound", action="append", metavar="TYPE=N")
     models.add_argument("--limit", type=int, default=None)
     models.add_argument("--nat-bound", type=int, default=None)
-    models.add_argument("--cap", type=int, default=10_000_000)
+    models.add_argument("--cap", type=int, default=DEFAULT_EXPLOSION_CAP)
     models.set_defaults(run=cmd_models)
 
     return parser

@@ -27,7 +27,6 @@ class GuardTarget:
     term: ast.Term
     expected_type: str
     principal_type: str
-    occurrence: tuple[int, ...]
 
 
 def guard_targets(ctx: TypingContext, body: ast.Formula) -> list[GuardTarget]:
@@ -39,7 +38,7 @@ def guard_targets(ctx: TypingContext, body: ast.Formula) -> list[GuardTarget]:
     types unrelated to the expected type are an error here, where the
     diagnostic can still point at the wrapper."""
     targets: list[GuardTarget] = []
-    _scan(ctx, frozenset(), body, (), targets, set())
+    _scan(ctx, frozenset(), body, targets, set())
     return targets
 
 
@@ -47,7 +46,6 @@ def _scan(
     scope: TypingContext,
     bound: frozenset[str],
     node,
-    path: tuple[int, ...],
     targets: list[GuardTarget],
     seen: set[tuple[ast.Term, str]],
 ) -> None:
@@ -63,14 +61,14 @@ def _scan(
         symbol = node.predicate
     if symbol is not None:
         sig = scope.lookup_symbol(symbol)
-        for i, (arg, expected) in enumerate(zip(kids, sig.argument_types if sig else ())):
-            _consider(scope, bound, arg, expected, path + (i,), targets, seen)
-            _scan(scope, bound, arg, path + (i,), targets, seen)
+        for arg, expected in zip(kids, sig.argument_types if sig else ()):
+            _consider(scope, bound, arg, expected, targets, seen)
+            _scan(scope, bound, arg, targets, seen)
         return
     if isinstance(node, _QUANTIFIERS):
         scope, bound = scope.push(VarEntry(node.var, node.type_name)), bound | {node.var}
-    for i, kid in enumerate(kids):
-        _scan(scope, bound, kid, path + (i,), targets, seen)
+    for kid in kids:
+        _scan(scope, bound, kid, targets, seen)
 
 
 def _consider(
@@ -78,13 +76,12 @@ def _consider(
     bound: frozenset[str],
     term: ast.Term,
     expected: str,
-    path: tuple[int, ...],
     targets: list[GuardTarget],
     seen: set[tuple[ast.Term, str]],
 ) -> None:
     if not ast.free_variables(term).isdisjoint(bound):
         return
-    principal = derive_term(scope, term, path).type_name
+    principal = derive_term(scope, term).type_name
     if principal == expected or is_subtype(scope.vocab, principal, expected):
         return
     if not is_subtype(scope.vocab, expected, principal):
@@ -95,7 +92,7 @@ def _consider(
     if (term, expected) in seen:
         return
     seen.add((term, expected))
-    targets.append(GuardTarget(term, expected, principal, path))
+    targets.append(GuardTarget(term, expected, principal))
 
 
 def elaborate(ctx: TypingContext, formula: ast.Formula) -> ast.Formula:

@@ -106,8 +106,8 @@ class TypingError(GosilError):
     """A typing verdict of "ill-typed", with the reason pinned down.
 
     `expected`/`found` are type names, populated for mismatch kinds;
-    `expr` is the offending sub-expression and `path` its position in the
-    checked formula (child indices from the root).
+    `expr` is the offending sub-expression, which gives the error its
+    location.
     """
 
     def __init__(
@@ -115,7 +115,6 @@ class TypingError(GosilError):
         error_kind: str,
         message: str,
         expr=None,
-        path: tuple[int, ...] = (),
         expected: str | None = None,
         found: str | None = None,
     ):
@@ -123,7 +122,6 @@ class TypingError(GosilError):
         super().__init__(message, loc=getattr(expr, "loc", None))
         self.error_kind = error_kind
         self.expr = expr
-        self.path = path
         self.expected = expected
         self.found = found
 

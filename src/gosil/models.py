@@ -82,7 +82,6 @@ from .semantics import (
     _forced_type_sets,
     evaluate,
     validate_graph,
-    validate_structure,
     validate_type_sets,
 )
 from .typecheck import check_sentence
@@ -319,7 +318,7 @@ class _TypeSetSearch:
     def has_candidates(self) -> bool:
         """Whether any candidate exists and passes validation; candidates of
         one type set pass or fail together, so the first one decides."""
-        return all(self.options) and validate_structure(self.vocab, self.candidate()).ok
+        return all(self.options) and self.valid()
 
     def graphs(self, levels) -> dict[str, FunctionGraph]:
         """The chosen graphs of the symbols at `levels`."""

@@ -20,7 +20,9 @@ returns are ready for the type checker.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TypeVar
 
 from . import ast
 from .errors import (
@@ -43,6 +45,8 @@ from .vocabulary import (
     resolve_concept,
     validate,
 )
+
+_T = TypeVar("_T")
 
 KEYWORDS = frozenset(
     ("type", "func", "pred", "const", "axiom", "define", "true", "false")
@@ -164,6 +168,20 @@ class TokenStream:
     def skip_newlines(self) -> None:
         while self.peek().kind == "newline":
             self.next()
+
+    def separated(
+        self, item: Callable[[], _T], close: str | None = None, sep: str = ","
+    ) -> list[_T]:
+        """The items of an `item (sep item)*` list. With `close` the list
+        may be empty and ends at that operator, which is consumed."""
+        items: list[_T] = []
+        if close is None or not self.at_op(close):
+            items.append(item())
+            while self.accept_op(sep):
+                items.append(item())
+        if close is not None:
+            self.expect_op(close)
+        return items
 
     def expect_statement_end(self) -> None:
         tok = self.peek()
@@ -358,13 +376,7 @@ class _FormulaParser:
 
     def argument_list(self) -> tuple[ast.Term, ...]:
         self.s.expect_op("(")
-        if self.s.accept_op(")"):
-            return ()
-        args = [self.term()]
-        while self.s.accept_op(","):
-            args.append(self.term())
-        self.s.expect_op(")")
-        return tuple(args)
+        return tuple(self.s.separated(self.term, ")"))
 
 
 def parse_formula(
@@ -447,18 +459,11 @@ class _TheoryParser:
         name = self.s.expect_ident("type name").text
         supertypes: list[str] = []
         if self.s.accept_op("<:"):
-            supertypes.append(self.s.expect_ident("supertype name").text)
-            while self.s.accept_op(","):
-                supertypes.append(self.s.expect_ident("supertype name").text)
+            supertypes = self.s.separated(lambda: self.s.expect_ident("supertype name").text)
         extension = None
         if self.s.accept_op(":="):
             self.s.expect_op("{")
-            members: list[str] = []
-            if not self.s.at_op("}"):
-                members.append(self._extension_member())
-                while self.s.accept_op(","):
-                    members.append(self._extension_member())
-            self.s.expect_op("}")
+            members = self.s.separated(self._extension_member, "}")
             extension = ConceptExtension(name, tuple(members))
         self._declare(declare_type, loc, name, supertypes, extension)
 
@@ -467,10 +472,7 @@ class _TheoryParser:
         return self.s.expect_ident("extension member").text
 
     def _type_list(self) -> list[str]:
-        names = [self.s.expect_ident("type name").text]
-        while self.s.accept_op("*"):
-            names.append(self.s.expect_ident("type name").text)
-        return names
+        return self.s.separated(lambda: self.s.expect_ident("type name").text, sep="*")
 
     def func_decl(self, loc: Location) -> None:
         name = self.s.expect_ident("function name").text
@@ -505,12 +507,7 @@ class _TheoryParser:
                 name_tok.loc,
             )
         self.s.expect_op("(")
-        args: list[ConceptObject] = []
-        if not self.s.at_op(")"):
-            args.append(self._fact_concept())
-            while self.s.accept_op(","):
-                args.append(self._fact_concept())
-        self.s.expect_op(")")
+        args = self.s.separated(self._fact_concept, ")")
         if len(args) != sig.arity:
             raise ArityError(
                 f"{name_tok.text!r} expects {sig.arity} argument(s), got {len(args)}",

@@ -15,8 +15,8 @@ their canonical order, a reference evaluates to its concept object, and a
 dereference applies the symbol the head's concept names, rejecting argument
 elements outside that symbol's declared argument types. Implicit guard
 wrappers are evaluated by resolving the current concept-valued bindings and
-expanding the wrapper for the resulting instance, mirroring what grounding
-does instance by instance.
+grounding the resulting instance with `grounding.ground`, the pipeline
+`check` and `ground` run on whole sentences.
 
 Evaluation compiles an expression once into nested closures, cached on the
 vocabulary by (expression, variable types). Each application is bound to its
@@ -43,7 +43,7 @@ import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from . import ast, elaboration, grounding
+from . import ast, grounding
 from .errors import (
     EvaluationError,
     IllTypedSentence,
@@ -56,7 +56,7 @@ from .errors import (
     ValidationReport,
 )
 from .parser import TokenStream, tokenize
-from .typecheck import VarEntry, check_sentence, initial_context
+from .typecheck import check_sentence
 from .vocabulary import (
     BOOL,
     CONCEPT,
@@ -733,18 +733,16 @@ def _expand_guard(
     types: dict[str, str],
     bound: tuple[tuple[str, ConceptObject], ...],
 ) -> Code:
-    """Fix the concept-valued variables, resolve the dereferences they
-    unlock, expand the wrapper for that instance, and compile the result."""
+    """Fix the concept-valued variables, ground that instance of the
+    wrapper with `grounding.ground` (expanding its concept quantifiers,
+    resolving the dereferences the bindings unlock and elaborating its
+    guards), and compile the result."""
     body = wrapper.body
     remaining_types = dict(types)
     for var, concept in bound:
         body = ast.substitute(body, var, ast.ConceptRef(concept))
         remaining_types.pop(var, None)
-    body = grounding._eliminate(interp, body)
-    ctx = initial_context(interp.vocab).push(
-        *(VarEntry(v, t) for v, t in remaining_types.items())
-    )
-    expanded = elaboration.elaborate(ctx, type(wrapper)(body))
+    expanded = grounding.ground(type(wrapper)(body), interp, remaining_types)
     return _compiled(interp.vocab, expanded, remaining_types)
 
 
@@ -847,13 +845,7 @@ def parse_structure(text: str, vocab: Vocabulary, nat_bound: int | None = None) 
 
     def row_args() -> Row:
         if stream.accept_op("("):
-            if stream.accept_op(")"):
-                return ()
-            args = [element()]
-            while stream.accept_op(","):
-                args.append(element())
-            stream.expect_op(")")
-            return tuple(args)
+            return tuple(stream.separated(element, ")"))
         return (element(),)
 
     while True:
@@ -866,13 +858,7 @@ def parse_structure(text: str, vocab: Vocabulary, nat_bound: int | None = None) 
             name = stream.expect_ident("type name").text
             stream.expect_op("=")
             stream.expect_op("{")
-            elems: list[DomainElement] = []
-            if not stream.at_op("}"):
-                elems.append(element())
-                while stream.accept_op(","):
-                    elems.append(element())
-            stream.expect_op("}")
-            type_sets[name] = tuple(elems)
+            type_sets[name] = tuple(stream.separated(element, "}"))
         elif tok.kind == "ident" and tok.text == "interp":
             stream.next()
             name_tok = stream.expect_ident("symbol name")
@@ -887,20 +873,17 @@ def parse_structure(text: str, vocab: Vocabulary, nat_bound: int | None = None) 
             stream.expect_op("{")
             mapping: dict[Row, DomainElement] = {}
             true_rows: set[Row] = set()
-            if not stream.at_op("}"):
-                while True:
-                    args = row_args()
-                    if stream.accept_op("->"):
-                        mapping[args] = element()
-                    elif sig.is_predicate:
-                        true_rows.add(args)
-                    else:
-                        raise ParseError(
-                            "function rows need '-> result'", stream.peek().loc
-                        )
-                    if not stream.accept_op(","):
-                        break
-            stream.expect_op("}")
+
+            def row() -> None:
+                args = row_args()
+                if stream.accept_op("->"):
+                    mapping[args] = element()
+                elif sig.is_predicate:
+                    true_rows.add(args)
+                else:
+                    raise ParseError("function rows need '-> result'", stream.peek().loc)
+
+            stream.separated(row, "}")
             if sig.is_predicate and not mapping:
                 functions[name_tok.text] = FunctionGraph.for_predicate(
                     name_tok.text, true_rows

@@ -9,8 +9,8 @@ which re-types the guarded terms inside the remainder; implications whose
 whole antecedent is such a prefix use implication guarding (G-i).
 
 A successful check returns a TypingDerivation tree; failure raises
-TypingError with the offending sub-expression, its path from the root, and
-expected/found types where applicable.
+TypingError with the offending sub-expression and expected/found types
+where applicable.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ RULE_NAMES = (
 _UNGROUNDED = "dereference must be grounded before type checking"
 
 
-def derive_term(ctx: TypingContext, term: ast.Term, path: tuple[int, ...] = ()) -> TypingDerivation:
+def derive_term(ctx: TypingContext, term: ast.Term) -> TypingDerivation:
     """Derive the principal type of a term."""
     annotated = ctx.lookup_term_type(term)
     if annotated is not None:
@@ -121,47 +121,43 @@ def derive_term(ctx: TypingContext, term: ast.Term, path: tuple[int, ...] = ()) 
     match term:
         case ast.Variable(name):
             raise TypingError(
-                "UnboundVariable", f"variable {name!r} is not in scope", term, path
+                "UnboundVariable", f"variable {name!r} is not in scope", term
             )
         case ast.NatLiteral():
             return TypingDerivation("T-app", term, NAT)
         case ast.ConceptRef():
             return TypingDerivation("T-con", term, CONCEPT)
         case ast.Apply(symbol, args):
-            sig, premises = _application(ctx, term, symbol, args, path)
+            sig, premises = _application(ctx, term, symbol, args)
             return TypingDerivation("T-app", term, sig.result_type, premises)
         case ast.Deref():
-            raise TypingError("IntensionalNotGrounded", _UNGROUNDED, term, path)
+            raise TypingError("IntensionalNotGrounded", _UNGROUNDED, term)
     raise TypeError(f"not a term: {term!r}")
 
 
 def _application(
-    ctx: TypingContext, node, name: str, args: tuple[ast.Term, ...], path: tuple[int, ...]
+    ctx: TypingContext, node, name: str, args: tuple[ast.Term, ...]
 ) -> tuple[Signature, tuple[TypingDerivation, ...]]:
     """The signature `name` resolves to in an application `node` over `args`,
     and a derivation of each argument at its argument type."""
     sig = ctx.lookup_symbol(name)
     if sig is None:
-        raise TypingError("UnknownSymbol", f"unknown symbol {name!r}", node, path)
+        raise TypingError("UnknownSymbol", f"unknown symbol {name!r}", node)
     if len(args) != sig.arity:
         raise TypingError(
             "ArgumentTypeMismatch",
             f"{name!r} expects {sig.arity} argument(s), got {len(args)}",
             node,
-            path,
         )
     return sig, tuple(
-        _derive_at(ctx, arg, expected, path + (i,))
-        for i, (arg, expected) in enumerate(zip(args, sig.argument_types))
+        _derive_at(ctx, arg, expected) for arg, expected in zip(args, sig.argument_types)
     )
 
 
-def _derive_at(
-    ctx: TypingContext, term: ast.Term, expected: str, path: tuple[int, ...]
-) -> TypingDerivation:
+def _derive_at(ctx: TypingContext, term: ast.Term, expected: str) -> TypingDerivation:
     """Derive a term at a required type, inserting subsumption if its
     principal type lies strictly below."""
-    d = derive_term(ctx, term, path)
+    d = derive_term(ctx, term)
     if d.type_name == expected:
         return d
     if is_subtype(ctx.vocab, d.type_name, expected):
@@ -170,7 +166,6 @@ def _derive_at(
         "ArgumentTypeMismatch",
         f"expected {expected}, found {d.type_name}",
         term,
-        path,
         expected=expected,
         found=d.type_name,
     )
@@ -246,7 +241,7 @@ def implication_guard(vocab: Vocabulary, f: ast.Formula) -> tuple[list[ast.Atom]
 _BINARY_RULES = {ast.And: "T-and", ast.Or: "T-or", ast.Implies: "T-imp", ast.Iff: "T-iff"}
 
 
-def typecheck(ctx: TypingContext, formula: ast.Formula, path: tuple[int, ...] = ()) -> TypingDerivation:
+def typecheck(ctx: TypingContext, formula: ast.Formula) -> TypingDerivation:
     """Derive `formula : Bool`, or raise TypingError."""
     match formula:
         case ast.Truth(True):
@@ -254,22 +249,22 @@ def typecheck(ctx: TypingContext, formula: ast.Formula, path: tuple[int, ...] = 
         case ast.Truth(False):
             return TypingDerivation("T-fa", formula, BOOL)
         case ast.Atom():
-            return _check_atom(ctx, formula, path)
+            return _check_atom(ctx, formula)
         case ast.DerefAtom():
-            raise TypingError("IntensionalNotGrounded", _UNGROUNDED, formula, path)
+            raise TypingError("IntensionalNotGrounded", _UNGROUNDED, formula)
         case ast.Not(body):
-            return TypingDerivation("T-neg", formula, BOOL, (typecheck(ctx, body, path + (0,)),))
+            return TypingDerivation("T-neg", formula, BOOL, (typecheck(ctx, body),))
         case ast.And() if (split := guard_prefix(ctx.vocab, formula)) is not None:
-            return _check_guarded(ctx, formula, split, "G-c", path)
+            return _check_guarded(ctx, formula, split, "G-c")
         case ast.Implies() if (split := implication_guard(ctx.vocab, formula)) is not None:
-            return _check_guarded(ctx, formula, split, "G-i", path)
+            return _check_guarded(ctx, formula, split, "G-i")
         case ast.And(l, r) | ast.Or(l, r) | ast.Implies(l, r) | ast.Iff(l, r):
-            premises = (typecheck(ctx, l, path + (0,)), typecheck(ctx, r, path + (1,)))
+            premises = (typecheck(ctx, l), typecheck(ctx, r))
             return TypingDerivation(_BINARY_RULES[type(formula)], formula, BOOL, premises)
         case ast.Exists(var, type_name, body) | ast.Forall(var, type_name, body):
             inner = ctx.push(VarEntry(var, type_name))
             rule = "T-ex" if isinstance(formula, ast.Exists) else "T-all"
-            return TypingDerivation(rule, formula, BOOL, (typecheck(inner, body, path + (0,)),))
+            return TypingDerivation(rule, formula, BOOL, (typecheck(inner, body),))
         case ast.GuardC() | ast.GuardI():
             raise ValueError(
                 "implicit guard wrappers must be elaborated before type checking"
@@ -277,17 +272,17 @@ def typecheck(ctx: TypingContext, formula: ast.Formula, path: tuple[int, ...] = 
     raise TypeError(f"not a formula: {formula!r}")
 
 
-def _check_atom(ctx: TypingContext, atom: ast.Atom, path: tuple[int, ...]) -> TypingDerivation:
+def _check_atom(ctx: TypingContext, atom: ast.Atom) -> TypingDerivation:
     if atom.predicate == ast.EQUALITY_ATOM:
-        left = derive_term(ctx, atom.args[0], path + (0,))
-        right = derive_term(ctx, atom.args[1], path + (1,))
+        left = derive_term(ctx, atom.args[0])
+        right = derive_term(ctx, atom.args[1])
         common = least_common_supertype(ctx.vocab, left.type_name, right.type_name)
         premises = tuple(
             d if d.type_name == common else TypingDerivation("T-sub", d.expr, common, (d,))
             for d in (left, right)
         )
         return TypingDerivation("T-app", atom, BOOL, premises)
-    sig, premises = _application(ctx, atom, atom.predicate, atom.args, path)
+    sig, premises = _application(ctx, atom, atom.predicate, atom.args)
     d = TypingDerivation("T-app", atom, sig.result_type, premises)
     if sig.result_type == BOOL:
         return d
@@ -297,7 +292,6 @@ def _check_atom(ctx: TypingContext, atom: ast.Atom, path: tuple[int, ...]) -> Ty
         "NonBooleanSubformula",
         f"{atom.predicate!r} yields {sig.result_type}, not {BOOL}",
         atom,
-        path,
         expected=BOOL,
         found=sig.result_type,
     )
@@ -308,7 +302,6 @@ def _check_guarded(
     formula: ast.Formula,
     split: tuple[list[ast.Atom], ast.Formula],
     rule: str,
-    path: tuple[int, ...],
 ) -> TypingDerivation:
     """Type a guarded conjunction or implication: each guarded term must be
     typeable (and hence of type Universe), and the remainder is checked with
@@ -316,16 +309,15 @@ def _check_guarded(
     guards, body = split
     universe_premises: list[TypingDerivation] = []
     annotations: list[TermEntry] = []
-    for i, guard in enumerate(guards):
+    for guard in guards:
         term = guard.args[0]
-        d = derive_term(ctx, term, path + (i,))
+        d = derive_term(ctx, term)
         if d.type_name != UNIVERSE:
             if not is_subtype(ctx.vocab, d.type_name, UNIVERSE):
                 raise TypingError(
                     "GuardOnNonUniverseTerm",
                     f"guarded term is not below {UNIVERSE}",
                     term,
-                    path + (i,),
                     expected=UNIVERSE,
                     found=d.type_name,
                 )
@@ -333,7 +325,7 @@ def _check_guarded(
         universe_premises.append(d)
         annotations.append(TermEntry(term, guard.predicate))
     inner = ctx.push(*annotations)
-    body_premise = typecheck(inner, body, path + (len(guards),))
+    body_premise = typecheck(inner, body)
     return TypingDerivation(rule, formula, BOOL, tuple(universe_premises) + (body_premise,))
 
 

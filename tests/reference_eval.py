@@ -2,13 +2,14 @@
 test-only oracle: the slow reference path the compiled evaluator is checked
 against. It re-resolves every symbol at every node, rebuilds each graph's
 mapping on every application and re-expands a guard wrapper for every
-binding. Only the imports differ from the original; `interpretation_of`
-is the library's.
+binding. It differs from the original only in its imports and in grounding
+each wrapper instance with `grounding.ground`, as the library does;
+`interpretation_of` is the library's.
 """
 
 from __future__ import annotations
 
-from gosil import ast, elaboration, grounding
+from gosil import ast, grounding
 from gosil.errors import (
     EvaluationError,
     RuntimeDerefMismatch,
@@ -26,7 +27,6 @@ from gosil.semantics import (
     TruthElement,
     interpretation_of,
 )
-from gosil.typecheck import VarEntry, initial_context
 from gosil.vocabulary import Signature, Vocabulary, deref_signature, equality_signature
 
 
@@ -207,7 +207,8 @@ def _eval_guard(
 ) -> bool:
     """Evaluate an implicit guard wrapper under the current bindings: fix the
     concept-valued variables, resolve the dereferences they unlock, expand
-    the wrapper for that instance, and evaluate the result."""
+    the wrapper for that instance, and evaluate the result. The instance is
+    grounded whole, so concept quantifiers in the body expand first."""
     body = wrapper.body
     remaining_types = dict(types)
     for var in sorted(ast.free_variables(body)):
@@ -216,10 +217,5 @@ def _eval_guard(
             body = ast.substitute(body, var, ast.ConceptRef(element.concept))
             remaining_types.pop(var, None)
     interp = interpretation_of(structure)
-    body = grounding._eliminate(interp, body)
-    rewrapped = type(wrapper)(body)
-    ctx = initial_context(structure.vocab).push(
-        *(VarEntry(v, t) for v, t in remaining_types.items())
-    )
-    expanded = elaboration.elaborate(ctx, rewrapped)
+    expanded = grounding.ground(type(wrapper)(body), interp, remaining_types)
     return _eval_formula(structure, expanded, asg, remaining_types)

@@ -90,6 +90,29 @@ def test_eval_reports_ill_typed(running_example_path, s0_path):
     assert "cat_meowing: true" in output
 
 
+def test_kinded_wrapper_agrees_across_commands(tmp_path):
+    # a concept quantifier inside a guard wrapper: check grounds it whole,
+    # and eval and models must ground each wrapper instance the same way
+    theory = tmp_path / "kinded.gos"
+    theory.write_text(
+        "type Animal\ntype Cat <: Animal\ntype Dog <: Animal\n"
+        "type Kind <: Concept := { Cat, Dog }\npred meow : Cat\npred bark : Dog\n"
+        "axiom kinded: !a[Animal]: <<c: ?k[Kind]: $(k)(a)>>\n"
+    )
+    structure = tmp_path / "kinded.str"
+    structure.write_text(
+        "type Animal = { t, d }\ntype Cat = { t }\ntype Dog = { d }\n"
+        "interp meow = { t }\ninterp bark = { d }\n"
+    )
+    code, output = run("check", str(theory))
+    assert code == 0
+    assert output.startswith("kinded: well-typed\n")
+    assert run("eval", str(theory), "--structure", str(structure)) == (0, "kinded: true\n")
+    code, output = run("models", str(theory), "--bound", "Animal=1")
+    assert code == 0
+    assert output.endswith("// 4 model(s)\n")
+
+
 def test_models_command(tmp_path):
     theory = tmp_path / "t.gos"
     theory.write_text("type T\npred p : T\naxiom some: ?x[T]: p(x)\n")

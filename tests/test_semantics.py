@@ -1,5 +1,7 @@
 import pytest
 
+from test_acceptance import _oracle_structures
+
 from gosil import ast
 from gosil.errors import (
     EvaluationError,
@@ -182,16 +184,21 @@ def test_satisfies_intensional_and_wrapped_axioms(s0, axioms):
         assert satisfies(s0, axioms[label]) is True, label
 
 
-def test_wrapper_evaluation_matches_grounding(running_example, vocab, s0):
+def test_wrapper_evaluation_matches_grounding(running_example, vocab):
     from gosil.grounding import build_intensional_interp, ground
 
     interp = build_intensional_interp(running_example)
-    f = parse_formula("?s[Sound]: <<c: $(s)(a)>>", vocab, {"a": "Animal"})
-    g = ground(f, interp, {"a": "Animal"})
-    for element in (T, D):
-        direct = evaluate(s0, f, {"a": element}, {"a": "Animal"})
-        grounded = evaluate(s0, g, {"a": element})
-        assert direct == grounded
+    for text, free in (
+        ("?s[Sound]: <<c: $(s)(a)>>", {"a": "Animal"}),
+        # concept quantifiers inside the wrapper expand per instance
+        ("!a[Animal]: <<c: ?k[Kind]: $(k)(a)>>", {}),
+        ("!a[Animal]: <<i: !k[Kind]: $(k)(a) => $(soundOfKind(k))(a)>>", {}),
+    ):
+        f = parse_formula(text, vocab, free)
+        g = ground(f, interp, free)
+        for s in _oracle_structures(vocab):
+            for asg in [{"a": e} for e in s.elements("Animal")] if free else [{}]:
+                assert evaluate(s, f, asg, free) == evaluate(s, g, asg), text
 
 
 def test_interpretation_extracted_from_structure(running_example, s0):
