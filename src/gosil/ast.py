@@ -4,9 +4,10 @@ printer.
 Terms and formulas are immutable dataclasses compared structurally; source
 locations ride along without affecting equality, so parse(print(e)) == e
 holds node for node. The printer emits the one canonical spelling of every
-tree: minimal parentheses at the formula level (with & | => right-associative
-and <=> left-associative) and fully parenthesized arithmetic at the term
-level.
+tree: minimal parentheses at the formula level and fully parenthesized
+arithmetic at the term level. The binding level and associativity of every
+binary connective and arithmetic operator are defined once, in
+`CONNECTIVES` and `ARITHMETIC_OPERATORS`, which the parser reads too.
 """
 
 from __future__ import annotations
@@ -357,13 +358,23 @@ def desugar(f: Formula) -> Formula:
     return fold(f, lambda node, kids: _DESUGARED[type(node)](node, kids), enter)
 
 
+# -- operators ----------------------------------------------------------------------
+
+# The binary operators, read by the parser and the printer alike: spelling ->
+# (node class, binding level, right-associative); a higher level binds tighter.
+# An arithmetic operator builds Apply(spelling, (left, right)).
+CONNECTIVES = {"<=>": (Iff, 1, False), "=>": (Implies, 2, True),
+               "|": (Or, 3, True), "&": (And, 4, True)}
+ARITHMETIC_OPERATORS = {"+": (Apply, 1, False), "-": (Apply, 1, False), "*": (Apply, 2, False)}
+
+
 # -- canonical printing ------------------------------------------------------------
 
-_LEVEL_QUANT, _LEVEL_IFF, _LEVEL_IMP, _LEVEL_OR, _LEVEL_AND, _LEVEL_NOT, _LEVEL_ATOM = range(7)
-_LEVELS = {Exists: _LEVEL_QUANT, Forall: _LEVEL_QUANT, Iff: _LEVEL_IFF, Implies: _LEVEL_IMP,
-           Or: _LEVEL_OR, And: _LEVEL_AND, Not: _LEVEL_NOT}  # any other formula: _LEVEL_ATOM
-
-_ARITHMETIC_OPS = ("+", "-", "*")
+# A quantifier binds looser than every connective, ~ tighter, atoms tightest.
+_LEVEL_QUANT, _LEVEL_NOT = 0, 1 + max(level for _, level, _ in CONNECTIVES.values())
+_LEVEL_ATOM = _LEVEL_NOT + 1
+_LEVELS = {Exists: _LEVEL_QUANT, Forall: _LEVEL_QUANT, Not: _LEVEL_NOT,
+           **{node: level for node, level, _ in CONNECTIVES.values()}}  # others: _LEVEL_ATOM
 
 
 def format_term(t: Term) -> str:
@@ -387,7 +398,10 @@ def _applied(name: str, kids: list[str]) -> str:
     return f"{name}({', '.join(kids)})" if kids else name
 
 
-def _infix(op: str, left_level: int, right_level: int):
+def _infix(op: str, level: int, right_associative: bool):
+    """A connective: the operand on its associative side may be a chain of it."""
+    left_level, right_level = level + right_associative, level + (not right_associative)
+
     def spell(node, kids) -> str:
         left = _operand(node.left, kids[0], left_level)
         return f"{left} {op} {_operand(node.right, kids[1], right_level)}"
@@ -395,8 +409,7 @@ def _infix(op: str, left_level: int, right_level: int):
     return spell
 
 
-# The spelling of each class of node from the spellings of its children;
-# & | => are right-associative and <=> left-associative.
+# The spelling of each class of node from the spellings of its children.
 _SPELLING = {
     Variable: lambda node, kids: node.name,
     NatLiteral: lambda node, kids: str(node.value),
@@ -404,7 +417,7 @@ _SPELLING = {
     Truth: lambda node, kids: "true" if node.value else "false",
     Apply: lambda node, kids: (
         f"({kids[0]} {node.symbol} {kids[1]})"
-        if node.symbol in _ARITHMETIC_OPS and len(kids) == 2
+        if node.symbol in ARITHMETIC_OPERATORS and len(kids) == 2
         else _applied(node.symbol, kids)
     ),
     Atom: lambda node, kids: (
@@ -414,10 +427,7 @@ _SPELLING = {
     ),
     **dict.fromkeys(_DEREFS, lambda node, kids: f"$({kids[0]})({', '.join(kids[1:])})"),
     Not: lambda node, kids: f"~{_operand(node.body, kids[0], _LEVEL_NOT)}",
-    And: _infix("&", _LEVEL_AND + 1, _LEVEL_AND),
-    Or: _infix("|", _LEVEL_OR + 1, _LEVEL_OR),
-    Implies: _infix("=>", _LEVEL_IMP + 1, _LEVEL_IMP),
-    Iff: _infix("<=>", _LEVEL_IFF, _LEVEL_IFF + 1),
+    **{node: _infix(op, level, right) for op, (node, level, right) in CONNECTIVES.items()},
     Exists: lambda node, kids: f"?{node.var}[{node.type_name}]: {_operand(node.body, kids[0], 0)}",
     Forall: lambda node, kids: f"!{node.var}[{node.type_name}]: {_operand(node.body, kids[0], 0)}",
     GuardC: lambda node, kids: f"<<c: {_operand(node.body, kids[0], 0)}>>",

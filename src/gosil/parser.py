@@ -11,7 +11,9 @@ Statement forms, one per line (newline or ';' terminates):
 Formulas use ~ & | => <=> (loosest last, => right-associative), quantifiers
 ?x[T]: and !x[T]: whose bodies extend to the end of the enclosing
 (sub)formula, implicit guards <<c: ...>> and <<i: ...>>, concept references
-`name, and dereferences $(term)(args). Comments run from // to end of line.
+`name, and dereferences $(term)(args); terms use + - *. The binding level
+and associativity of each binary operator come from the one operator table
+in `ast`, which the printer reads too. Comments run from // to end of line.
 
 The parser resolves every identifier against the vocabulary built so far, so
 arity errors and unknown names surface here with positions, and the ASTs it
@@ -195,56 +197,55 @@ class TokenStream:
 
 
 class _FormulaParser:
-    """Recursive-descent formula/term parser over a fixed vocabulary."""
+    """Formula/term parser over a fixed vocabulary: one operator-precedence
+    loop for chains of binary operators, recursive descent for the rest."""
 
     def __init__(self, stream: TokenStream, vocab: Vocabulary, scope: dict[str, str]):
         self.s = stream
         self.vocab = vocab
         self.scope = dict(scope)
 
-    # formulas, loosest binding first -------------------------------------
-
     def formula(self) -> ast.Formula:
-        left = self.implication()
-        while self.s.at_op("<=>"):
-            loc = self.s.next().loc
-            right = self.implication()
-            left = ast.Iff(left, right, loc=loc)
-        return left
+        return self.chain(self.unary, ast.CONNECTIVES)
 
-    def implication(self) -> ast.Formula:
-        left = self.disjunction()
-        if self.s.at_op("=>"):
-            loc = self.s.next().loc
-            right = self.implication()
-            return ast.Implies(left, right, loc=loc)
-        return left
+    def term(self) -> ast.Term:
+        return self.chain(self.term_primary, ast.ARITHMETIC_OPERATORS)
 
-    def disjunction(self) -> ast.Formula:
-        left = self.conjunction()
-        if self.s.at_op("|"):
-            loc = self.s.next().loc
-            right = self.disjunction()
-            return ast.Or(left, right, loc=loc)
-        return left
-
-    def conjunction(self) -> ast.Formula:
-        left = self.unary()
-        if self.s.at_op("&"):
-            loc = self.s.next().loc
-            right = self.conjunction()
-            return ast.And(left, right, loc=loc)
-        return left
+    def chain(self, operand: Callable[[], _T], operators: dict) -> _T:
+        """`operand (op operand)*` over an `ast` operator table, in one loop
+        however long the chain; each node is located at its operator."""
+        operands = [operand()]
+        waiting: list[tuple[Token, type, int]] = []  # operator, node class, level
+        while True:
+            node, level, right = operators.get(self.s.peek().text, (None, 0, False))
+            # apply the waiting operators that bind tighter than the next one,
+            # or as tightly if it is left-associative; at the chain's end, all
+            while waiting and waiting[-1][2] >= level + right:
+                op, op_node, _ = waiting.pop()
+                args = (operands[-2], operands.pop())
+                operands[-1] = (
+                    ast.Apply(op.text, args, loc=op.loc) if op_node is ast.Apply
+                    else op_node(*args, loc=op.loc)
+                )
+            if node is None:
+                return operands[0]
+            waiting.append((self.s.next(), node, level))
+            operands.append(operand())
 
     def unary(self) -> ast.Formula:
+        negations: list[Location] = []
+        while self.s.at_op("~"):
+            negations.append(self.s.next().loc)
         tok = self.s.peek()
-        if self.s.accept_op("~"):
-            return ast.Not(self.unary(), loc=tok.loc)
         if tok.kind == "op" and tok.text in ("?", "!"):
-            return self.quantifier()
-        if self.s.at_op("<<"):
-            return self.guard()
-        return self.primary()
+            body = self.quantifier()
+        elif self.s.at_op("<<"):
+            body = self.guard()
+        else:
+            body = self.primary()
+        for loc in reversed(negations):
+            body = ast.Not(body, loc=loc)
+        return body
 
     def quantifier(self) -> ast.Formula:
         tok = self.s.next()
@@ -315,22 +316,6 @@ class _FormulaParser:
 
     # terms ------------------------------------------------------------------
 
-    def term(self) -> ast.Term:
-        left = self.product()
-        while self.s.peek().kind == "op" and self.s.peek().text in ("+", "-"):
-            op = self.s.next()
-            right = self.product()
-            left = ast.Apply(op.text, (left, right), loc=op.loc)
-        return left
-
-    def product(self) -> ast.Term:
-        left = self.term_primary()
-        while self.s.at_op("*"):
-            op = self.s.next()
-            right = self.term_primary()
-            left = ast.Apply(op.text, (left, right), loc=op.loc)
-        return left
-
     def term_primary(self) -> ast.Term:
         tok = self.s.peek()
         if tok.kind == "nat":
@@ -379,37 +364,34 @@ class _FormulaParser:
         return tuple(self.s.separated(self.term, ")"))
 
 
-def parse_formula(
-    text: str,
-    vocab: Vocabulary,
-    free_var_types: dict[str, str] | list[tuple[str, str]] = (),
-) -> ast.Formula:
-    """Parse a single formula; free variables must be listed with their types."""
+def _parse_whole(text: str, vocab: Vocabulary, free_var_types, parse: Callable[..., _T]) -> _T:
+    """`parse` run on all of `text`; free variables must be listed with their types."""
     stream = TokenStream(tokenize(text))
     stream.skip_newlines()
     scope = dict(free_var_types)
     for type_name in scope.values():
         if not vocab.has_type(type_name):
             raise UnknownIdentifier(f"unknown type {type_name!r} for free variable")
-    parser = _FormulaParser(stream, vocab, scope)
-    formula = parser.formula()
+    parsed = parse(_FormulaParser(stream, vocab, scope))
     stream.skip_newlines()
     tok = stream.peek()
     if tok.kind != "eof":
         raise ParseError(f"unexpected trailing input {tok.text!r}", tok.loc)
-    return formula
+    return parsed
+
+
+def parse_formula(
+    text: str,
+    vocab: Vocabulary,
+    free_var_types: dict[str, str] | list[tuple[str, str]] = (),
+) -> ast.Formula:
+    """Parse a single formula; free variables must be listed with their types."""
+    return _parse_whole(text, vocab, free_var_types, _FormulaParser.formula)
 
 
 def parse_term(text: str, vocab: Vocabulary, free_var_types=()) -> ast.Term:
-    stream = TokenStream(tokenize(text))
-    stream.skip_newlines()
-    parser = _FormulaParser(stream, vocab, dict(free_var_types))
-    term = parser.term()
-    stream.skip_newlines()
-    tok = stream.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.loc)
-    return term
+    """Parse a single term; free variables must be listed with their types."""
+    return _parse_whole(text, vocab, free_var_types, _FormulaParser.term)
 
 
 class _TheoryParser:

@@ -224,13 +224,14 @@ def declare_type(
     extension: ConceptExtension | None = None,
 ) -> Vocabulary:
     """Add a type. Without supertypes the type sits directly below Universe.
+    A name `resolve` already answers, `=_T` included, is taken.
 
     An extension is only legal when every declared supertype lies below
     Concept; its members must already be declared.
     """
     if vocab.has_type(name):
         raise DuplicateType(f"type {name!r} is already declared")
-    if vocab.signature(name) is not None:
+    if vocab.resolve(name) is not None:
         raise DuplicateType(f"{name!r} is already a symbol name")
     equality = f"{EQUALITY}_{name}"
     if vocab.signature(equality) is not None:
@@ -383,6 +384,8 @@ def validate(vocab: Vocabulary) -> ValidationReport:
     for n in names:
         if names.count(n) > 1:
             report.add("DuplicateType", f"type {n!r} declared more than once", n)
+        if n.startswith(EQUALITY + "_") and n[2:] in names:
+            report.add("DuplicateType", f"type {n!r} collides with the equality of {n[2:]!r}", n)
     for builtin in BUILTIN_TYPES:
         if builtin not in names:
             report.add("MissingBuiltin", f"built-in type {builtin!r} missing")

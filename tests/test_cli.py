@@ -237,7 +237,8 @@ def test_internal_error_is_one_line_with_exit_three(monkeypatch, running_example
 
 
 def test_deep_input_ends_without_a_traceback(tmp_path):
-    # the parser still recurses once per `~`: this ends in an internal error
+    # the parser reads the `~` run in a loop, but the type checker still
+    # recurses once per `~`: this ends in an internal error
     theory = tmp_path / "deep.gos"
     theory.write_text("axiom deep: " + "~" * 3000 + "true\n")
     src = Path(__file__).resolve().parent.parent / "src"

@@ -79,6 +79,12 @@ def test_free_variables_must_be_declared(vocab):
     parse_formula("meow(a)", vocab, {"a": "Cat"})
 
 
+@pytest.mark.parametrize("parse", [parse_formula, parse_term])
+def test_free_variable_types_must_be_declared(vocab, parse):
+    with pytest.raises(UnknownIdentifier, match="unknown type 'Bogus' for free variable"):
+        parse("x", vocab, {"x": "Bogus"})
+
+
 def test_error_positions():
     try:
         parse_theory("type Animal\ntype Cat <: Mouse")

@@ -19,6 +19,7 @@ from gosil.vocabulary import (
     UNIVERSE,
     ConceptExtension,
     Signature,
+    TypeSymbol,
     base_vocabulary,
     concept_universe,
     declare_symbol,
@@ -258,6 +259,26 @@ def test_equality_spelled_symbol_rejected(animals):
     assert early.resolve("=_Mouse") == early.signature("=_Mouse")
     with pytest.raises(DuplicateType):
         declare_type(early, "Mouse", [])
+
+
+def test_equality_spelled_type_rejected(animals):
+    # `resolve` answers `=_Cat` with Cat's equality, so a type of that name
+    # would have a type predicate that could never be applied
+    with pytest.raises(DuplicateType):
+        declare_type(animals, "=_Cat", [])
+
+
+def test_validate_reports_equality_spelled_type(animals):
+    from dataclasses import replace
+
+    shadowed = replace(
+        animals,
+        types=animals.types + (TypeSymbol("=_Cat"),),
+        direct_edges=animals.direct_edges + (("=_Cat", UNIVERSE),),
+    )
+    violations = [v for v in validate(shadowed).violations if v.where == "=_Cat"]
+    assert [v.kind for v in violations] == ["DuplicateType"]
+    assert "equality" in violations[0].message
 
 
 def test_validate_reports_equality_spelled_symbol(animals):
