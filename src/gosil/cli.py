@@ -31,7 +31,7 @@ from .errors import (
 )
 from .grounding import build_intensional_interp, ground_trace, is_intensional
 from .models import DEFAULT_EXPLOSION_CAP, find_models
-from .parser import parse_theory
+from .parser import numeral, parse_theory
 from .semantics import evaluate, format_structure, parse_structure
 from .typecheck import (
     check_sentence,
@@ -136,7 +136,11 @@ def cmd_ground(args, out) -> int:
 
 def cmd_eval(args, out) -> int:
     theory = _load_theory(args.theory)
-    structure = parse_structure(_read(args.structure), theory.vocabulary, args.nat_bound)
+    try:
+        structure = parse_structure(_read(args.structure), theory.vocabulary, args.nat_bound)
+    except (ParseError, StructureError) as err:
+        out.write(_diagnostic(args.structure, err) + "\n")
+        return 2
     status = 0
     records = []
     for axiom in theory.axioms:
@@ -167,9 +171,9 @@ def _parse_bounds(pairs: list[str]) -> dict[str, int]:
     bounds: dict[str, int] = {}
     for pair in pairs:
         name, _, size = pair.partition("=")
-        if not name or not size or not size.isdigit():
+        if not name or not size.isdecimal():
             raise ParseError(f"bad --bound {pair!r}; expected TYPE=N")
-        bounds[name] = int(size)
+        bounds[name] = numeral(size)
     return bounds
 
 

@@ -13,7 +13,11 @@ Formulas use ~ & | => <=> (loosest last, => right-associative), quantifiers
 (sub)formula, implicit guards <<c: ...>> and <<i: ...>>, concept references
 `name, and dereferences $(term)(args); terms use + - *. The binding level
 and associativity of each binary operator come from the one operator table
-in `ast`, which the printer reads too. Comments run from // to end of line.
+in `ast`, which the printer reads too.
+
+`tokenize` matches the one token pattern `_TOKEN` once per token, for
+theories and structure files alike; `numeral` reads every numeral of a
+theory, a structure or a `--bound`.
 
 The parser resolves every identifier against the vocabulary built so far, so
 arity errors and unknown names surface here with positions, and the ASTs it
@@ -22,6 +26,7 @@ returns are ready for the type checker.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TypeVar
@@ -54,8 +59,16 @@ KEYWORDS = frozenset(
     ("type", "func", "pred", "const", "axiom", "define", "true", "false")
 )
 
-_MULTI_CHAR = ("<=>", ":=", "<:", "<<", ">>", "->", "=>")
-_SINGLE_CHAR = "()[]{},:;=*+-`$~&|?!^"
+# multi-character operators come first, so that `<=>` is not read as `<`
+_OPERATORS = ("<=>", ":=", "<:", "<<", ">>", "->", "=>", *"()[]{},:;=*+-`$~&|?!^")
+
+# One alternative per token kind, tried in order. `\d` is a decimal digit of
+# any script; `\w` is what `str.isalnum` accepts, plus `_`. A word whose first
+# character is not a letter (`_x`, `²`) matches `ident` and is refused there.
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|(?P<blank>(?:[ \t\r]|//.*)+)|(?P<nat>\d+)|(?P<ident>\w+)"
+    f"|(?P<op>{'|'.join(map(re.escape, _OPERATORS))})"
+)
 
 
 @dataclass(frozen=True)
@@ -66,69 +79,37 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of `text`, one `_TOKEN` match each. Blanks and comments make
+    none, a run of newlines makes one, and a newline and `eof` end the list."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-
-    def push(kind: str, tok_text: str, tok_line: int, tok_col: int) -> None:
-        if kind == "newline" and tokens and tokens[-1].kind == "newline":
-            return
-        tokens.append(Token(kind, tok_text, Location(tok_line, tok_col)))
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            push("newline", "\n", line, col)
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if ch.isalpha():
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            push("kw" if word in KEYWORDS else "ident", word, line, col)
-            col += i - start
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            push("nat", text[start:i], line, col)
-            col += i - start
-            continue
-        matched = False
-        for op in _MULTI_CHAR:
-            if text.startswith(op, i):
-                push("op", op, line, col)
-                i += len(op)
-                col += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch in _SINGLE_CHAR:
-            push("op", ch, line, col)
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", Location(line, col))
-
-    end = Location(line, col)
-    push("newline", "\n", line, col)
+    line, line_start, pos = 1, 0, 0
+    while pos < len(text):
+        match = _TOKEN.match(text, pos)
+        kind = match.lastgroup if match else None
+        column = pos - line_start + 1
+        if kind is None or kind == "ident" and not text[pos].isalpha():
+            raise ParseError(f"unexpected character {text[pos]!r}", Location(line, column))
+        if kind != "blank" and not (kind == "newline" and tokens and tokens[-1].kind == "newline"):
+            word = match.group()
+            tokens.append(Token("kw" if word in KEYWORDS else kind, word, Location(line, column)))
+        pos = match.end()
+        if kind == "newline":
+            line, line_start = line + 1, pos
+    end = Location(line, pos - line_start + 1)
+    if not tokens or tokens[-1].kind != "newline":
+        tokens.append(Token("newline", "\n", end))
     tokens.append(Token("eof", "", end))
     return tokens
+
+
+def numeral(text: str, loc: Location | None = None) -> int:
+    """The value of a numeral: decimal digits of any script, so `٣` is 3.
+    A numeral longer than `int` reads (`sys.get_int_max_str_digits()`)
+    raises a ParseError at `loc`."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"numeral of {len(text)} digits is too long", loc) from None
 
 
 class TokenStream:
@@ -167,6 +148,13 @@ class TokenStream:
             raise ParseError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.loc)
         return self.next()
 
+    def concept_name(self, what: str) -> tuple[str, Location]:
+        """The name in `` `name `` or `` `name^ ``, `^` included, and where it
+        stands; `what` names the identifier expected after the backtick."""
+        self.expect_op("`")
+        tok = self.expect_ident(what)
+        return (tok.text + "^" if self.accept_op("^") else tok.text), tok.loc
+
     def skip_newlines(self) -> None:
         while self.peek().kind == "newline":
             self.next()
@@ -204,6 +192,7 @@ class _FormulaParser:
         self.s = stream
         self.vocab = vocab
         self.scope = dict(scope)
+        self._failed_terms: dict[int, tuple[type[ParseError], str, Location | None]] = {}
 
     def formula(self) -> ast.Formula:
         return self.chain(self.unary, ast.CONNECTIVES)
@@ -320,19 +309,21 @@ class _FormulaParser:
         tok = self.s.peek()
         if tok.kind == "nat":
             self.s.next()
-            return ast.NatLiteral(int(tok.text), loc=tok.loc)
-        if self.s.accept_op("`"):
-            return self.concept_ref(tok.loc)
+            return ast.NatLiteral(numeral(tok.text, tok.loc), loc=tok.loc)
+        if self.s.at_op("`"):
+            name, name_loc = self.s.concept_name("symbol or type name after '`'")
+            concept = resolve_concept(self.vocab, name)
+            if concept is None:
+                raise UnknownIdentifier(f"unknown concept name {name!r}", name_loc)
+            return ast.ConceptRef(concept, loc=tok.loc)
         if self.s.accept_op("$"):
             self.s.expect_op("(")
             head = self.term()
             self.s.expect_op(")")
             args = self.argument_list()
             return ast.Deref(head, args, loc=tok.loc)
-        if self.s.accept_op("("):
-            inner = self.term()
-            self.s.expect_op(")")
-            return inner
+        if self.s.at_op("("):
+            return self.parenthesized_term()
         if tok.kind == "ident":
             self.s.next()
             name = tok.text
@@ -349,15 +340,23 @@ class _FormulaParser:
             return ast.Apply(name, args, loc=tok.loc)
         raise ParseError(f"expected a term, found {tok.text or 'end of input'!r}", tok.loc)
 
-    def concept_ref(self, loc: Location) -> ast.Term:
-        name_tok = self.s.expect_ident("symbol or type name after '`'")
-        name = name_tok.text
-        if self.s.accept_op("^"):
-            name += "^"
-        concept = resolve_concept(self.vocab, name)
-        if concept is None:
-            raise UnknownIdentifier(f"unknown concept name {name!r}", name_tok.loc)
-        return ast.ConceptRef(concept, loc=loc)
+    def parenthesized_term(self) -> ast.Term:
+        """`( term )`. `primary` reads each `(` first as a term and then as a
+        formula, so a `(` that failed as a term fails again at once: nested
+        parentheses cost linear work. The memo keeps what raises an equal
+        error, not the exception, whose traceback holds the parser's frames."""
+        mark = self.s.pos
+        if mark in self._failed_terms:
+            error, message, loc = self._failed_terms[mark]
+            raise error(message, loc)
+        self.s.expect_op("(")
+        try:
+            inner = self.term()
+            self.s.expect_op(")")
+        except ParseError as err:
+            self._failed_terms[mark] = (type(err), err.message, err.loc)
+            raise
+        return inner
 
     def argument_list(self) -> tuple[ast.Term, ...]:
         self.s.expect_op("(")
@@ -500,15 +499,11 @@ class _TheoryParser:
         self.facts.append(ast.ConceptFact(name_tok.text, tuple(args), value, loc=loc))
 
     def _fact_concept(self) -> ConceptObject:
-        tok = self.s.peek()
-        self.s.expect_op("`")
-        name_tok = self.s.expect_ident("concept name")
-        name = name_tok.text
-        if self.s.accept_op("^"):
-            name += "^"
+        loc = self.s.peek().loc
+        name, _ = self.s.concept_name("concept name")
         concept = resolve_concept(self.vocab, name)
         if concept is None:
-            raise UnknownIdentifier(f"unknown concept name {name!r}", tok.loc)
+            raise UnknownIdentifier(f"unknown concept name {name!r}", loc)
         return concept
 
     def axiom_stmt(self, loc: Location) -> None:

@@ -55,7 +55,7 @@ from .errors import (
     UnboundedNatQuantifier,
     ValidationReport,
 )
-from .parser import TokenStream, tokenize
+from .parser import TokenStream, numeral, tokenize
 from .typecheck import check_sentence
 from .vocabulary import (
     BOOL,
@@ -825,18 +825,15 @@ def parse_structure(text: str, vocab: Vocabulary, nat_bound: int | None = None) 
         tok = stream.peek()
         if tok.kind == "nat":
             stream.next()
-            return NaturalElement(int(tok.text))
+            return NaturalElement(numeral(tok.text, tok.loc))
         if tok.kind == "kw" and tok.text in ("true", "false"):
             stream.next()
             return TruthElement(tok.text == "true")
-        if stream.accept_op("`"):
-            name_tok = stream.expect_ident("concept name")
-            name = name_tok.text
-            if stream.accept_op("^"):
-                name += "^"
+        if stream.at_op("`"):
+            name, loc = stream.concept_name("concept name")
             concept = resolve_concept(vocab, name)
             if concept is None:
-                raise StructureError(f"unknown concept name {name!r}", name_tok.loc)
+                raise StructureError(f"unknown concept name {name!r}", loc)
             return ConceptElement(concept)
         if tok.kind == "ident":
             stream.next()

@@ -6,13 +6,18 @@ per chain element, and a `unary` that calls itself once per `~`. The method
 bodies are the originals. Quantifiers, guards, primaries and the tokenizer
 are the library's; the entry points differ from the library's only in
 building this parser.
+
+`tokenize_by_character` is the scanner that the single token pattern of
+`gosil.parser.tokenize` replaced, moved here unchanged but for its name: a
+loop that reads one character at a time. It is the oracle of the
+differential lexer test.
 """
 
 from __future__ import annotations
 
 from gosil import ast
-from gosil.errors import ParseError, UnknownIdentifier
-from gosil.parser import TokenStream, _FormulaParser, _TheoryParser, tokenize
+from gosil.errors import Location, ParseError, UnknownIdentifier
+from gosil.parser import KEYWORDS, Token, TokenStream, _FormulaParser, _TheoryParser, tokenize
 from gosil.vocabulary import Vocabulary
 
 
@@ -118,3 +123,73 @@ class _ReferenceTheoryParser(_TheoryParser):
 
 def parse_theory(text: str) -> ast.Theory:
     return _ReferenceTheoryParser(text).parse()
+
+
+_MULTI_CHAR = ("<=>", ":=", "<:", "<<", ">>", "->", "=>")
+_SINGLE_CHAR = "()[]{},:;=*+-`$~&|?!^"
+
+
+def tokenize_by_character(text: str) -> list[Token]:
+    tokens: list[Token] = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+
+    def push(kind: str, tok_text: str, tok_line: int, tok_col: int) -> None:
+        if kind == "newline" and tokens and tokens[-1].kind == "newline":
+            return
+        tokens.append(Token(kind, tok_text, Location(tok_line, tok_col)))
+
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            push("newline", "\n", line, col)
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if text.startswith("//", i):
+            while i < n and text[i] != "\n":
+                i += 1
+                col += 1
+            continue
+        if ch.isalpha():
+            start = i
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            word = text[start:i]
+            push("kw" if word in KEYWORDS else "ident", word, line, col)
+            col += i - start
+            continue
+        if ch.isdigit():
+            start = i
+            while i < n and text[i].isdigit():
+                i += 1
+            push("nat", text[start:i], line, col)
+            col += i - start
+            continue
+        matched = False
+        for op in _MULTI_CHAR:
+            if text.startswith(op, i):
+                push("op", op, line, col)
+                i += len(op)
+                col += len(op)
+                matched = True
+                break
+        if matched:
+            continue
+        if ch in _SINGLE_CHAR:
+            push("op", ch, line, col)
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", Location(line, col))
+
+    end = Location(line, col)
+    push("newline", "\n", line, col)
+    tokens.append(Token("eof", "", end))
+    return tokens

@@ -252,3 +252,58 @@ def test_deep_input_ends_without_a_traceback(tmp_path):
     assert "Traceback" not in done.stderr
     assert done.stdout.startswith(f"{theory}: internal error: RecursionError: ")
     assert done.stdout.count("\n") == 1
+
+
+_NUMERAL_THEORY = "type A\nconst a : A\npred p : Nat\nfunc f : A -> Nat\naxiom x: p({})\n"
+_NUMERAL_STRUCTURE = "type A = {{ x }}\ninterp a = {{ () -> x }}\ninterp f = {{ (x) -> {} }}\n"
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [("²", "unexpected character '²'"), ("7" * 5000, "numeral of 5000 digits is too long")],
+    ids=["superscript", "5000-digits"],
+)
+def test_malformed_numerals_are_parse_errors(tmp_path, value, message):
+    theory = tmp_path / "t.gos"
+    theory.write_text(_NUMERAL_THEORY.format(value))
+    code, output = run("check", str(theory))
+    assert (code, output) == (2, f"{theory}:5:12: error: ParseError: {message}\n")
+
+    theory.write_text(_NUMERAL_THEORY.format(3))
+    structure = tmp_path / "s.str"
+    structure.write_text(_NUMERAL_STRUCTURE.format(value))
+    code, output = run("eval", str(theory), "--structure", str(structure))
+    assert (code, output) == (2, f"{structure}:3:21: error: ParseError: {message}\n")
+
+    code, output = run("models", str(theory), "--bound", f"A={value}")
+    if value == "²":
+        message = "bad --bound 'A=²'; expected TYPE=N"
+    assert (code, output) == (2, f"{theory}: error: ParseError: {message}\n")
+
+
+def test_decimal_digits_of_any_script_read_as_numbers(tmp_path):
+    theory = tmp_path / "t.gos"
+    structure = tmp_path / "s.str"
+    for axiom_value, row_value in (("٣", "3"), ("3", "٣")):
+        theory.write_text(_NUMERAL_THEORY.format(axiom_value) + "axiom y: f(a) = ٣\n")
+        structure.write_text(_NUMERAL_STRUCTURE.format(row_value) + "interp p = { 3 }\n")
+        code, output = run("eval", str(theory), "--structure", str(structure))
+        assert (code, output) == (0, "x: true\ny: true\n")
+    theory.write_text("type A\npred q : A\naxiom some: ?y[A]: q(y)\n")
+    code, output = run("models", str(theory), "--bound", "A=٣")
+    assert (code, output) == run("models", str(theory), "--bound", "A=3")
+    assert output.endswith("// 7 model(s)\n")
+
+
+def test_structure_file_errors_name_the_structure_file(running_example_path, tmp_path):
+    structure = tmp_path / "bad.str"
+    for text, where, diagnostic in (
+        ("type Animal = { t }\ninterp age = { (t) 3 }\n", ":2:20", "ParseError: function rows need '-> result'"),
+        ("interp nosuch = { }\n", ":1:8", "StructureError: unknown symbol 'nosuch'"),
+        ("type Animal = { }\n", "", "StructureError: invalid structure: "),
+    ):
+        structure.write_text(text)
+        code, output = run("eval", str(running_example_path), "--structure", str(structure))
+        assert code == 2
+        assert output.startswith(f"{structure}{where}: error: {diagnostic}"), output
+        assert output.count("\n") == 1

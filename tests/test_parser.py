@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -228,3 +229,54 @@ def test_minimal_declaration_block_counts():
     )
     assert sum(1 for t in theory.vocabulary.types if not t.builtin) == 3
     assert sum(1 for s in theory.vocabulary.signatures if not s.builtin) == 4
+
+
+def test_nested_parentheses_cost_linear_work():
+    # `primary` reads each `(` first as a term; a `(` that failed as a term
+    # is remembered, so deeper levels do not read the rest again. The calls
+    # are counted by a profile hook, which adds no frame per level.
+    from gosil.parser import _FormulaParser
+
+    code = _FormulaParser.term_primary.__code__
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code is code
+
+    flat = parse_theory("pred p\naxiom a: p & p\n").axioms[0].formula
+    for n in (25, 50, 100, 200):
+        text = "pred p\naxiom a: " + "(" * n + "p & p" + ")" * n + "\n"
+        calls = 0
+        sys.setprofile(count)
+        try:
+            theory = parse_theory(text)
+        finally:
+            sys.setprofile(None)
+        assert theory.axioms[0].formula == flat
+        assert calls <= 3 * n, (n, calls)
+
+
+def test_remembered_term_failures_raise_the_same_errors(fuzz_vocab):
+    # the same parse, or the same error class, message and location, as a
+    # parser that forgets every failure and reads each `(` again
+    from gosil.parser import TokenStream, _FormulaParser, tokenize
+
+    class Forgetful(_FormulaParser):
+        def parenthesized_term(self):
+            self._failed_terms.clear()
+            return super().parenthesized_term()
+
+    def outcome(parser_class, text):
+        stream = TokenStream(tokenize(text))
+        try:
+            return parser_class(stream, fuzz_vocab, FUZZ_FREE_VARS).formula(), stream.pos
+        except ParseError as err:
+            return type(err), err.message, err.loc
+
+    pieces = ("(", "(", "(", ")", ")", "x", "z", "tom", "age(", "1", "+", "&", "=", "~",
+              "?y[Cat]:", "nosuch", "`meow", "raining", ",")
+    rng = random.Random(7)
+    for _ in range(3000):
+        text = " ".join(rng.choice(pieces) for _ in range(rng.randint(1, 14)))
+        assert outcome(_FormulaParser, text) == outcome(Forgetful, text), text
