@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import Location
 from .vocabulary import ConceptObject, Vocabulary
@@ -181,6 +182,9 @@ class Theory:
     vocabulary: Vocabulary
     axioms: tuple[Axiom, ...] = ()
     concept_facts: tuple[ConceptFact, ...] = ()
+    # the theory's GroundInterpretation, built by `grounding.interpretation`
+    # on first use
+    _interp: object = field(default=None, init=False, compare=False, repr=False)
 
 
 # -- structural helpers -----------------------------------------------------------
@@ -200,13 +204,19 @@ class Theory:
 # walk and fold are the one traversal of every structural walker. Both keep
 # their own stack, so no tree is too deep for them, and call children once
 # per node. walk(expr) yields the nodes in preorder. fold(expr, combine,
-# enter) is post-order: combine(node, values) gets the values of the node's
-# children in source order. enter(node), if given, runs on each node in
-# preorder, before anything below it, and returns None to visit its
-# children, or else the node's value, which skips them. With
-# combine=rebuild, leaves come back as themselves and every other node
-# visited is new, with loc=None; a node that enter gives as its own value
-# keeps its location.
+# enter, inherited) is post-order: combine(node, values) gets the values of
+# the node's children in source order. enter(node, inherited), if given,
+# runs on each node in preorder, before anything below it, with what the
+# node inherits: `inherited` at the root, and what its parent handed down
+# below it. It returns None to visit the node's children, each inheriting
+# what the node did; or a Below(key, pairs), to fold the (subexpression,
+# inherited) pairs in their place and combine their values as combine(key,
+# values); or else the node's value, which skips everything below it. So
+# what flows down is inherited and what flows up is combined, the inherited
+# and synthesized attributes of an attribute grammar (Knuth, "Semantics of
+# Context-Free Languages", 1968). With combine=rebuild, leaves come back as
+# themselves and every other node visited is new, with loc=None; a node that
+# enter gives as its own value keeps its location.
 
 _LEAVES = (Variable, NatLiteral, ConceptRef, Truth)
 _APPLIED = (Apply, Atom)  # symbol or predicate over args
@@ -258,24 +268,54 @@ def walk(expr: Term | Formula):
         todo.extend(reversed(children(node)))
 
 
-_EXIT = object()  # pushed below the children of a node: combine them when popped
+_EXIT = object()  # pushed below the subexpressions of a node: combine their values when popped
 
 
-def fold(expr: Term | Formula, combine, enter=None):
+class Below(NamedTuple):
+    """What `enter` returns to fold `pairs`, each a subexpression and what
+    it inherits, in place of a node's children, and to combine their values
+    as combine(key, values): `key` is often the node, but need not be."""
+
+    key: object
+    pairs: list
+
+
+def fold(expr: Term | Formula, combine, enter=None, inherited=None):
     """Post-order fold of `expr`; see the comment above `children`."""
     values: list = []
-    exits: list = []  # (node, number of children) of the nodes being folded
+    # (node, number of values, what its children inherit) of the nodes being
+    # combined, below one frame for `expr`; a node popped from `todo` is a
+    # child of the innermost, unless it comes paired with what it inherits
+    exits: list = [(None, 0, inherited)]
     todo: list = [expr]
     pop, push = todo.pop, todo.append
+    inh = None
     while todo:
         node = pop()
-        if node is _EXIT:  # the values of the innermost node's children are on top
-            node, n = exits.pop()
+        if node is _EXIT:  # the values below the innermost node are on top
+            node, n, _ = exits.pop()
             values[-n:] = (combine(node, values[-n:]),)
-        elif enter is not None and (entered := enter(node)) is not None:
-            values.append(entered)
-        elif kids := children(node):
-            exits.append((node, len(kids)))
+            continue
+        if enter is not None:
+            if type(node) is tuple:
+                node, inh = node
+            else:
+                inh = exits[-1][2]
+            entered = enter(node, inh)
+            if type(entered) is Below:
+                node, pairs = entered
+                if pairs:
+                    exits.append((node, len(pairs), None))
+                    push(_EXIT)
+                    todo += reversed(pairs)
+                else:
+                    values.append(combine(node, ()))
+                continue
+            if entered is not None:
+                values.append(entered)
+                continue
+        if kids := children(node):
+            exits.append((node, len(kids), inh))
             push(_EXIT)
             todo += kids[::-1]
         else:
@@ -303,7 +343,7 @@ def free_variables(expr: Term | Formula) -> frozenset[str]:
 def substitute(expr, var: str, replacement: Term):
     """Replace free occurrences of `var` by a closed term."""
 
-    def enter(node):
+    def enter(node, _):
         if isinstance(node, Variable) and node.name == var:
             return replacement
         if isinstance(node, _QUANTIFIERS) and node.var == var:
@@ -348,7 +388,7 @@ def desugar(f: Formula) -> Formula:
     standard shortcut definitions. Used to cross-check the native evaluation
     of &, =>, <=>, and ! against the core."""
 
-    def enter(node):
+    def enter(node, _):
         if isinstance(node, (Truth, Atom, DerefAtom)):
             return node
         if type(node) not in _DESUGARED:

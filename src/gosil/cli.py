@@ -29,7 +29,7 @@ from .errors import (
     StructureError,
     TypingError,
 )
-from .grounding import build_intensional_interp, ground_trace, is_intensional
+from .grounding import ground_trace, interpretation, is_intensional
 from .models import DEFAULT_EXPLOSION_CAP, find_models
 from .parser import numeral, parse_theory
 from .semantics import evaluate, format_structure, parse_structure
@@ -67,8 +67,7 @@ def cmd_check(args, out) -> int:
         record: dict = {"label": axiom.label}
         try:
             if args.trace and is_intensional(theory.vocabulary, axiom.formula):
-                interp = build_intensional_interp(theory)
-                for step, formula in ground_trace(axiom.formula, interp):
+                for step, formula in ground_trace(axiom.formula, interpretation(theory)):
                     out.write(f"{axiom.label}: {step}: {ast.format_formula(formula)}\n")
             derivation = check_sentence(theory, axiom.formula)
         except (TypingError, ElaborationError, GroundingError) as err:
@@ -117,7 +116,7 @@ def cmd_elaborate(args, out) -> int:
 
 def cmd_ground(args, out) -> int:
     theory = _load_theory(args.theory)
-    interp = build_intensional_interp(theory)
+    interp = interpretation(theory)
     status = 0
     for axiom in theory.axioms:
         try:
@@ -177,6 +176,18 @@ def _parse_bounds(pairs: list[str]) -> dict[str, int]:
     return bounds
 
 
+def _count(text: str) -> int:
+    """A numeric option: a numeral of decimal digits, of any script, that
+    `int` can read; anything else, a sign or an underscore included, is a
+    usage error."""
+    try:
+        if text.isdecimal():
+            return numeral(text)
+    except ParseError as err:
+        raise argparse.ArgumentTypeError(err.message) from None
+    raise argparse.ArgumentTypeError(f"expected a count of decimal digits, found {text!r}")
+
+
 def cmd_models(args, out) -> int:
     theory = _load_theory(args.theory)
     bounds = _parse_bounds(args.bound or [])
@@ -221,16 +232,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
     evl = sub.add_parser("eval", help="evaluate axioms against a structure")
     evl.add_argument("theory")
     evl.add_argument("--structure", required=True)
-    evl.add_argument("--nat-bound", type=int, default=None)
+    evl.add_argument("--nat-bound", type=_count, default=None)
     evl.add_argument("--json", action="store_true")
     evl.set_defaults(run=cmd_eval)
 
     models = sub.add_parser("models", help="enumerate satisfying structures")
     models.add_argument("theory")
     models.add_argument("--bound", action="append", metavar="TYPE=N")
-    models.add_argument("--limit", type=int, default=None)
-    models.add_argument("--nat-bound", type=int, default=None)
-    models.add_argument("--cap", type=int, default=DEFAULT_EXPLOSION_CAP)
+    models.add_argument("--limit", type=_count, default=None)
+    models.add_argument("--nat-bound", type=_count, default=None)
+    models.add_argument("--cap", type=_count, default=DEFAULT_EXPLOSION_CAP)
     models.set_defaults(run=cmd_models)
 
     return parser

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 from . import ast
 from .errors import IncomparableTypes
-from .typecheck import TypingContext, VarEntry, derive_term, refold
+from .typecheck import TypingContext, VarEntry, principal_type, refold
 from .vocabulary import is_subtype
 
 _QUANTIFIERS = (ast.Exists, ast.Forall)
+_NOTHING_BOUND: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -38,37 +39,33 @@ def guard_targets(ctx: TypingContext, body: ast.Formula) -> list[GuardTarget]:
     types unrelated to the expected type are an error here, where the
     diagnostic can still point at the wrapper."""
     targets: list[GuardTarget] = []
-    _scan(ctx, frozenset(), body, targets, set())
+    seen: set[tuple[ast.Term, str]] = set()
+    # (scope, variables bound inside the body, node, the type its position
+    # expects or None), innermost last
+    todo: list = [(ctx, _NOTHING_BOUND, body, None)]
+    while todo:
+        scope, bound, node, expected = todo.pop()
+        if expected is not None:
+            _consider(scope, bound, node, expected, targets, seen)
+        # equality checks both sides at a common supertype, which always
+        # exists, so it has nothing to guard; other applications consider
+        # each argument their signature types, then scan it (an unknown
+        # symbol's arguments are not scanned at all)
+        symbol = None
+        if type(node) is ast.Apply:
+            symbol = node.symbol
+        elif type(node) is ast.Atom and node.predicate != ast.EQUALITY_ATOM:
+            symbol = node.predicate
+        if symbol is not None:
+            sig = scope.lookup_symbol(symbol)
+            if sig is not None:
+                args = [(scope, bound, a, t) for a, t in zip(node.args, sig.argument_types)]
+                todo += reversed(args)
+            continue
+        if isinstance(node, _QUANTIFIERS):
+            scope, bound = scope.push(VarEntry(node.var, node.type_name)), bound | {node.var}
+        todo += [(scope, bound, kid, None) for kid in reversed(ast.children(node))]
     return targets
-
-
-def _scan(
-    scope: TypingContext,
-    bound: frozenset[str],
-    node,
-    targets: list[GuardTarget],
-    seen: set[tuple[ast.Term, str]],
-) -> None:
-    kids = ast.children(node)
-    # equality checks both sides at a common supertype, which always
-    # exists, so it has nothing to guard; other applications consider
-    # each argument their signature types, then scan it (an unknown
-    # symbol's arguments are not scanned at all)
-    symbol = None
-    if isinstance(node, ast.Apply):
-        symbol = node.symbol
-    elif isinstance(node, ast.Atom) and node.predicate != ast.EQUALITY_ATOM:
-        symbol = node.predicate
-    if symbol is not None:
-        sig = scope.lookup_symbol(symbol)
-        for arg, expected in zip(kids, sig.argument_types if sig else ()):
-            _consider(scope, bound, arg, expected, targets, seen)
-            _scan(scope, bound, arg, targets, seen)
-        return
-    if isinstance(node, _QUANTIFIERS):
-        scope, bound = scope.push(VarEntry(node.var, node.type_name)), bound | {node.var}
-    for kid in kids:
-        _scan(scope, bound, kid, targets, seen)
 
 
 def _consider(
@@ -79,9 +76,9 @@ def _consider(
     targets: list[GuardTarget],
     seen: set[tuple[ast.Term, str]],
 ) -> None:
-    if not ast.free_variables(term).isdisjoint(bound):
+    if bound and not ast.free_variables(term).isdisjoint(bound):
         return
-    principal = derive_term(scope, term).type_name
+    principal = principal_type(scope, term)
     if principal == expected or is_subtype(scope.vocab, principal, expected):
         return
     if not is_subtype(scope.vocab, expected, principal):
@@ -95,12 +92,24 @@ def _consider(
     targets.append(GuardTarget(term, expected, principal))
 
 
+def expand_wrapper(wrapper: type, ctx: TypingContext, body: ast.Formula) -> ast.Formula:
+    """The expansion of a wrapper of class `wrapper` (GuardC or GuardI)
+    around `body`, itself wrapper-free, in context `ctx`."""
+    targets = guard_targets(ctx, body)
+    if not targets:
+        return body
+    guards = [ast.Atom(t.expected_type, (t.term,)) for t in targets]
+    if wrapper is ast.GuardC:
+        return refold(guards + [body])
+    return ast.Implies(refold(guards), body)
+
+
 def elaborate(ctx: TypingContext, formula: ast.Formula) -> ast.Formula:
     """Rewrite away every guard wrapper, innermost first. The output is
     wrapper-free; wrapper-free input comes back unchanged."""
     scopes = [ctx]  # the context of the node being folded, innermost last
 
-    def enter(node):
+    def enter(node, _):
         if isinstance(node, (ast.Truth, ast.Atom, ast.DerefAtom)):
             return node
         if isinstance(node, _QUANTIFIERS):
@@ -112,13 +121,6 @@ def elaborate(ctx: TypingContext, formula: ast.Formula) -> ast.Formula:
             scopes.pop()
         if not isinstance(node, (ast.GuardC, ast.GuardI)):
             return ast.rebuild(node, kids)
-        inner = kids[0]
-        targets = guard_targets(scopes[-1], inner)
-        if not targets:
-            return inner
-        guards = [ast.Atom(t.expected_type, (t.term,)) for t in targets]
-        if isinstance(node, ast.GuardC):
-            return refold(guards + [inner])
-        return ast.Implies(refold(guards), inner)
+        return expand_wrapper(type(node), scopes[-1], kids[0])
 
     return ast.fold(formula, combine, enter)

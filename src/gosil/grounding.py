@@ -1,20 +1,28 @@
 """Grounding: eliminate concept quantifiers, references, and dereferences.
 
 Quantifiers over concept types expand to disjunctions/conjunctions over the
-type's fixed extension, outermost first; dereference heads reduce to concept
-objects (via the concept-function facts where needed) and apply the named
-symbol; any implicit guard wrappers are then elaborated per grounded
-instance. Quantifiers over ordinary types stay put: grounding exists to
-remove the intensional constructs, not to propositionalize the theory.
+type's fixed extension; dereference heads reduce to concept objects (via
+the concept-function facts where needed) and apply the named symbol; any
+implicit guard wrappers are elaborated per grounded instance. Quantifiers
+over ordinary types stay put: grounding exists to remove the intensional
+constructs, not to propositionalize the theory.
+
+One pass of one walker does all three, building each instance once. The
+three stages, expansion, then elimination, then elaboration, remain only as
+what `ground_trace` shows and as the order errors are reported in: a
+missing extension first, then the first elimination error, then the first
+elaboration error.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import ast, elaboration
 from .errors import (
+    GosilError,
     GroundArityError,
     MissingExtension,
     NonFunctionalFacts,
@@ -22,7 +30,7 @@ from .errors import (
     UnknownConceptMember,
     UnresolvableDeref,
 )
-from .typecheck import VarEntry, initial_context, refold
+from .typecheck import TypingContext, VarEntry, initial_context, refold
 from .vocabulary import (
     CONCEPT,
     ConceptObject,
@@ -100,6 +108,14 @@ def build_intensional_interp(theory: ast.Theory) -> GroundInterpretation:
     return interp
 
 
+def interpretation(theory: ast.Theory) -> GroundInterpretation:
+    """The theory's interpretation, built on first use and kept on the
+    theory. A build that fails is not kept: it raises again next time."""
+    if theory._interp is None:
+        object.__setattr__(theory, "_interp", build_intensional_interp(theory))
+    return theory._interp
+
+
 def _check_totality(interp: GroundInterpretation) -> None:
     """Every concept-valued function whose argument types all have known
     extensions must have a fact for each argument tuple."""
@@ -127,34 +143,249 @@ def _check_totality(interp: GroundInterpretation) -> None:
                 )
 
 
-# -- the grounding passes ---------------------------------------------------------
+# -- the grounding walker ------------------------------------------------------------
+#
+# One fold of the formula does all three rewrites. What a node inherits is a
+# pair: the concept bindings, the concept reference bound to each variable of
+# an enclosing expansion, and the typing entries, one per quantifier kept
+# above the node, that a guard wrapper elaborates under.
+#
+# - A concept quantifier folds its body once per member of its extension,
+#   with the variable bound to that member, and joins the instances with |
+#   (for ?) or & (for !); an empty extension gives false (for ?) or true.
+# - A dereference folds its head first, as a `_Reduce` that reduces it to a
+#   concept object as soon as it is rewritten, then its arguments, and
+#   becomes an application of the symbol that object names.
+# - A wrapper folds its body, then elaborates it.
+#
+# Each rewrite can be switched off; `ground_trace` shows the steps with the
+# later ones off. With elimination on every node but a leaf is rebuilt; with
+# it off, an atom outside every expansion is kept as it is, so that the
+# expansion shown keeps its locations, as substitution would.
 
 
-def _expand_quantifiers(interp: GroundInterpretation, f: ast.Formula) -> ast.Formula:
-    """Pass 1: replace concept-typed quantifiers by finite expansions over
-    their extensions, substituting concept references for the variable.
-    A quantifier's body is expanded once, then instantiated per member;
-    substituting and expanding commute, and the extension is looked up
-    before the body is entered, so errors come in outermost-first order."""
-    vocab = interp.vocab
+class _Reduce(NamedTuple):
+    """A dereference head, folded below its dereference. Its value is the
+    concept object the rewritten head reduces to, with the signature that
+    object applies."""
 
-    def enter(node):
-        if isinstance(node, (ast.Truth, ast.Atom, ast.DerefAtom)):
-            return node
-        if _is_concept_quantifier(vocab, node) and not interp.extension(node.type_name):
+    head: ast.Term
+
+
+class _Expansion(NamedTuple):
+    """The instances of an expanded concept quantifier, joined by `connective`."""
+
+    connective: type
+
+
+class _Elaboration(NamedTuple):
+    """A guard wrapper of class `wrapper` whose grounded body elaborates
+    under `entries`."""
+
+    wrapper: type
+    entries: tuple[VarEntry, ...]
+
+
+_EXPANSIONS = {ast.Exists: _Expansion(ast.Or), ast.Forall: _Expansion(ast.And)}
+
+
+class _Pass:
+    """One grounding pass over a formula, with each rewrite switched on or
+    off, and what it met: concept quantifiers, dereferences and wrappers."""
+
+    def __init__(
+        self,
+        interp: GroundInterpretation,
+        expand: bool = True,
+        eliminate: bool = True,
+        elaborate: bool = True,
+        free_var_types: dict[str, str] | None = None,
+    ):
+        self.interp = interp
+        self.expand, self.eliminate, self.elaborate = expand, eliminate, elaborate
+        self.free_var_types = free_var_types
+        self.extensions: dict[str, tuple[ConceptObject, ...]] = {}  # of concept quantifiers
+        self.quantified = self.dereferenced = self.guarded = False
+        self.context: TypingContext | None = None  # of the formula, made for the first wrapper
+        self.scope: tuple = ()  # the entries last elaborated under, and their context
+        self.error: GosilError | None = None  # the first elaboration error
+
+    def run(self, formula):
+        """`formula` with the rewrites switched on done. Elaboration comes
+        after elimination in the staged order, so its first error is raised
+        only once the whole pass has met no elimination error."""
+        if self.expand:
+            self._look_up_extensions(formula)
+        enter_rules, combine_rules = _ENTER, _COMBINE
+
+        def enter(node, inherited):
+            return enter_rules[type(node)](self, node, inherited)
+
+        def combine(node, values):
+            return combine_rules[type(node)](self, node, values)
+
+        grounded = ast.fold(formula, combine, enter, ({}, ()))
+        error, self.error = self.error, None
+        if error is not None:
+            raise error
+        return grounded
+
+    def _look_up_extensions(self, formula) -> None:
+        """Look up the extension of each concept quantifier in preorder,
+        skipping the body of an empty one, before anything else: expansion
+        comes first in the staged order, so a MissingExtension outranks
+        every other error."""
+        vocab = self.interp.vocab
+        todo = [formula]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.Truth, ast.Atom, ast.DerefAtom)):
+                continue  # no quantifier below
+            if _is_concept_quantifier(vocab, node):
+                self.quantified = True
+                members = self.extensions.get(node.type_name)
+                if members is None:
+                    members = self.extensions[node.type_name] = self.interp.extension(node.type_name)
+                if not members:
+                    continue
+            todo.extend(reversed(ast.children(node)))
+
+    def context_of(self, entries: tuple[VarEntry, ...]) -> TypingContext:
+        """The typing context under `entries`: the free variables' types,
+        then the quantifiers kept above."""
+        if self.context is None:
+            self.context = initial_context(self.interp.vocab)
+            if self.free_var_types:
+                self.context = self.context.push(
+                    *(VarEntry(v, t) for v, t in self.free_var_types.items())
+                )
+            self.scope = (), self.context
+        if entries is not self.scope[0]:  # the instances of an expansion share their entries
+            self.scope = entries, self.context.push(*entries)
+        return self.scope[1]
+
+
+def _leaf(walk: _Pass, node, inherited):
+    return node
+
+
+def _variable(walk: _Pass, node: ast.Variable, inherited):
+    return inherited[0].get(node.name, node)
+
+
+def _visit(walk: _Pass, node, inherited):
+    return None
+
+
+def _atom(walk: _Pass, node, inherited):
+    return None if walk.eliminate or inherited[0] else node
+
+
+def _dereference(walk: _Pass, node, inherited):
+    walk.dereferenced = True
+    if not walk.eliminate:
+        return None if isinstance(node, ast.Deref) or inherited[0] else node
+    pairs = [(_Reduce(node.head), inherited)]
+    pairs += [(arg, inherited) for arg in node.args]
+    return ast.Below(node, pairs)
+
+
+def _quantifier(walk: _Pass, node, inherited):
+    bindings, entries = inherited
+    members = walk.extensions.get(node.type_name)
+    if members is not None:
+        if not members:
             return ast.Truth(isinstance(node, ast.Forall))
+        return ast.Below(
+            _EXPANSIONS[type(node)],
+            [(node.body, ({**bindings, node.var: ast.ConceptRef(m)}, entries)) for m in members],
+        )
+    if node.var in bindings:  # shadowed
+        bindings = {var: ref for var, ref in bindings.items() if var != node.var}
+    if walk.elaborate:
+        entries += (VarEntry(node.var, node.type_name),)
+    if bindings is inherited[0] and entries is inherited[1]:
         return None
+    return ast.Below(node, [(node.body, (bindings, entries))])
 
-    def combine(node, kids):
-        if not _is_concept_quantifier(vocab, node):
-            return ast.rebuild(node, kids)
-        instances = [
-            ast.substitute(kids[0], node.var, ast.ConceptRef(obj))
-            for obj in interp.extension(node.type_name)
-        ]
-        return refold(instances, ast.Or if isinstance(node, ast.Exists) else ast.And)
 
-    return ast.fold(f, combine, enter)
+def _wrapper(walk: _Pass, node, inherited):
+    walk.guarded = True
+    if not walk.elaborate:
+        return None
+    return ast.Below(_Elaboration(type(node), inherited[1]), [(node.body, inherited)])
+
+
+def _reduce(walk: _Pass, node: _Reduce, inherited):
+    """A head that is a variable or a reference reduces at once; any other
+    is grounded first."""
+    head = node.head
+    if isinstance(head, ast.Variable):
+        head = inherited[0].get(head.name, head)
+    if isinstance(head, (ast.Variable, ast.ConceptRef)):
+        return _reduced(walk, node, (head,))
+    return ast.Below(node, [(head, inherited)])
+
+
+_ENTER = {
+    **dict.fromkeys((ast.NatLiteral, ast.ConceptRef, ast.Truth), _leaf),
+    ast.Variable: _variable,
+    **dict.fromkeys((ast.Apply, ast.Not, ast.And, ast.Or, ast.Implies, ast.Iff), _visit),
+    ast.Atom: _atom,
+    **dict.fromkeys(_DEREFS, _dereference),
+    **dict.fromkeys(_QUANTIFIERS, _quantifier),
+    **dict.fromkeys((ast.GuardC, ast.GuardI), _wrapper),
+    _Reduce: _reduce,
+}
+
+
+def _rebuilt(walk: _Pass, node, values):
+    return ast.rebuild(node, values)
+
+
+def _applied(walk: _Pass, node, values):
+    """A dereference: the application of the symbol its head names."""
+    if not walk.eliminate:
+        return ast.rebuild(node, values)
+    (obj, sig), args = values[0], tuple(values[1:])
+    if len(args) != sig.arity:
+        raise GroundArityError(
+            f"{obj} dereferences to {sig.name!r} expecting {sig.arity} "
+            f"argument(s), got {len(args)}"
+        )
+    return (ast.Apply if isinstance(node, ast.Deref) else ast.Atom)(sig.name, args)
+
+
+def _joined(walk: _Pass, node: _Expansion, values):
+    return refold(values, node.connective)
+
+
+def _elaborated(walk: _Pass, node: _Elaboration, values):
+    (body,) = values
+    if walk.error is not None:
+        return body
+    try:
+        return elaboration.expand_wrapper(node.wrapper, walk.context_of(node.entries), body)
+    except GosilError as err:
+        walk.error = err.with_traceback(None)
+        return body
+
+
+def _reduced(walk: _Pass, node: _Reduce, values):
+    obj = _reduce_head(walk.interp, values[0])
+    sig = deref_signature(walk.interp.vocab, obj)
+    if sig is None:
+        raise UnresolvableDeref(f"concept {obj} names nothing applicable")
+    return obj, sig
+
+
+_COMBINE = {
+    **dict.fromkeys(_ENTER, _rebuilt),
+    **dict.fromkeys(_DEREFS, _applied),
+    _Expansion: _joined,
+    _Elaboration: _elaborated,
+    _Reduce: _reduced,
+}
 
 
 def _reduce_head(interp: GroundInterpretation, term: ast.Term) -> ConceptObject:
@@ -179,40 +410,14 @@ def _reduce_head(interp: GroundInterpretation, term: ast.Term) -> ConceptObject:
     )
 
 
+def _expand_quantifiers(interp: GroundInterpretation, f: ast.Formula) -> ast.Formula:
+    """Quantifier expansion alone: the first step `ground_trace` shows."""
+    return _Pass(interp, eliminate=False, elaborate=False).run(f)
+
+
 def _eliminate(interp: GroundInterpretation, expr):
-    """Pass 2: rewrite dereferences to direct applications of the symbols
-    their heads denote (the type predicate, for a type's concept). A head
-    is reduced as soon as it is rewritten, before the arguments are
-    visited, so errors come in that order."""
-    heads: list[ast.Term] = []  # heads of the dereferences entered, innermost last
-
-    def enter(node):
-        if isinstance(node, _DEREFS):
-            heads.append(node.head)
-        return None
-
-    def combine(node, kids):
-        if isinstance(node, _DEREFS):
-            (obj, sig), args = kids[0], tuple(kids[1:])
-            if len(args) != sig.arity:
-                raise GroundArityError(
-                    f"{obj} dereferences to {sig.name!r} expecting {sig.arity} "
-                    f"argument(s), got {len(args)}"
-                )
-            value = (ast.Apply if isinstance(node, ast.Deref) else ast.Atom)(sig.name, args)
-        else:
-            value = ast.rebuild(node, kids)
-        if not heads or node is not heads[-1]:
-            return value
-        # a head, rewritten before any argument of its dereference is visited
-        heads.pop()
-        obj = _reduce_head(interp, value)
-        sig = deref_signature(interp.vocab, obj)
-        if sig is None:
-            raise UnresolvableDeref(f"concept {obj} names nothing applicable")
-        return obj, sig
-
-    return ast.fold(expr, combine, enter)
+    """Dereference elimination alone, concept quantifiers left as they are."""
+    return _Pass(interp, expand=False, elaborate=False).run(expr)
 
 
 def ground_trace(
@@ -222,25 +427,21 @@ def ground_trace(
 ) -> list[tuple[str, ast.Formula]]:
     """The grounding pipeline with intermediate results, for tracing: the
     original formula, the quantifier expansion, the intensional elimination,
-    and (when wrappers are present) the guard elaboration. A pass is shown
+    and (when wrappers are present) the guard elaboration. A step is shown
     when it changes the formula: the expansion exactly when the formula
-    holds a concept-typed quantifier, the elimination exactly when it holds
-    a dereference. Deciding that with one walk, not by comparing trees,
-    keeps every step within the explicit stack of `ast.walk`."""
-    vocab = interp.vocab
+    holds a concept-typed quantifier, the elimination exactly when the
+    expansion holds a dereference. The grounding pass finds out which; the
+    earlier steps shown are the same walker with the later rewrites off."""
+    full = _Pass(interp, free_var_types=free_var_types)
+    grounded = full.run(formula)
     steps = [("original", formula)]
-    expanded = _expand_quantifiers(interp, formula)
-    if any(_is_concept_quantifier(vocab, node) for node in ast.walk(formula)):
-        steps.append(("grounded concept quantifiers", expanded))
-    eliminated = _eliminate(interp, expanded)
-    if any(isinstance(node, _DEREFS) for node in ast.walk(expanded)):
+    if full.quantified:
+        steps.append(("grounded concept quantifiers", _expand_quantifiers(interp, formula)))
+    if full.dereferenced:
+        eliminated = _Pass(interp, elaborate=False).run(formula) if full.guarded else grounded
         steps.append(("eliminated intensional terms", eliminated))
-    if ast.has_guards(eliminated):
-        ctx = initial_context(vocab)
-        if free_var_types:
-            ctx = ctx.push(*(VarEntry(v, t) for v, t in free_var_types.items()))
-        elaborated = elaboration.elaborate(ctx, eliminated)
-        steps.append(("elaborated implicit guards", elaborated))
+    if full.guarded:
+        steps.append(("elaborated implicit guards", grounded))
     return steps
 
 
@@ -251,8 +452,14 @@ def ground(
 ) -> ast.Formula:
     """Fully ground a formula: the output contains no concept-typed
     quantifier, no reference or dereference in applied position, and no
-    guard wrapper. Formulas with none of those come back unchanged."""
-    return ground_trace(formula, interp, free_var_types)[-1][1]
+    guard wrapper. Formulas with none of those come back unchanged. The
+    result is the last step of `ground_trace`, from one pass when the
+    formula holds a dereference or a wrapper."""
+    full = _Pass(interp, free_var_types=free_var_types)
+    grounded = full.run(formula)
+    if full.dereferenced or full.guarded:
+        return grounded
+    return _expand_quantifiers(interp, formula) if full.quantified else formula
 
 
 def dependencies(formula: ast.Formula, interp: GroundInterpretation) -> frozenset[str]:

@@ -68,7 +68,7 @@ from .errors import (
     IllTypedSentence,
     TypingError,
 )
-from .grounding import build_intensional_interp, dependencies
+from .grounding import dependencies, interpretation
 from .semantics import (
     FALSE,
     TRUE,
@@ -150,7 +150,7 @@ class _Enumeration:
         self.base_sets.update(_forced_type_sets(vocab))
         self.concept_elements = Structure(vocab, {}, {}).elements(CONCEPT)
         self.dependents = _dependent_user_types(vocab)
-        self.interp = build_intensional_interp(theory)
+        self.interp = interpretation(theory)
         self.fact_rows: dict[str, dict[Row, DomainElement]] = {}
         for (fname, args), value in self.interp.facts.items():
             self.fact_rows.setdefault(fname, {})[
@@ -454,6 +454,8 @@ def find_models(
             f"{explosion_cap}"
         )
 
+    if limit is not None and limit < 1:
+        return []
     axioms = [axiom.formula for axiom in theory.axioms]
     deps = [dependencies(f, enumeration.interp) for f in axioms]
     results: list[Structure] = []

@@ -118,6 +118,10 @@ class TokenStream:
         self.pos = 0
 
     def peek(self, offset: int = 0) -> Token:
+        # the stream never moves past its last token, `eof`, and a rewind
+        # restores a position it held, so only look-ahead can overrun
+        if not offset:
+            return self.tokens[self.pos]
         return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
 
     def next(self) -> Token:

@@ -67,9 +67,10 @@ class TypingContext:
         any of its variables was re-bound above it (capture avoidance); a
         VarEntry both answers variable lookups and re-binds its name."""
         rebound: set[str] = set()
+        name = term.name if type(term) is ast.Variable else None
         for entry in reversed(self.entries):
             if isinstance(entry, VarEntry):
-                if term == ast.Variable(entry.name):
+                if entry.name == name:
                     return entry.type_name
                 rebound.add(entry.name)
             elif isinstance(entry, TermEntry):
@@ -172,8 +173,10 @@ def _derive_at(ctx: TypingContext, term: ast.Term, expected: str) -> TypingDeriv
 
 
 def principal_type(ctx: TypingContext, term: ast.Term) -> str:
-    """The least type assignable to the term."""
-    return derive_term(ctx, term).type_name
+    """The least type assignable to the term; an annotated term's is read
+    off the context without building its derivation."""
+    annotated = ctx.lookup_term_type(term)
+    return annotated if annotated is not None else derive_term(ctx, term).type_name
 
 
 # -- guard recognition ----------------------------------------------------------------
@@ -344,8 +347,7 @@ def check_sentence(theory: ast.Theory, sentence: ast.Formula) -> TypingDerivatio
         raise TypingError("UnboundVariable", f"not a sentence, free variables: {names}", sentence)
     ctx = initial_context(theory.vocabulary)
     if grounding.is_intensional(theory.vocabulary, sentence):
-        interp = grounding.build_intensional_interp(theory)
-        grounded = grounding.ground(sentence, interp)
+        grounded = grounding.ground(sentence, grounding.interpretation(theory))
         derivation = typecheck(ctx, grounded)
         return replace(
             derivation, note=f"typed via grounding: {ast.format_formula(grounded)}"

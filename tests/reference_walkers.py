@@ -1,10 +1,10 @@
 """The recursive structural walkers that `ast.walk`/`ast.fold` replaced in
 gosil.ast, gosil.grounding and gosil.elaboration, kept as a test-only
 oracle: each calls itself once per node. Only the imports differ from the
-original. The node classes, `children`/`rebuild` and `guard_targets` are
-the library's. The grounding and elaboration walkers reach the ast walkers
-and `elaborate` of this file through the names `ast` and `elaboration`,
-which stand in for the library modules.
+original. The node classes, `children`/`rebuild` and `GuardTarget` are the
+library's. The grounding and elaboration walkers reach the ast walkers and
+`elaborate` of this file through the names `ast` and `elaboration`, which
+stand in for the library modules.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ from gosil.ast import (
     children,
     rebuild,
 )
-from gosil.elaboration import guard_targets
-from gosil.errors import GroundArityError, UnresolvableDeref
+from gosil.elaboration import GuardTarget
+from gosil.errors import GroundArityError, IncomparableTypes, UnresolvableDeref
 from gosil.grounding import GroundInterpretation
-from gosil.typecheck import TypingContext, VarEntry, initial_context
+from gosil.typecheck import TypingContext, VarEntry, derive_term, initial_context
 from gosil.typecheck import refold as refold_and
 from gosil.vocabulary import CONCEPT, ConceptObject, Vocabulary, deref_signature, is_subtype
 
@@ -364,6 +364,72 @@ def dependencies(formula: ast.Formula, interp: GroundInterpretation) -> frozense
 
 
 # -- gosil.elaboration
+
+
+def guard_targets(ctx: TypingContext, body: ast.Formula) -> list[GuardTarget]:
+    """Collect guard targets in preorder, first occurrence first, one target
+    per distinct (term, expected type) pair.
+
+    Occurrences mentioning a variable bound inside the body are skipped: a
+    guard emitted outside the wrapper could not reference them. Argument
+    types unrelated to the expected type are an error here, where the
+    diagnostic can still point at the wrapper."""
+    targets: list[GuardTarget] = []
+    _scan(ctx, frozenset(), body, targets, set())
+    return targets
+
+
+def _scan(
+    scope: TypingContext,
+    bound: frozenset[str],
+    node,
+    targets: list[GuardTarget],
+    seen: set[tuple[ast.Term, str]],
+) -> None:
+    kids = ast.children(node)
+    # equality checks both sides at a common supertype, which always
+    # exists, so it has nothing to guard; other applications consider
+    # each argument their signature types, then scan it (an unknown
+    # symbol's arguments are not scanned at all)
+    symbol = None
+    if isinstance(node, ast.Apply):
+        symbol = node.symbol
+    elif isinstance(node, ast.Atom) and node.predicate != ast.EQUALITY_ATOM:
+        symbol = node.predicate
+    if symbol is not None:
+        sig = scope.lookup_symbol(symbol)
+        for arg, expected in zip(kids, sig.argument_types if sig else ()):
+            _consider(scope, bound, arg, expected, targets, seen)
+            _scan(scope, bound, arg, targets, seen)
+        return
+    if isinstance(node, _QUANTIFIERS):
+        scope, bound = scope.push(VarEntry(node.var, node.type_name)), bound | {node.var}
+    for kid in kids:
+        _scan(scope, bound, kid, targets, seen)
+
+
+def _consider(
+    scope: TypingContext,
+    bound: frozenset[str],
+    term: ast.Term,
+    expected: str,
+    targets: list[GuardTarget],
+    seen: set[tuple[ast.Term, str]],
+) -> None:
+    if not ast.free_variables(term).isdisjoint(bound):
+        return
+    principal = derive_term(scope, term).type_name
+    if principal == expected or is_subtype(scope.vocab, principal, expected):
+        return
+    if not is_subtype(scope.vocab, expected, principal):
+        raise IncomparableTypes(
+            f"argument {ast.format_term(term)} has type {principal}, "
+            f"unrelated to expected {expected}"
+        )
+    if (term, expected) in seen:
+        return
+    seen.add((term, expected))
+    targets.append(GuardTarget(term, expected, principal))
 
 
 def elaborate(ctx: TypingContext, formula: ast.Formula) -> ast.Formula:

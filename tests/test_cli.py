@@ -307,3 +307,57 @@ def test_structure_file_errors_name_the_structure_file(running_example_path, tmp
         assert code == 2
         assert output.startswith(f"{structure}{where}: error: {diagnostic}"), output
         assert output.count("\n") == 1
+
+
+def test_models_limit_zero_prints_no_model(sounds_path):
+    argv = ("models", str(sounds_path), "--bound", "Animal=1", "--nat-bound", "3")
+    assert run(*argv, "--limit", "0") == (1, "// 0 model(s)\n")
+    code, output = run(*argv, "--limit", "1")
+    assert code == 0 and output.endswith("// 1 model(s)\n")
+
+
+def test_find_models_with_limit_zero_still_checks_the_search_space(sounds_path):
+    from gosil.errors import ExplosionGuard
+    from gosil.models import find_models
+    from gosil.parser import parse_theory
+
+    theory = parse_theory(sounds_path.read_text())
+    assert find_models(theory, {"Animal": 1}, limit=0, nat_bound=3) == []
+    with pytest.raises(ExplosionGuard):
+        find_models(theory, {"Animal": 2}, limit=0, nat_bound=3, explosion_cap=10)
+
+
+@pytest.mark.parametrize("option", ["--nat-bound", "--limit", "--cap"])
+@pytest.mark.parametrize("value", ["-1", "3_0", "+3", " 3", "", "²", "7" * 5000])
+def test_models_numeric_options_are_counts(sounds_path, capsys, option, value):
+    with pytest.raises(SystemExit) as exited:
+        run("models", str(sounds_path), "--bound", "Animal=1", option, value)
+    assert exited.value.code == 2
+    assert f"error: argument {option}: " in capsys.readouterr().err
+
+
+def test_eval_nat_bound_is_a_count(running_example_path, s0_path, capsys):
+    with pytest.raises(SystemExit) as exited:
+        run("eval", str(running_example_path), "--structure", str(s0_path), "--nat-bound", "-2")
+    assert exited.value.code == 2
+    assert "error: argument --nat-bound: expected a count of decimal digits, found '-2'" in (
+        capsys.readouterr().err
+    )
+
+
+def test_numeric_options_read_decimal_digits_of_any_script(sounds_path):
+    argv = ("models", str(sounds_path), "--bound", "Animal=1")
+    assert run(*argv, "--nat-bound", "٣", "--limit", "٢") == run(*argv, "--nat-bound", "3", "--limit", "2")
+
+
+@pytest.mark.parametrize("command", ["ground", "elaborate"])
+@pytest.mark.parametrize(
+    "body", ["<<c: " + " & ".join(["p(a)"] * 5000) + ">>", "<<c: " + "~" * 3000 + "p(a)>>"],
+    ids=["wrapped_and", "wrapped_not"],
+)
+def test_ground_and_elaborate_print_deep_wrapped_chains(tmp_path, command, body):
+    theory = tmp_path / "deep.gos"
+    theory.write_text(f"type A\nconst a : A\npred p : A\naxiom g: {body}\n")
+    code, output = run(command, str(theory))
+    assert code == 0
+    assert output == f"g: {body[len('<<c: '):-len('>>')]}\n"

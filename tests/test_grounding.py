@@ -3,6 +3,7 @@ import pytest
 from gosil import ast
 from gosil.errors import (
     GroundArityError,
+    IncomparableTypes,
     MissingExtension,
     NonFunctionalFacts,
     NonTotalConceptFunction,
@@ -237,3 +238,121 @@ def test_model_search_leaves_no_grounding_or_elaboration_closure(sounds_path):
         gc.set_debug(0)
         gc.garbage.clear()
     assert leaked == []
+
+
+# -- one pass, one interpretation per theory ---------------------------------------
+
+
+def wide_theory_text(width: int = 64) -> str:
+    """A supertype S, `width` subtypes A<k> with a predicate p<k> each, and
+    the concept type P := {p0, ...}: the shapes whose grounding expands a
+    wrapper or a dereference once per member of P."""
+    lines = ["type S", "pred q : S"]
+    lines += [f"type A{k} <: S" for k in range(width)]
+    lines += [f"pred p{k} : A{k}" for k in range(width)]
+    lines.append("type P <: Concept := { " + ", ".join(f"p{k}" for k in range(width)) + " }")
+    lines += [
+        "axiom concept_def: !t[S]: q(t) <=> ?s[P]: <<c: $(s)(t)>>",
+        "axiom concept_specific: !t[S]: q(t) => !s[P]: <<i: $(s)(t)>>",
+        "axiom guard_pair: !t[S]: <<i: p1(t)>> & <<c: p2(t)>>",
+        "axiom unguarded_deref: !t[S]: q(t) => ?s[P]: $(s)(t)",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _check_output(path, *flags) -> tuple[int, str]:
+    import io
+
+    from gosil.cli import main
+
+    out = io.StringIO()
+    code = main(["check", str(path), *flags], out=out)
+    return code, out.getvalue()
+
+
+def test_check_on_a_wide_theory_equals_the_staged_pipeline(tmp_path, monkeypatch):
+    import reference_walkers as ref
+
+    from gosil import cli, grounding
+
+    path = tmp_path / "wide.gos"
+    path.write_text(wide_theory_text())
+    flags = ("--json", "--trace", "--derivation")
+    found = _check_output(path, *flags)
+    assert found[0] == 1 and "unguarded_deref: ill-typed" in found[1]
+    for label in ("concept_def", "concept_specific", "guard_pair"):
+        assert f"{label}: well-typed" in found[1]
+    # the staged passes, one after the other
+    monkeypatch.setattr(grounding, "ground", ref.ground)
+    monkeypatch.setattr(cli, "ground_trace", ref.ground_trace)
+    assert _check_output(path, *flags) == found
+
+
+def test_check_builds_one_interpretation_per_theory(tmp_path, monkeypatch):
+    from gosil.grounding import GroundInterpretation
+
+    built = []
+    init = GroundInterpretation.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GroundInterpretation, "__init__", counted)
+    path = tmp_path / "wide.gos"
+    path.write_text(wide_theory_text(8))
+    for flags in ((), ("--trace",)):
+        built.clear()
+        _check_output(path, *flags)
+        assert len(built) == 1, flags
+
+
+NON_FUNCTIONAL = """\
+type A
+pred p : A
+pred q : A
+const a : A
+type K <: Concept := { p, q }
+func f : K -> K
+define f(`p) = `q
+define f(`q) = `p
+define f(`p) = `p
+axiom first: ?s[K]: $(s)(a)
+axiom plain: p(a)
+axiom second: $(f(`q))(a)
+axiom third: <<c: p(a)>>
+"""
+
+
+def test_a_failed_interpretation_is_reported_under_every_intensional_axiom(tmp_path):
+    path = tmp_path / "nf.gos"
+    path.write_text(NON_FUNCTIONAL)
+    diagnostic = f"{path}:9:1: error: NonFunctionalFacts: f(~p) defined as both ~q and ~p\n"
+    expected = (
+        f"first: ill-typed\n{diagnostic}"
+        "plain: well-typed\n"
+        f"second: ill-typed\n{diagnostic}"
+        "third: well-typed\nthird: typed after guard elaboration: p(a)\n"
+    )
+    assert _check_output(path) == (1, expected)
+    assert _check_output(path, "--trace") == (1, expected)
+
+
+def test_errors_come_in_the_staged_order():
+    # expansion, then elimination, then elaboration: a missing extension
+    # outranks an arity error before it, and an arity error an elaboration
+    # error before it
+    theory = parse_theory(
+        "type A; type B <: A; type C; const a : A; const c : C; pred p : B\n"
+        "type P <: Concept\n"
+    )
+    interp = build_intensional_interp(theory)
+    vocab = theory.vocabulary
+    f = parse_formula("$(`a)(a) & ?s[P]: $(s)(a)", vocab)
+    with pytest.raises(MissingExtension):
+        ground(f, interp)
+    f = parse_formula("<<c: p(c)>> & $(`a)(a)", vocab)
+    with pytest.raises(GroundArityError):
+        ground(f, interp)
+    with pytest.raises(IncomparableTypes):
+        ground(parse_formula("<<c: p(c)>> & $(`a)()", vocab), interp)

@@ -84,6 +84,7 @@ def walker_pairs(f: ast.Formula):
     yield "_eliminate", grounding._eliminate, ref._eliminate, (INTERP, expanded)
     yield "ground_trace", grounding.ground_trace, ref.ground_trace, (f, INTERP, FUZZ_FREE_VARS)
     yield "dependencies", grounding.dependencies, ref.dependencies, (f, INTERP)
+    yield "ground", grounding.ground, ref.ground, (f, INTERP, FUZZ_FREE_VARS)
     yield "elaborate", elaboration.elaborate, ref.elaborate, (CTX, f)
 
 
@@ -109,8 +110,29 @@ def test_walkers_agree_with_reference_on_random_formulas():
     for f in random_cases(1000, 20_261_019):
         agree(f, seen)
     # the corpus reaches both outcomes of the walkers that raise on it
-    for name in ("desugar", "_eliminate", "ground_trace", "dependencies", "elaborate"):
+    for name in ("desugar", "_eliminate", "ground_trace", "dependencies", "ground", "elaborate"):
         assert {(name, "value"), (name, "raised")} <= seen, name
+
+
+def targets_of(guard_targets):
+    """`guard_targets` with each target as a tuple, so that `located` spells
+    out the location of its term."""
+    return lambda ctx, body: [
+        (t.term, t.expected_type, t.principal_type) for t in guard_targets(ctx, body)
+    ]
+
+
+def test_guard_targets_agree_with_reference_on_every_wrapper_body():
+    seen = set()
+    walker, reference = targets_of(elaboration.guard_targets), targets_of(ref.guard_targets)
+    for f in random_cases(1000, 20_261_019):
+        for node in ast.walk(f):
+            if isinstance(node, (ast.GuardC, ast.GuardI)):
+                found = outcome(walker, CTX, node.body)
+                assert found == outcome(reference, CTX, node.body), ast.format_formula(f)
+                seen.add(found[0] if found[0] == "raised" else bool(found[1]))
+    # some bodies have targets, some none, and some raise
+    assert seen == {"raised", True, False}
 
 
 def test_free_variables_agrees_with_reference_on_every_subexpression():
@@ -222,6 +244,17 @@ def test_grounding_handles_chains_deeper_than_the_recursion_limit(inner, grounde
     assert grounding.dependencies(tree, INTERP) == reads
 
 
+def test_guard_targets_handle_bodies_deeper_than_the_recursion_limit():
+    meow = ast.Atom("meow", (ast.Variable("x"),))  # x is an Animal, meow takes a Cat
+    negated = conjoined = meow
+    for _ in range(DEPTH):
+        negated, conjoined = ast.Not(negated), ast.And(meow, conjoined)
+    for body in (negated, conjoined):
+        # one target, however often its occurrence repeats
+        (target,) = elaboration.guard_targets(CTX, body)
+        assert (target.term, target.expected_type) == (ast.Variable("x"), "Cat")
+
+
 def test_term_walkers_handle_terms_deeper_than_the_recursion_limit():
     term = ast.Variable("x")
     for _ in range(DEPTH):
@@ -249,6 +282,7 @@ REWRITTEN = (
     "grounding._eliminate",
     "grounding.dependencies",
     "elaboration.elaborate",
+    "elaboration.guard_targets",
     "parser._FormulaParser.chain",
     "parser._FormulaParser.unary",
 )
