@@ -203,20 +203,22 @@ class Theory:
 #
 # walk and fold are the one traversal of every structural walker. Both keep
 # their own stack, so no tree is too deep for them, and call children once
-# per node. walk(expr) yields the nodes in preorder. fold(expr, combine,
-# enter, inherited) is post-order: combine(node, values) gets the values of
-# the node's children in source order. enter(node, inherited), if given,
-# runs on each node in preorder, before anything below it, with what the
-# node inherits: `inherited` at the root, and what its parent handed down
-# below it. It returns None to visit the node's children, each inheriting
-# what the node did; or a Below(key, pairs), to fold the (subexpression,
-# inherited) pairs in their place and combine their values as combine(key,
-# values); or else the node's value, which skips everything below it. So
-# what flows down is inherited and what flows up is combined, the inherited
-# and synthesized attributes of an attribute grammar (Knuth, "Semantics of
-# Context-Free Languages", 1968). With combine=rebuild, leaves come back as
-# themselves and every other node visited is new, with loc=None; a node that
-# enter gives as its own value keeps its location.
+# per node, which they take as an argument, so that they walk other trees
+# too: a derivation over its premises. walk(expr) yields the nodes in
+# preorder. fold(expr, combine, enter, inherited) is post-order:
+# combine(node, values) gets the values of the node's children in source
+# order. enter(node, inherited), if given, runs on each node in preorder,
+# before anything below it, with what the node inherits: `inherited` at the
+# root, and what its parent handed down below it. It returns None to visit
+# the node's children, each inheriting what the node did; or a Below(key,
+# pairs), to fold the (subexpression, inherited) pairs in their place and
+# combine their values as combine(key, values); or else the node's value,
+# which skips everything below it. So what flows down is inherited and what
+# flows up is combined, the inherited and synthesized attributes of an
+# attribute grammar (Knuth, "Semantics of Context-Free Languages", 1968).
+# With combine=rebuild, leaves come back as themselves and every other node
+# visited is new, with loc=None; a node that enter gives as its own value
+# keeps its location.
 
 _LEAVES = (Variable, NatLiteral, ConceptRef, Truth)
 _APPLIED = (Apply, Atom)  # symbol or predicate over args
@@ -259,7 +261,7 @@ def rebuild(node: Term | Formula, kids) -> Term | Formula:
     return build(node, tuple(kids))
 
 
-def walk(expr: Term | Formula):
+def walk(expr, children=children):
     """Every node of `expr` in preorder."""
     todo = [expr]
     while todo:
@@ -280,7 +282,7 @@ class Below(NamedTuple):
     pairs: list
 
 
-def fold(expr: Term | Formula, combine, enter=None, inherited=None):
+def fold(expr, combine, enter=None, inherited=None, children=children):
     """Post-order fold of `expr`; see the comment above `children`."""
     values: list = []
     # (node, number of values, what its children inherit) of the nodes being
@@ -478,6 +480,22 @@ _SPELLING = {
 def _spell(expr: Term | Formula) -> str:
     """The canonical spelling of a term or formula, built bottom-up."""
     return fold(expr, lambda node, kids: _SPELLING[type(node)](node, kids))
+
+
+def format_each(exprs) -> list[str]:
+    """The canonical spelling of each of `exprs`, as `str` gives it. A node
+    that several of them share, as the expressions of a derivation share
+    their subtrees, is spelled once."""
+    spelled: dict[int, str] = {}  # by node id; every node is held by `exprs`
+
+    def enter(node, _):
+        return spelled.get(id(node))
+
+    def combine(node, kids) -> str:
+        text = spelled[id(node)] = _SPELLING[type(node)](node, kids)
+        return text
+
+    return [fold(expr, combine, enter) for expr in exprs]
 
 
 def _type_line(vocab: Vocabulary, name: str) -> str:

@@ -5,6 +5,10 @@ S1(t1) & ... & Sn(tn) => body, where the (t_i, S_i) are the argument
 occurrences inside the body whose expected type S_i lies strictly below the
 term's principal type. Wrappers elaborate innermost-first; with no targets a
 wrapper simply disappears.
+
+This module finds the targets and rewrites one wrapper. The walk over a
+formula that rewrites each wrapper once its body is done is the grounding
+walker's, with expansion and elimination switched off.
 """
 
 from __future__ import annotations
@@ -106,21 +110,8 @@ def expand_wrapper(wrapper: type, ctx: TypingContext, body: ast.Formula) -> ast.
 
 def elaborate(ctx: TypingContext, formula: ast.Formula) -> ast.Formula:
     """Rewrite away every guard wrapper, innermost first. The output is
-    wrapper-free; wrapper-free input comes back unchanged."""
-    scopes = [ctx]  # the context of the node being folded, innermost last
+    wrapper-free; wrapper-free input comes back unchanged. This is the
+    grounding walker with expansion and elimination switched off."""
+    from . import grounding  # local import: grounding uses us
 
-    def enter(node, _):
-        if isinstance(node, (ast.Truth, ast.Atom, ast.DerefAtom)):
-            return node
-        if isinstance(node, _QUANTIFIERS):
-            scopes.append(scopes[-1].push(VarEntry(node.var, node.type_name)))
-        return None
-
-    def combine(node, kids):
-        if isinstance(node, _QUANTIFIERS):
-            scopes.pop()
-        if not isinstance(node, (ast.GuardC, ast.GuardI)):
-            return ast.rebuild(node, kids)
-        return expand_wrapper(type(node), scopes[-1], kids[0])
-
-    return ast.fold(formula, combine, enter)
+    return grounding.elaborate_wrappers(ctx, formula)

@@ -44,6 +44,7 @@ from .vocabulary import (
 FactKey = tuple[str, tuple[ConceptObject, ...]]
 _QUANTIFIERS = (ast.Exists, ast.Forall)
 _DEREFS = (ast.Deref, ast.DerefAtom)
+_INTENSIONAL = (ast.ConceptRef,) + _DEREFS
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,9 @@ class GroundInterpretation:
 def is_intensional(vocab: Vocabulary, formula: ast.Formula) -> bool:
     """True when grounding has work to do: the formula mentions concept
     references/dereferences or quantifies over a concept type."""
-    return ast.has_intensional_nodes(formula) or any(
-        _is_concept_quantifier(vocab, node) for node in ast.walk(formula)
+    return any(
+        isinstance(node, _INTENSIONAL) or _is_concept_quantifier(vocab, node)
+        for node in ast.walk(formula)
     )
 
 
@@ -159,9 +161,11 @@ def _check_totality(interp: GroundInterpretation) -> None:
 # - A wrapper folds its body, then elaborates it.
 #
 # Each rewrite can be switched off; `ground_trace` shows the steps with the
-# later ones off. With elimination on every node but a leaf is rebuilt; with
-# it off, an atom outside every expansion is kept as it is, so that the
-# expansion shown keeps its locations, as substitution would.
+# later ones off, and `elaborate_wrappers`, which `check_sentence` and
+# `elaboration.elaborate` run, is the walker with elaboration alone on.
+# With elimination on every node but a leaf is rebuilt; with it off, an
+# atom outside every expansion is kept as it is, so that the expansion
+# shown keeps its locations, as substitution would.
 
 
 class _Reduce(NamedTuple):
@@ -191,23 +195,24 @@ _EXPANSIONS = {ast.Exists: _Expansion(ast.Or), ast.Forall: _Expansion(ast.And)}
 
 class _Pass:
     """One grounding pass over a formula, with each rewrite switched on or
-    off, and what it met: concept quantifiers, dereferences and wrappers."""
+    off, and what it met: concept quantifiers, dereferences and wrappers.
+    Only elaboration reads the typing context, and only expansion and
+    elimination the interpretation."""
 
     def __init__(
         self,
-        interp: GroundInterpretation,
+        context: TypingContext | None,
+        interp: GroundInterpretation | None = None,
         expand: bool = True,
         eliminate: bool = True,
         elaborate: bool = True,
-        free_var_types: dict[str, str] | None = None,
     ):
         self.interp = interp
         self.expand, self.eliminate, self.elaborate = expand, eliminate, elaborate
-        self.free_var_types = free_var_types
         self.extensions: dict[str, tuple[ConceptObject, ...]] = {}  # of concept quantifiers
         self.quantified = self.dereferenced = self.guarded = False
-        self.context: TypingContext | None = None  # of the formula, made for the first wrapper
-        self.scope: tuple = ()  # the entries last elaborated under, and their context
+        self.context = context
+        self.scope: tuple = ((), context)  # the entries last elaborated under, and their context
         self.error: GosilError | None = None  # the first elaboration error
 
     def run(self, formula):
@@ -218,8 +223,8 @@ class _Pass:
             self._look_up_extensions(formula)
         enter_rules, combine_rules = _ENTER, _COMBINE
 
-        def enter(node, inherited):
-            return enter_rules[type(node)](self, node, inherited)
+        def enter(node, inherited):  # anything else raises TypeError in ast.children
+            return enter_rules.get(type(node), _visit)(self, node, inherited)
 
         def combine(node, values):
             return combine_rules[type(node)](self, node, values)
@@ -251,15 +256,7 @@ class _Pass:
             todo.extend(reversed(ast.children(node)))
 
     def context_of(self, entries: tuple[VarEntry, ...]) -> TypingContext:
-        """The typing context under `entries`: the free variables' types,
-        then the quantifiers kept above."""
-        if self.context is None:
-            self.context = initial_context(self.interp.vocab)
-            if self.free_var_types:
-                self.context = self.context.push(
-                    *(VarEntry(v, t) for v, t in self.free_var_types.items())
-                )
-            self.scope = (), self.context
+        """The typing context under `entries`, the quantifiers kept above."""
         if entries is not self.scope[0]:  # the instances of an expansion share their entries
             self.scope = entries, self.context.push(*entries)
         return self.scope[1]
@@ -412,12 +409,24 @@ def _reduce_head(interp: GroundInterpretation, term: ast.Term) -> ConceptObject:
 
 def _expand_quantifiers(interp: GroundInterpretation, f: ast.Formula) -> ast.Formula:
     """Quantifier expansion alone: the first step `ground_trace` shows."""
-    return _Pass(interp, eliminate=False, elaborate=False).run(f)
+    return _Pass(None, interp, eliminate=False, elaborate=False).run(f)
 
 
 def _eliminate(interp: GroundInterpretation, expr):
     """Dereference elimination alone, concept quantifiers left as they are."""
-    return _Pass(interp, expand=False, elaborate=False).run(expr)
+    return _Pass(None, interp, expand=False, elaborate=False).run(expr)
+
+
+def _context(vocab: Vocabulary, free_var_types: dict[str, str] | None) -> TypingContext:
+    """The typing context of a formula with free variables of these types."""
+    entries = (VarEntry(v, t) for v, t in (free_var_types or {}).items())
+    return initial_context(vocab).push(*entries)
+
+
+def elaborate_wrappers(ctx: TypingContext, formula: ast.Formula) -> ast.Formula:
+    """Guard elaboration alone, under `ctx`: what `check_sentence` and
+    `elaboration.elaborate` run."""
+    return _Pass(ctx, expand=False, eliminate=False).run(formula)
 
 
 def ground_trace(
@@ -432,13 +441,13 @@ def ground_trace(
     holds a concept-typed quantifier, the elimination exactly when the
     expansion holds a dereference. The grounding pass finds out which; the
     earlier steps shown are the same walker with the later rewrites off."""
-    full = _Pass(interp, free_var_types=free_var_types)
+    full = _Pass(_context(interp.vocab, free_var_types), interp)
     grounded = full.run(formula)
     steps = [("original", formula)]
     if full.quantified:
         steps.append(("grounded concept quantifiers", _expand_quantifiers(interp, formula)))
     if full.dereferenced:
-        eliminated = _Pass(interp, elaborate=False).run(formula) if full.guarded else grounded
+        eliminated = _Pass(None, interp, elaborate=False).run(formula) if full.guarded else grounded
         steps.append(("eliminated intensional terms", eliminated))
     if full.guarded:
         steps.append(("elaborated implicit guards", grounded))
@@ -455,7 +464,7 @@ def ground(
     guard wrapper. Formulas with none of those come back unchanged. The
     result is the last step of `ground_trace`, from one pass when the
     formula holds a dereference or a wrapper."""
-    full = _Pass(interp, free_var_types=free_var_types)
+    full = _Pass(_context(interp.vocab, free_var_types), interp)
     grounded = full.run(formula)
     if full.dereferenced or full.guarded:
         return grounded

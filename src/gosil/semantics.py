@@ -193,6 +193,7 @@ class Structure:
     _interp: grounding.GroundInterpretation | None = field(
         default=None, init=False, compare=False, repr=False
     )
+    _theory: ast.Theory | None = field(default=None, init=False, compare=False, repr=False)
 
     def elements(self, type_name: str) -> tuple[DomainElement, ...]:
         """The enumerable elements of a type, in canonical order."""
@@ -778,22 +779,23 @@ def interpretation_of(structure: Structure) -> grounding.GroundInterpretation:
                 facts[(name, tuple(a.concept for a in args))] = result.concept
     interned = vocab._eval_cache.setdefault("interp", {})
     key = (tuple(extensions.items()), tuple(facts.items()))
-    interp = interned.get(key)
-    if interp is None:
-        interp = interned[key] = grounding.GroundInterpretation(vocab, extensions, facts)
+    entry = interned.get(key)
+    if entry is None:  # with the theory of its facts, for `satisfies`
+        facts_in_order = sorted(facts.items(), key=lambda kv: (kv[0][0], [c.name for c in kv[0][1]]))
+        theory = ast.Theory(vocab, (), tuple(ast.ConceptFact(*k, v) for k, v in facts_in_order))
+        entry = interned[key] = grounding.GroundInterpretation(vocab, extensions, facts), theory
+    interp, theory = entry
     object.__setattr__(structure, "_interp", interp)
+    object.__setattr__(structure, "_theory", theory)
     return interp
 
 
 def _theory_of(structure: Structure) -> ast.Theory:
-    interp = interpretation_of(structure)
-    facts = tuple(
-        ast.ConceptFact(name, args, value)
-        for (name, args), value in sorted(
-            interp.facts.items(), key=lambda kv: (kv[0][0], [c.name for c in kv[0][1]])
-        )
-    )
-    return ast.Theory(structure.vocab, (), facts)
+    """The theory of a structure's concept part, interned with its
+    interpretation, so that the interpretation the theory builds, totality
+    checked, is built once."""
+    interpretation_of(structure)
+    return structure._theory
 
 
 def satisfies(structure: Structure, sentence: ast.Formula) -> bool:

@@ -11,11 +11,19 @@ whole antecedent is such a prefix use implication guarding (G-i).
 A successful check returns a TypingDerivation tree; failure raises
 TypingError with the offending sub-expression and expected/found types
 where applicable.
+
+The checker is one `ast.fold`: each rule reads the typing context its
+parent hands down and builds its conclusion from its premises' derivations.
+Rendering, export and validation walk a derivation over its premises with
+`ast.walk`/`ast.fold`. All of them keep their own stack, so no tree is too
+deep for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
+from typing import NamedTuple
 
 from . import ast
 from .errors import TypingError
@@ -111,65 +119,12 @@ RULE_NAMES = (
 # -- terms -------------------------------------------------------------------------
 
 
-_UNGROUNDED = "dereference must be grounded before type checking"
-
-
 def derive_term(ctx: TypingContext, term: ast.Term) -> TypingDerivation:
-    """Derive the principal type of a term."""
-    annotated = ctx.lookup_term_type(term)
-    if annotated is not None:
-        return TypingDerivation("T-var", term, annotated)
-    match term:
-        case ast.Variable(name):
-            raise TypingError(
-                "UnboundVariable", f"variable {name!r} is not in scope", term
-            )
-        case ast.NatLiteral():
-            return TypingDerivation("T-app", term, NAT)
-        case ast.ConceptRef():
-            return TypingDerivation("T-con", term, CONCEPT)
-        case ast.Apply(symbol, args):
-            sig, premises = _application(ctx, term, symbol, args)
-            return TypingDerivation("T-app", term, sig.result_type, premises)
-        case ast.Deref():
-            raise TypingError("IntensionalNotGrounded", _UNGROUNDED, term)
-    raise TypeError(f"not a term: {term!r}")
-
-
-def _application(
-    ctx: TypingContext, node, name: str, args: tuple[ast.Term, ...]
-) -> tuple[Signature, tuple[TypingDerivation, ...]]:
-    """The signature `name` resolves to in an application `node` over `args`,
-    and a derivation of each argument at its argument type."""
-    sig = ctx.lookup_symbol(name)
-    if sig is None:
-        raise TypingError("UnknownSymbol", f"unknown symbol {name!r}", node)
-    if len(args) != sig.arity:
-        raise TypingError(
-            "ArgumentTypeMismatch",
-            f"{name!r} expects {sig.arity} argument(s), got {len(args)}",
-            node,
-        )
-    return sig, tuple(
-        _derive_at(ctx, arg, expected) for arg, expected in zip(args, sig.argument_types)
-    )
-
-
-def _derive_at(ctx: TypingContext, term: ast.Term, expected: str) -> TypingDerivation:
-    """Derive a term at a required type, inserting subsumption if its
-    principal type lies strictly below."""
-    d = derive_term(ctx, term)
-    if d.type_name == expected:
-        return d
-    if is_subtype(ctx.vocab, d.type_name, expected):
-        return TypingDerivation("T-sub", term, expected, (d,))
-    raise TypingError(
-        "ArgumentTypeMismatch",
-        f"expected {expected}, found {d.type_name}",
-        term,
-        expected=expected,
-        found=d.type_name,
-    )
+    """Derive the principal type of a term; a simple one (see `_simple`)
+    without a fold."""
+    if _simple(term):
+        return _term_at(ctx, term, None, None)
+    return typecheck(ctx, _At(term, None, None))
 
 
 def principal_type(ctx: TypingContext, term: ast.Term) -> str:
@@ -238,98 +193,196 @@ def implication_guard(vocab: Vocabulary, f: ast.Formula) -> tuple[list[ast.Atom]
     return None
 
 
-# -- formulas ------------------------------------------------------------------------
+# -- the checker --------------------------------------------------------------------
+#
+# One fold derives a formula bottom-up. What a node inherits is its typing
+# context: a quantifier hands its body the context with its variable pushed,
+# a guard rule its remainder the context with the guards' annotations pushed.
+# A term is folded as a position, an `_At`, that says which type it must have
+# there. A position is decided when it is entered if its term is annotated in
+# the context or simple, and so is an application whose arguments are all
+# simple; anything else folds its premises below a `_Conclusion`. Each
+# position is derived and checked before the next is entered, so errors come
+# in the order of a left-to-right recursion: an unknown symbol, then its
+# arity, then each argument in turn.
 
 
-_BINARY_RULES = {ast.And: "T-and", ast.Or: "T-or", ast.Implies: "T-imp", ast.Iff: "T-iff"}
+class _At(NamedTuple):
+    """A term position: `term` derived at `expected`, or at its principal
+    type when that is None, raising the error kind `mismatch` if it does not
+    fit."""
+
+    term: ast.Term
+    expected: str | None
+    mismatch: str | None
 
 
-def typecheck(ctx: TypingContext, formula: ast.Formula) -> TypingDerivation:
-    """Derive `formula : Bool`, or raise TypingError."""
-    match formula:
-        case ast.Truth(True):
-            return TypingDerivation("T-tr", formula, BOOL)
-        case ast.Truth(False):
-            return TypingDerivation("T-fa", formula, BOOL)
-        case ast.Atom():
-            return _check_atom(ctx, formula)
-        case ast.DerefAtom():
-            raise TypingError("IntensionalNotGrounded", _UNGROUNDED, formula)
-        case ast.Not(body):
-            return TypingDerivation("T-neg", formula, BOOL, (typecheck(ctx, body),))
-        case ast.And() if (split := guard_prefix(ctx.vocab, formula)) is not None:
-            return _check_guarded(ctx, formula, split, "G-c")
-        case ast.Implies() if (split := implication_guard(ctx.vocab, formula)) is not None:
-            return _check_guarded(ctx, formula, split, "G-i")
-        case ast.And(l, r) | ast.Or(l, r) | ast.Implies(l, r) | ast.Iff(l, r):
-            premises = (typecheck(ctx, l), typecheck(ctx, r))
-            return TypingDerivation(_BINARY_RULES[type(formula)], formula, BOOL, premises)
-        case ast.Exists(var, type_name, body) | ast.Forall(var, type_name, body):
-            inner = ctx.push(VarEntry(var, type_name))
-            rule = "T-ex" if isinstance(formula, ast.Exists) else "T-all"
-            return TypingDerivation(rule, formula, BOOL, (typecheck(inner, body),))
-        case ast.GuardC() | ast.GuardI():
-            raise ValueError(
-                "implicit guard wrappers must be elaborated before type checking"
-            )
-    raise TypeError(f"not a formula: {formula!r}")
+class _Conclusion(NamedTuple):
+    """The application of `rule` concluding `expr : type_name` from the
+    premises folded below it, then taken to `expected` as at an `_At`."""
+
+    rule: str
+    expr: ast.Term | ast.Formula
+    type_name: str
+    expected: str | None = None
+    mismatch: str | None = None
 
 
-def _check_atom(ctx: TypingContext, atom: ast.Atom) -> TypingDerivation:
-    if atom.predicate == ast.EQUALITY_ATOM:
-        left = derive_term(ctx, atom.args[0])
-        right = derive_term(ctx, atom.args[1])
-        common = least_common_supertype(ctx.vocab, left.type_name, right.type_name)
-        premises = tuple(
-            d if d.type_name == common else TypingDerivation("T-sub", d.expr, common, (d,))
-            for d in (left, right)
-        )
-        return TypingDerivation("T-app", atom, BOOL, premises)
-    sig, premises = _application(ctx, atom, atom.predicate, atom.args)
-    d = TypingDerivation("T-app", atom, sig.result_type, premises)
-    if sig.result_type == BOOL:
+_MISMATCHES = {  # the message of each error kind raised where a type does not fit
+    "ArgumentTypeMismatch": "expected {expected}, found {found}",
+    "GuardOnNonUniverseTerm": "guarded term is not below {expected}",
+    "NonBooleanSubformula": "{expr.predicate!r} yields {found}, not {expected}",
+}
+
+
+def _subsumed(vocab: Vocabulary, d: TypingDerivation, expected, mismatch) -> TypingDerivation:
+    """`d` at `expected`: itself, or under T-sub when its type lies strictly
+    below."""
+    if expected is None or d.type_name == expected:
         return d
-    if is_subtype(ctx.vocab, sig.result_type, BOOL):
-        return TypingDerivation("T-sub", atom, BOOL, (d,))
-    raise TypingError(
-        "NonBooleanSubformula",
-        f"{atom.predicate!r} yields {sig.result_type}, not {BOOL}",
-        atom,
-        expected=BOOL,
-        found=sig.result_type,
-    )
+    if is_subtype(vocab, d.type_name, expected):
+        return TypingDerivation("T-sub", d.expr, expected, (d,))
+    message = _MISMATCHES[mismatch].format(expr=d.expr, expected=expected, found=d.type_name)
+    raise TypingError(mismatch, message, d.expr, expected=expected, found=d.type_name)
 
 
-def _check_guarded(
-    ctx: TypingContext,
-    formula: ast.Formula,
-    split: tuple[list[ast.Atom], ast.Formula],
-    rule: str,
-) -> TypingDerivation:
-    """Type a guarded conjunction or implication: each guarded term must be
-    typeable (and hence of type Universe), and the remainder is checked with
-    the guards' type annotations pushed."""
+def _concluded(vocab: Vocabulary, key: _Conclusion, premises) -> TypingDerivation:
+    d = TypingDerivation(key.rule, key.expr, key.type_name, tuple(premises))
+    return _subsumed(vocab, d, key.expected, key.mismatch)
+
+
+def _unbound(ctx: TypingContext, term: ast.Variable):
+    raise TypingError("UnboundVariable", f"variable {term.name!r} is not in scope", term)
+
+
+_UNGROUNDED = "dereference must be grounded before type checking"
+
+
+def _ungrounded(ctx: TypingContext, node):
+    raise TypingError("IntensionalNotGrounded", _UNGROUNDED, node)
+
+
+_TERMS = {  # the derivation of each class of term but an application, unless annotated
+    ast.Variable: _unbound,
+    ast.NatLiteral: lambda ctx, term: TypingDerivation("T-app", term, NAT),
+    ast.ConceptRef: lambda ctx, term: TypingDerivation("T-con", term, CONCEPT),
+    ast.Deref: _ungrounded,
+}
+
+
+def _simple(term) -> bool:
+    """True of a term decided as soon as its position is entered: any but an
+    application with arguments."""
+    return type(term) in _TERMS or (type(term) is ast.Apply and not term.args)
+
+
+def _term_at(ctx: TypingContext, term: ast.Term, expected, mismatch):
+    """The derivation of `term` at a position, or what to fold for it."""
+    annotated = ctx.lookup_term_type(term)
+    if annotated is not None:
+        d = TypingDerivation("T-var", term, annotated)
+    elif type(term) is ast.Apply:
+        return _application(ctx, term, term.symbol, expected, mismatch)
+    elif type(term) in _TERMS:
+        d = _TERMS[type(term)](ctx, term)
+    else:
+        raise TypeError(f"not a term: {term!r}")
+    return _subsumed(ctx.vocab, d, expected, mismatch)
+
+
+def _application(ctx: TypingContext, node, name: str, expected, mismatch):
+    """An application of `name` at a position: decided at once when its
+    arguments are all simple, else its argument positions to fold."""
+    sig = ctx.lookup_symbol(name)
+    if sig is None:
+        raise TypingError("UnknownSymbol", f"unknown symbol {name!r}", node)
+    if len(node.args) != sig.arity:
+        message = f"{name!r} expects {sig.arity} argument(s), got {len(node.args)}"
+        raise TypingError("ArgumentTypeMismatch", message, node)
+    positions = zip(node.args, sig.argument_types)
+    key = _Conclusion("T-app", node, sig.result_type, expected, mismatch)
+    if all(map(_simple, node.args)):
+        return _concluded(ctx.vocab, key, [
+            _term_at(ctx, arg, t, "ArgumentTypeMismatch") for arg, t in positions
+        ])
+    return ast.Below(key, [(_At(arg, t, "ArgumentTypeMismatch"), ctx) for arg, t in positions])
+
+
+def _atom(ctx: TypingContext, atom: ast.Atom):
+    if atom.predicate != ast.EQUALITY_ATOM:
+        return _application(ctx, atom, atom.predicate, BOOL, "NonBooleanSubformula")
+    # both sides at their principal types, then at their least common supertype
+    sides = atom.args[0], atom.args[1]
+    if all(map(_simple, sides)):
+        return _equation(ctx.vocab, atom, [_term_at(ctx, t, None, None) for t in sides])
+    return ast.Below(atom, [(_At(t, None, None), ctx) for t in sides])
+
+
+def _equation(vocab: Vocabulary, atom: ast.Atom, sides) -> TypingDerivation:
+    common = least_common_supertype(vocab, sides[0].type_name, sides[1].type_name)
+    return TypingDerivation("T-app", atom, BOOL, tuple(
+        d if d.type_name == common else TypingDerivation("T-sub", d.expr, common, (d,))
+        for d in sides
+    ))
+
+
+def _guarded(ctx: TypingContext, rule: str, formula, split):
+    """Each guarded term must be typeable at Universe, and the remainder is
+    checked with the guards' type annotations pushed."""
     guards, body = split
-    universe_premises: list[TypingDerivation] = []
-    annotations: list[TermEntry] = []
-    for guard in guards:
-        term = guard.args[0]
-        d = derive_term(ctx, term)
-        if d.type_name != UNIVERSE:
-            if not is_subtype(ctx.vocab, d.type_name, UNIVERSE):
-                raise TypingError(
-                    "GuardOnNonUniverseTerm",
-                    f"guarded term is not below {UNIVERSE}",
-                    term,
-                    expected=UNIVERSE,
-                    found=d.type_name,
-                )
-            d = TypingDerivation("T-sub", term, UNIVERSE, (d,))
-        universe_premises.append(d)
-        annotations.append(TermEntry(term, guard.predicate))
-    inner = ctx.push(*annotations)
-    body_premise = typecheck(inner, body)
-    return TypingDerivation(rule, formula, BOOL, tuple(universe_premises) + (body_premise,))
+    terms = [g.args[0] for g in guards]
+    inner = ctx.push(*(TermEntry(t, g.predicate) for t, g in zip(terms, guards)))
+    pairs = [(_At(t, UNIVERSE, "GuardOnNonUniverseTerm"), ctx) for t in terms]
+    return ast.Below(_Conclusion(rule, formula, BOOL), pairs + [(body, inner)])
+
+
+def _wrapper(ctx: TypingContext, node):
+    raise ValueError("implicit guard wrappers must be elaborated before type checking")
+
+
+_RULES = {
+    ast.Not: "T-neg", ast.And: "T-and", ast.Or: "T-or", ast.Implies: "T-imp",
+    ast.Iff: "T-iff", ast.Exists: "T-ex", ast.Forall: "T-all",
+}
+_ENTER = {  # by the class of a formula, or of a term position; None folds the children
+    ast.Truth: lambda ctx, node: TypingDerivation("T-tr" if node.value else "T-fa", node, BOOL),
+    ast.Atom: _atom,
+    ast.DerefAtom: _ungrounded,
+    **dict.fromkeys((ast.Not, ast.Or, ast.Iff), lambda ctx, node: None),
+    ast.And: lambda ctx, node: (
+        None if (split := guard_prefix(ctx.vocab, node)) is None
+        else _guarded(ctx, "G-c", node, split)),
+    ast.Implies: lambda ctx, node: (
+        None if (split := implication_guard(ctx.vocab, node)) is None
+        else _guarded(ctx, "G-i", node, split)),
+    **dict.fromkeys((ast.Exists, ast.Forall), lambda ctx, node: ast.Below(
+        node, [(node.body, ctx.push(VarEntry(node.var, node.type_name)))])),
+    **dict.fromkeys((ast.GuardC, ast.GuardI), _wrapper),
+    _At: lambda ctx, at: _term_at(ctx, *at),
+}
+_COMBINE = {  # by the class of what was folded below
+    **dict.fromkeys(_RULES, lambda vocab, node, premises: TypingDerivation(
+        _RULES[type(node)], node, BOOL, tuple(premises))),
+    ast.Atom: _equation,
+    _Conclusion: _concluded,
+}
+
+
+def typecheck(ctx: TypingContext, formula) -> TypingDerivation:
+    """Derive `formula : Bool`, or raise TypingError. `formula` may also be
+    a term position, as `derive_term` folds one."""
+    vocab = ctx.vocab
+
+    def enter(node, inherited: TypingContext):
+        rule = _ENTER.get(type(node))
+        if rule is None:
+            raise TypeError(f"not a formula: {node!r}")
+        return rule(inherited, node)
+
+    def combine(key, premises):
+        return _COMBINE[type(key)](vocab, key, premises)
+
+    return ast.fold(formula, combine, enter, ctx)
 
 
 # -- sentences ------------------------------------------------------------------------
@@ -339,7 +392,7 @@ def check_sentence(theory: ast.Theory, sentence: ast.Formula) -> TypingDerivatio
     """Full pipeline for one sentence: intensional sentences are grounded
     first (which also expands implicit guards), wrapper-only sentences are
     elaborated, and the result is checked against the initial context."""
-    from . import elaboration, grounding  # local import: those modules use us
+    from . import grounding  # local import: grounding uses us
 
     free = ast.free_variables(sentence)
     if free:
@@ -353,7 +406,7 @@ def check_sentence(theory: ast.Theory, sentence: ast.Formula) -> TypingDerivatio
             derivation, note=f"typed via grounding: {ast.format_formula(grounded)}"
         )
     if ast.has_guards(sentence):
-        expanded = elaboration.elaborate(ctx, sentence)
+        expanded = grounding.elaborate_wrappers(ctx, sentence)
         derivation = typecheck(ctx, expanded)
         return replace(
             derivation, note=f"typed after guard elaboration: {ast.format_formula(expanded)}"
@@ -366,31 +419,42 @@ def check_sentence(theory: ast.Theory, sentence: ast.Formula) -> TypingDerivatio
 
 def render_derivation(derivation: TypingDerivation) -> str:
     """Indented tree, one rule application per line."""
+    nodes = list(ast.walk((0, derivation), _indented_premises))
+    spelled = ast.format_each([d.expr for _, d in nodes])
     lines: list[str] = []
-
-    def walk(d: TypingDerivation, depth: int) -> None:
-        line = f"{'  ' * depth}{d.rule} ⊢ {d.conclusion()}"
+    for (depth, d), expr in zip(nodes, spelled):
+        line = f"{'  ' * depth}{d.rule} ⊢ {expr} : {d.type_name}"
         n = len(d.premises)
         if n:
             line += f"  [{n} premise{'s' if n != 1 else ''}]"
         lines.append(line)
-        for p in d.premises:
-            walk(p, depth + 1)
-
-    walk(derivation, 0)
     return "\n".join(lines)
 
 
+def _indented_premises(item: tuple[int, TypingDerivation]) -> list[tuple[int, TypingDerivation]]:
+    depth, d = item
+    return [(depth + 1, p) for p in d.premises]
+
+
+_premises = attrgetter("premises")
+
+
 def derivation_to_dict(d: TypingDerivation) -> dict:
-    out = {
-        "rule": d.rule,
-        "expression": str(d.expr),
-        "type": d.type_name,
-        "children": [derivation_to_dict(p) for p in d.premises],
-    }
-    if d.note:
-        out["note"] = d.note
-    return out
+    nodes = list(ast.walk(d, _premises))
+    spelled = dict(zip(map(id, nodes), ast.format_each([node.expr for node in nodes])))
+
+    def combine(d: TypingDerivation, children) -> dict:
+        out = {
+            "rule": d.rule,
+            "expression": spelled[id(d)],
+            "type": d.type_name,
+            "children": list(children),
+        }
+        if d.note:
+            out["note"] = d.note
+        return out
+
+    return ast.fold(d, combine, children=_premises)
 
 
 # -- independent validation ----------------------------------------------------------------
@@ -399,9 +463,7 @@ def derivation_to_dict(d: TypingDerivation) -> dict:
 def validate_derivation(vocab: Vocabulary, d: TypingDerivation) -> bool:
     """Node-local schema check, written against the rule schemas rather than
     the checker: every node must instantiate its named rule exactly."""
-    if not _node_valid(vocab, d):
-        return False
-    return all(validate_derivation(vocab, p) for p in d.premises)
+    return all(_node_valid(vocab, node) for node in ast.walk(d, _premises))
 
 
 def _node_valid(vocab: Vocabulary, d: TypingDerivation) -> bool:

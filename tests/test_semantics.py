@@ -169,6 +169,34 @@ def test_satisfies_locates_an_ill_typed_sentence(vocab, s0):
     assert str(raised.value).startswith("1:6: IllTypedSentence: sentence is ill-typed:")
 
 
+def test_satisfies_builds_each_interpretation_once(monkeypatch, running_example_path, s0_path):
+    from gosil.grounding import GroundInterpretation
+    from gosil.parser import parse_theory
+
+    # a fresh vocabulary, so that no interpretation is interned on it yet
+    theory = parse_theory(running_example_path.read_text())
+    axioms = {a.label: a.formula for a in theory.axioms}
+    s0 = parse_structure(s0_path.read_text(), theory.vocabulary)
+    built = []
+    init = GroundInterpretation.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GroundInterpretation, "__init__", counted)
+    # the structure's interpretation, then its theory's, checked for totality
+    assert [satisfies(s0, axioms["compact_def"]) for _ in range(10)] == [True] * 10
+    assert len(built) <= 2
+    built.clear()
+    assert satisfies(s0, axioms["compact_def"]) is True
+    assert satisfies(s0, axioms["making_sound_def"]) is True
+    with pytest.raises(IllTypedSentence) as raised:
+        satisfies(s0, parse_formula("bark(tom)", theory.vocabulary))
+    assert str(raised.value).startswith("1:6: IllTypedSentence: sentence is ill-typed:")
+    assert built == []
+
+
 def test_satisfies_intensional_and_wrapped_axioms(s0, axioms):
     for label in (
         "cat_meowing",

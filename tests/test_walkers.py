@@ -1,25 +1,33 @@
 """The structural walkers on `ast.walk`/`ast.fold` against the recursive ones
 they replaced, kept in reference_walkers: on every case the outcome, the
 value or the exception class and message, must agree, and so must the class
-and location of every node of a value. Plus every walker on trees far deeper
-than Python's recursion limit, and a check that none of them, nor the
-parser's operator loop and `unary`, calls itself."""
+and location of every node of a value. The same for the type checker and
+the derivation-tree walkers against reference_typecheck. Plus every walker
+on trees far deeper than Python's recursion limit, and a check that none of
+them, nor the parser's operator loop and `unary`, calls itself."""
 
 from __future__ import annotations
 
 import ast as pyast
+import importlib
 import inspect
 import random
 import textwrap
+from pathlib import Path
 
 import pytest
 
+import reference_typecheck as ref_checker
 import reference_walkers as ref
 from generators import FUZZ_FREE_VARS, fuzz_vocabulary, random_formula
 from gosil import ast, elaboration, grounding, parser
-from gosil.errors import UnresolvableDeref
-from gosil.parser import parse_formula
-from gosil.typecheck import VarEntry, initial_context
+from gosil.errors import Location, TypingError, UnresolvableDeref
+from gosil.parser import parse_formula, parse_theory
+from gosil.typecheck import VarEntry, initial_context, refold
+from test_grounding import wide_theory_text
+
+# the module: `gosil.typecheck` as an attribute is the re-exported function
+checker = importlib.import_module("gosil.typecheck")
 
 VOCAB = fuzz_vocabulary()
 INTERP = grounding.build_intensional_interp(ast.Theory(VOCAB))
@@ -167,6 +175,77 @@ def test_eliminate_reports_errors_in_evaluation_order(text, message):
     assert str(raised.value).startswith(message)
 
 
+# -- the type checker and the derivation walkers --------------------------------
+
+
+def checked(walkers, ctx, f: ast.Formula) -> tuple:
+    """The outcome of checking `f` with a checker and its derivation walkers:
+    the derivation exported and rendered, or the error with its location and
+    its expected and found types. The library's validator accepts every
+    derivation."""
+    try:
+        d = walkers.typecheck(ctx, f)
+    except Exception as err:  # the class, message and fields are what is compared
+        fields = (getattr(err, name, None) for name in ("loc", "expected", "found"))
+        return ("raised", type(err), str(err), *fields)
+    assert checker.validate_derivation(ctx.vocab, d)
+    assert walkers.validate_derivation(ctx.vocab, d)
+    return ("value", walkers.derivation_to_dict(d), walkers.render_derivation(d))
+
+
+def checker_agrees(ctx, f: ast.Formula, seen: set[str]) -> None:
+    found = checked(checker, ctx, f)
+    assert found == checked(ref_checker, ctx, f), ast.format_formula(f)
+    seen.add(found[0])
+    for term in (n for n in ast.walk(f) if isinstance(n, ast.Term)):
+        for name in ("principal_type", "derive_term"):
+            found = outcome(exported, getattr(checker, name), ctx, term)
+            assert found == outcome(exported, getattr(ref_checker, name), ctx, term), name
+
+
+def exported(derive, ctx, term):
+    """What `derive` gives for `term`, a derivation exported as a dict."""
+    value = derive(ctx, term)
+    return value if isinstance(value, str) else checker.derivation_to_dict(value)
+
+
+def test_checker_agrees_with_reference_on_random_formulas():
+    seen: set[str] = set()
+    for f in random_cases(1000, 20_261_019):
+        try:
+            f = grounding.ground(f, INTERP, FUZZ_FREE_VARS)
+        except Exception:  # checked as it is: the checker rejects what is left
+            pass
+        checker_agrees(CTX, f, seen)
+    assert seen == {"value", "raised"}
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+THEORIES = {path.stem: path.read_text() for path in FIXTURES.glob("*.gos")}
+THEORIES["wide_64"] = wide_theory_text(64)
+
+
+@pytest.mark.parametrize("name", sorted(THEORIES))
+def test_checker_agrees_with_reference_on_theory_axioms(name):
+    """Each axiom as it is, and as `check_sentence` hands it to the checker
+    when it grounds or elaborates."""
+    theory = parse_theory(THEORIES[name])
+    ctx = initial_context(theory.vocabulary)
+    seen: set[str] = set()
+    for axiom in theory.axioms:
+        f = axiom.formula
+        checker_agrees(ctx, f, seen)
+        try:
+            if grounding.is_intensional(theory.vocabulary, f):
+                f = grounding.ground(f, grounding.interpretation(theory))
+            else:
+                f = elaboration.elaborate(ctx, f)
+        except Exception:  # the original is checked above
+            continue
+        checker_agrees(ctx, f, seen)
+    assert "value" in seen
+
+
 # -- trees deeper than the recursion limit -------------------------------------
 
 DEPTH = 10_000
@@ -185,6 +264,19 @@ def conjunction() -> ast.Formula:
     for _ in range(DEPTH - 1):
         f = ast.And(ATOM, f)
     return f
+
+
+def disjunction() -> ast.Formula:
+    f = ATOM
+    for _ in range(DEPTH - 1):
+        f = ast.Or(ATOM, f)
+    return f
+
+
+def guarded_prefix() -> ast.Formula:
+    """G-c over 3000 guards, Cat(x) & ... & Cat(x) & meow(x), x an Animal."""
+    x = ast.Variable("x")
+    return refold([ast.Atom("Cat", (x,))] * 3000 + [ast.Atom("meow", (x,))])
 
 
 def spelled_chain(tree: ast.Formula, atom: str) -> str:
@@ -244,6 +336,63 @@ def test_grounding_handles_chains_deeper_than_the_recursion_limit(inner, grounde
     assert grounding.dependencies(tree, INTERP) == reads
 
 
+def premises(d) -> tuple:
+    return d.premises
+
+
+@pytest.mark.parametrize("build", [negations, conjunction, disjunction, guarded_prefix])
+def test_checker_handles_trees_deeper_than_the_recursion_limit(build):
+    tree = build()
+    d = checker.typecheck(CTX, tree)
+    assert checker.validate_derivation(VOCAB, d)
+    rules = [node.rule for node in ast.walk(d, premises)]
+    if build is guarded_prefix:
+        # 3000 guarded terms at Universe, then meow(x) with x a Cat
+        assert rules[:3] == ["G-c", "T-sub", "T-var"] and len(rules) == 2 * 3000 + 3
+        assert d.premises[-1].premises[0].conclusion() == "x : Cat"
+    elif build is negations:
+        assert rules == ["T-neg"] * DEPTH + ["T-app", "T-var", "T-sub", "T-app"]
+    else:  # each atom: T-app, and T-app for tom
+        link = "T-and" if build is conjunction else "T-or"
+        assert rules.count(link) == DEPTH - 1 and rules.count("T-app") == 2 * DEPTH
+
+
+def test_checker_locates_an_error_below_a_deep_tree():
+    x = ast.Variable("x", loc=Location(7, 9))  # an Animal where bark takes a Dog
+    f = ast.Atom("bark", (x,))
+    for _ in range(DEPTH):
+        f = ast.And(ATOM, ast.Not(f))
+    with pytest.raises(TypingError) as raised:
+        checker.typecheck(CTX, f)
+    error = raised.value
+    assert (error.kind, error.expr, error.loc) == ("ArgumentTypeMismatch", x, Location(7, 9))
+    assert (error.expected, error.found) == ("Dog", "Animal")
+
+
+# The rendered derivation of a chain holds the spelling of every suffix of
+# it, indented by its depth, so its size grows with the square of the depth:
+# these run three times deeper than the recursion limit, not at DEPTH.
+RENDERED_DEPTH = 3000
+
+
+@pytest.mark.parametrize("connective", [ast.Not, ast.And, ast.Or])
+def test_derivation_walkers_handle_derivations_deeper_than_the_recursion_limit(connective):
+    f = ast.Truth(True)
+    for _ in range(RENDERED_DEPTH):
+        f = connective(f) if connective is ast.Not else connective(ast.Truth(True), f)
+    d = checker.typecheck(CTX, f)
+    lines = checker.render_derivation(d).split("\n")
+    count = "[1 premise]" if connective is ast.Not else "[2 premises]"
+    assert lines[0] == f"{d.rule} ⊢ {ast.format_formula(f)} : Bool  {count}"
+    assert lines[-1] == "  " * RENDERED_DEPTH + "T-tr ⊢ true : Bool"
+    assert len(lines) == sum(1 for _ in ast.walk(d, premises))
+    node, depth = checker.derivation_to_dict(d), 0
+    while node["children"]:
+        assert node["rule"] == d.rule and node["type"] == "Bool"
+        node, depth = node["children"][-1], depth + 1
+    assert (node["expression"], depth) == ("true", RENDERED_DEPTH)
+
+
 def test_guard_targets_handle_bodies_deeper_than_the_recursion_limit():
     meow = ast.Atom("meow", (ast.Variable("x"),))  # x is an Animal, meow takes a Cat
     negated = conjoined = meow
@@ -283,6 +432,11 @@ REWRITTEN = (
     "grounding.dependencies",
     "elaboration.elaborate",
     "elaboration.guard_targets",
+    "typecheck.typecheck",
+    "typecheck.derive_term",
+    "typecheck.render_derivation",
+    "typecheck.derivation_to_dict",
+    "typecheck.validate_derivation",
     "parser._FormulaParser.chain",
     "parser._FormulaParser.unary",
 )
@@ -300,7 +454,9 @@ def called_names(node: pyast.AST) -> set[str]:
 @pytest.mark.parametrize("name", REWRITTEN)
 def test_no_rewritten_walker_calls_itself(name):
     module, *path = name.split(".")
-    walker = {"ast": ast, "grounding": grounding, "elaboration": elaboration, "parser": parser}[module]
+    modules = {"ast": ast, "grounding": grounding, "elaboration": elaboration, "parser": parser,
+               "typecheck": checker}
+    walker = modules[module]
     for attribute in path:
         walker = getattr(walker, attribute)
     function = path[-1]
