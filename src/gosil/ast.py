@@ -1,9 +1,9 @@
 """Abstract syntax for terms, formulas, and theories, plus the canonical
 printer.
 
-Terms and formulas are immutable dataclasses compared structurally; source
-locations ride along without affecting equality, so parse(print(e)) == e
-holds node for node. The printer emits the one canonical spelling of every
+Terms and formulas are immutable, slotted dataclasses (`errors.record`)
+compared structurally; source locations ride along without affecting
+equality, so parse(print(e)) == e holds node for node. The printer emits the one canonical spelling of every
 tree: minimal parentheses at the formula level and fully parenthesized
 arithmetic at the term level. The binding level and associativity of every
 binary connective and arithmetic operator are defined once, in
@@ -16,40 +16,44 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import NamedTuple
 
-from .errors import Location
+from .errors import Location, record
 from .vocabulary import ConceptObject, Vocabulary
 
 
 class Term:
+    __slots__ = ()
+
     def __str__(self) -> str:
         return format_term(self)
 
 
 class Formula:
+    __slots__ = ()
+
     def __str__(self) -> str:
         return format_formula(self)
 
 
-@dataclass(frozen=True)
+@record
 class Variable(Term):
     name: str
     loc: Location | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class Apply(Term):
     symbol: str
     args: tuple[Term, ...] = ()
     loc: Location | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class NatLiteral(Term):
     value: int
     loc: Location | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class ConceptRef(Term):
     """`name: the concept of a declared symbol or type, resolved at parse
     time to the object it denotes."""
@@ -58,7 +62,7 @@ class ConceptRef(Term):
     loc: Location | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class Deref(Term):
     """$(head)(args): apply the symbol whose concept the head denotes."""
 
@@ -67,13 +71,13 @@ class Deref(Term):
     loc: Location | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class Truth(Formula):
     value: bool
     loc: Location | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class Atom(Formula):
     predicate: str
     args: tuple[Term, ...] = ()
@@ -83,48 +87,48 @@ class Atom(Formula):
 EQUALITY_ATOM = "="
 
 
-@dataclass(frozen=True)
+@record
 class DerefAtom(Formula):
     head: Term
     args: tuple[Term, ...] = ()
     loc: Location | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class Not(Formula):
     body: Formula
     loc: Location | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class And(Formula):
     left: Formula
     right: Formula
     loc: Location | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class Or(Formula):
     left: Formula
     right: Formula
     loc: Location | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class Implies(Formula):
     left: Formula
     right: Formula
     loc: Location | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class Iff(Formula):
     left: Formula
     right: Formula
     loc: Location | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class Exists(Formula):
     var: str
     type_name: str
@@ -132,7 +136,7 @@ class Exists(Formula):
     loc: Location | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class Forall(Formula):
     var: str
     type_name: str
@@ -140,7 +144,7 @@ class Forall(Formula):
     loc: Location | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class GuardC(Formula):
     """<<c: body>>: implicit conjunction guard."""
 
@@ -148,7 +152,7 @@ class GuardC(Formula):
     loc: Location | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class GuardI(Formula):
     """<<i: body>>: implicit implication guard."""
 
@@ -159,14 +163,14 @@ class GuardI(Formula):
 # -- theories -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Axiom:
     label: str
     formula: Formula
     loc: Location | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class ConceptFact:
     """A ground equation f(~a1, ..., ~an) = ~v fixing one value of a
     concept-valued function."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import ast
 from .elaboration import elaborate
@@ -35,9 +36,9 @@ from .parser import numeral, parse_theory
 from .semantics import evaluate, format_structure, parse_structure
 from .typecheck import (
     check_sentence,
+    derivation_lines,
     derivation_to_dict,
     initial_context,
-    render_derivation,
 )
 
 
@@ -45,6 +46,45 @@ def _diagnostic(path: str, err: GosilError, fallback_loc=None) -> str:
     loc = err.loc or fallback_loc
     where = f"{path}:{loc}" if loc is not None else path
     return f"{where}: error: {err.kind}: {err.message}"
+
+
+def _json_text(value) -> str | dict | list:
+    """The JSON text of a scalar, as `json.dumps` spells it; a dict or a
+    list as it is, to be expanded."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if type(value) in (dict, list):
+        return value
+    return json.dumps(value)
+
+
+def _dumps(payload: dict) -> str:
+    """The text of `json.dumps(payload, sort_keys=True)` for a payload of
+    dicts with string keys, lists and scalars, written from an explicit
+    stack: the records of a derivation nest as deep as its tree."""
+    chunks: list[str] = []
+    todo: list = [payload]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:  # JSON text
+            chunks.append(item)
+            continue
+        if type(item) is dict:
+            parts = [x for key in sorted(item) for x in (
+                ", ", encode_basestring_ascii(key), ": ", _json_text(item[key]))]
+            opening, closing = "{", "}"
+        else:
+            parts = [x for value in item for x in (", ", _json_text(value))]
+            opening, closing = "[", "]"
+        if parts:
+            parts[0] = opening
+            todo.append(closing)
+            todo += reversed(parts)
+        else:
+            chunks.append(opening + closing)
+    return "".join(chunks)
 
 
 def _read(path: str) -> str:
@@ -91,11 +131,15 @@ def cmd_check(args, out) -> int:
             if derivation.note:
                 out.write(f"{axiom.label}: {derivation.note}\n")
             if args.derivation:
-                out.write(render_derivation(derivation) + "\n")
-                record["derivation"] = derivation_to_dict(derivation)
+                for line in derivation_lines(derivation):
+                    out.write(line)
+                    out.write("\n")
+                if args.json:
+                    record["derivation"] = derivation_to_dict(derivation)
         records.append(record)
     if args.json:
-        out.write(json.dumps({"command": "check", "axioms": records}, sort_keys=True) + "\n")
+        out.write(_dumps({"command": "check", "axioms": records}))
+        out.write("\n")
     return 1 if failures else 0
 
 
@@ -162,7 +206,8 @@ def cmd_eval(args, out) -> int:
         if not value:
             status = 1
     if args.json:
-        out.write(json.dumps({"command": "eval", "axioms": records}, sort_keys=True) + "\n")
+        out.write(_dumps({"command": "eval", "axioms": records}))
+        out.write("\n")
     return status
 
 
@@ -190,7 +235,11 @@ def _count(text: str) -> int:
 
 def cmd_models(args, out) -> int:
     theory = _load_theory(args.theory)
-    bounds = _parse_bounds(args.bound or [])
+    try:
+        bounds = _parse_bounds(args.bound or [])
+    except ParseError as err:
+        out.write(_diagnostic("--bound", err) + "\n")
+        return 2
     found = find_models(
         theory,
         bounds,

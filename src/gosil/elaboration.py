@@ -13,10 +13,8 @@ walker's, with expansion and elimination switched off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import ast
-from .errors import IncomparableTypes
+from .errors import IncomparableTypes, record
 from .typecheck import TypingContext, VarEntry, principal_type, refold
 from .vocabulary import is_subtype
 
@@ -24,7 +22,7 @@ _QUANTIFIERS = (ast.Exists, ast.Forall)
 _NOTHING_BOUND: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
+@record
 class GuardTarget:
     """One guard to emit: `term` occurs where `expected_type` is required
     but only has the strictly larger `principal_type`."""

@@ -8,10 +8,41 @@ expression remembers its own location when it came from source text).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 
-@dataclass(frozen=True)
+def record(cls):
+    """`cls` as a `dataclass(frozen=True, slots=True)` whose `__init__`
+    stores each field through its slot's descriptor, not through
+    `object.__setattr__`. The generated `__init__` takes the dataclass's
+    parameters, defaults included; everything else, equality, hashing,
+    `repr`, `dataclasses.replace`, `__match_args__` and the refusal of
+    assignment, is the dataclass's own. Every field is an `__init__`
+    parameter, with no default factory and no `__post_init__`."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    if hasattr(cls, "__post_init__"):
+        raise TypeError(f"{cls.__name__}: a record has no __post_init__")
+    namespace: dict = {}
+    params, body = [], []
+    for f in fields(cls):
+        if not f.init or f.default_factory is not MISSING:
+            raise TypeError(f"{cls.__name__}.{f.name}: a record field is a plain parameter")
+        namespace[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            namespace[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        body.append(f"    _set_{f.name}(self, {f.name})\n")
+    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body)}", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    cls.__init__ = init
+    return cls
+
+
+@record
 class Location:
     line: int
     column: int

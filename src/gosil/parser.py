@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable
-from dataclasses import dataclass
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 from . import ast
 from .errors import (
@@ -62,39 +61,47 @@ KEYWORDS = frozenset(
 # multi-character operators come first, so that `<=>` is not read as `<`
 _OPERATORS = ("<=>", ":=", "<:", "<<", ">>", "->", "=>", *"()[]{},:;=*+-`$~&|?!^")
 
-# One alternative per token kind, tried in order. `\d` is a decimal digit of
-# any script; `\w` is what `str.isalnum` accepts, plus `_`. A word whose first
-# character is not a letter (`_x`, `²`) matches `ident` and is refused there.
+# Blanks and comments, then one alternative per token kind, tried in order,
+# or the end of the text. `\d` is a decimal digit of any script; `\w` is what
+# `str.isalnum` accepts, plus `_`. A word whose first character is not a
+# letter (`_x`, `²`) matches `ident` and is refused there, as is any other
+# character, which matches `bad`.
 _TOKEN = re.compile(
-    r"(?P<newline>\n)|(?P<blank>(?:[ \t\r]|//.*)+)|(?P<nat>\d+)|(?P<ident>\w+)"
-    f"|(?P<op>{'|'.join(map(re.escape, _OPERATORS))})"
+    r"(?:[ \t\r]|//.*)*(?:(?P<newline>\n)|(?P<nat>\d+)|(?P<ident>\w+)"
+    f"|(?P<op>{'|'.join(map(re.escape, _OPERATORS))})|(?P<eof>\\Z)|(?P<bad>.))"
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", "nat", "kw", "op", "newline", "eof"
     text: str
     loc: Location
 
 
 def tokenize(text: str) -> list[Token]:
-    """The tokens of `text`, one `_TOKEN` match each. Blanks and comments make
-    none, a run of newlines makes one, and a newline and `eof` end the list."""
+    """The tokens of `text`, one `_TOKEN` match each, blanks and comments
+    before it included. A run of newlines makes one token, and a newline and
+    `eof` end the list."""
     tokens: list[Token] = []
     line, line_start, pos = 1, 0, 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        kind = match.lastgroup if match else None
-        column = pos - line_start + 1
-        if kind is None or kind == "ident" and not text[pos].isalpha():
-            raise ParseError(f"unexpected character {text[pos]!r}", Location(line, column))
-        if kind != "blank" and not (kind == "newline" and tokens and tokens[-1].kind == "newline"):
-            word = match.group()
-            tokens.append(Token("kw" if word in KEYWORDS else kind, word, Location(line, column)))
-        pos = match.end()
+    match = _TOKEN.match
+    while True:
+        found = match(text, pos)
+        kind = found.lastgroup
+        start, pos = found.span(kind)
         if kind == "newline":
+            if not tokens or tokens[-1].kind != "newline":
+                tokens.append(Token(kind, "\n", Location(line, start - line_start + 1)))
             line, line_start = line + 1, pos
+            continue
+        if kind == "eof":
+            break
+        word = text[start:pos]
+        if kind == "bad" or kind == "ident" and not word[0].isalpha():
+            raise ParseError(f"unexpected character {word[0]!r}", Location(line, start - line_start + 1))
+        if kind == "ident" and word in KEYWORDS:
+            kind = "kw"
+        tokens.append(Token(kind, word, Location(line, start - line_start + 1)))
     end = Location(line, pos - line_start + 1)
     if not tokens or tokens[-1].kind != "newline":
         tokens.append(Token("newline", "\n", end))
@@ -113,36 +120,42 @@ def numeral(text: str, loc: Location | None = None) -> int:
 
 
 class TokenStream:
+    """A cursor over a token list: `tok` is the token at `pos`. The stream
+    never moves past its last token, `eof`."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
-        self.pos = 0
+        self.seek(0)
+
+    def seek(self, pos: int) -> None:
+        self.pos = pos
+        self.tok = self.tokens[pos]
 
     def peek(self, offset: int = 0) -> Token:
-        # the stream never moves past its last token, `eof`, and a rewind
-        # restores a position it held, so only look-ahead can overrun
-        if not offset:
-            return self.tokens[self.pos]
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)] if offset else self.tok
 
     def next(self) -> Token:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "eof":
             self.pos += 1
+            self.tok = self.tokens[self.pos]
         return tok
 
+    # Only an operator token is spelled like an operator, so these compare
+    # the spelling alone.
+
     def at_op(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text == text
+        return self.tok.text == text
 
     def accept_op(self, text: str) -> bool:
-        if self.at_op(text):
+        if self.tok.text == text:
             self.next()
             return True
         return False
 
     def expect_op(self, text: str) -> Token:
-        tok = self.peek()
-        if not self.at_op(text):
+        tok = self.tok
+        if tok.text != text:
             raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.loc)
         return self.next()
 
@@ -210,7 +223,7 @@ class _FormulaParser:
         operands = [operand()]
         waiting: list[tuple[Token, type, int]] = []  # operator, node class, level
         while True:
-            node, level, right = operators.get(self.s.peek().text, (None, 0, False))
+            node, level, right = operators.get(self.s.tok.text, (None, 0, False))
             # apply the waiting operators that bind tighter than the next one,
             # or as tightly if it is left-associative; at the chain's end, all
             while waiting and waiting[-1][2] >= level + right:
@@ -229,7 +242,7 @@ class _FormulaParser:
         negations: list[Location] = []
         while self.s.at_op("~"):
             negations.append(self.s.next().loc)
-        tok = self.s.peek()
+        tok = self.s.tok
         if tok.kind == "op" and tok.text in ("?", "!"):
             body = self.quantifier()
         elif self.s.at_op("<<"):
@@ -271,7 +284,7 @@ class _FormulaParser:
         return node(body, loc=open_tok.loc)
 
     def primary(self) -> ast.Formula:
-        tok = self.s.peek()
+        tok = self.s.tok
         if tok.kind == "kw" and tok.text in ("true", "false"):
             self.s.next()
             return ast.Truth(tok.text == "true", loc=tok.loc)
@@ -281,7 +294,7 @@ class _FormulaParser:
         try:
             term = self.term()
         except ParseError:
-            self.s.pos = mark
+            self.s.seek(mark)
             if self.s.accept_op("("):
                 inner = self.formula()
                 self.s.expect_op(")")
@@ -310,7 +323,7 @@ class _FormulaParser:
     # terms ------------------------------------------------------------------
 
     def term_primary(self) -> ast.Term:
-        tok = self.s.peek()
+        tok = self.s.tok
         if tok.kind == "nat":
             self.s.next()
             return ast.NatLiteral(numeral(tok.text, tok.loc), loc=tok.loc)

@@ -21,12 +21,13 @@ deep for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterator
+from dataclasses import field, replace
 from operator import attrgetter
 from typing import NamedTuple
 
 from . import ast
-from .errors import TypingError
+from .errors import TypingError, record
 from .vocabulary import (
     BOOL,
     CONCEPT,
@@ -39,13 +40,13 @@ from .vocabulary import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class VarEntry:
     name: str
     type_name: str
 
 
-@dataclass(frozen=True)
+@record
 class TermEntry:
     term: ast.Term
     type_name: str
@@ -54,7 +55,7 @@ class TermEntry:
 ContextEntry = VarEntry | TermEntry
 
 
-@dataclass(frozen=True)
+@record
 class TypingContext:
     """An ordered stack of term annotations over a vocabulary; the most
     recently pushed matching entry wins, so guard refinements shadow
@@ -93,7 +94,7 @@ def initial_context(vocab: Vocabulary) -> TypingContext:
     return TypingContext(vocab)
 
 
-@dataclass(frozen=True)
+@record
 class TypingDerivation:
     """One rule application: `rule` concludes `expr : type_name` from the
     premise derivations."""
@@ -419,16 +420,20 @@ def check_sentence(theory: ast.Theory, sentence: ast.Formula) -> TypingDerivatio
 
 def render_derivation(derivation: TypingDerivation) -> str:
     """Indented tree, one rule application per line."""
+    return "\n".join(derivation_lines(derivation))
+
+
+def derivation_lines(derivation: TypingDerivation) -> Iterator[str]:
+    """The lines of `render_derivation`, one at a time: the text of a deep
+    derivation grows with the square of its depth."""
     nodes = list(ast.walk((0, derivation), _indented_premises))
     spelled = ast.format_each([d.expr for _, d in nodes])
-    lines: list[str] = []
     for (depth, d), expr in zip(nodes, spelled):
         line = f"{'  ' * depth}{d.rule} ⊢ {expr} : {d.type_name}"
         n = len(d.premises)
         if n:
             line += f"  [{n} premise{'s' if n != 1 else ''}]"
-        lines.append(line)
-    return "\n".join(lines)
+        yield line
 
 
 def _indented_premises(item: tuple[int, TypingDerivation]) -> list[tuple[int, TypingDerivation]]:

@@ -290,29 +290,40 @@ def declare_symbol(
 
 
 def _ancestor_set(vocab: Vocabulary, name: str) -> frozenset[str]:
+    """`name` and every type above it. The set is cached only when `name`
+    and all its ancestors are declared, so a cached set answers `is_subtype`
+    without a `has_type` test."""
     cached = vocab._ancestors.get(name)
     if cached is not None:
         return cached
+    index = _index_of(vocab)
     seen = {name}
     frontier = [name]
     while frontier:
-        for sup in _index_of(vocab).supertypes.get(frontier.pop(), ()):
+        for sup in index.supertypes.get(frontier.pop(), ()):
             if sup not in seen:
                 seen.add(sup)
                 frontier.append(sup)
     result = frozenset(seen)
-    vocab._ancestors[name] = result
+    if result <= index.types.keys():
+        vocab._ancestors[name] = result
     return result
 
 
 def is_subtype(vocab: Vocabulary, sub: str, super_: str) -> bool:
     """Reflexive-transitive subtyping: sub = super or a directed path of
-    declared edges leads from sub to super."""
-    if not vocab.has_type(sub):
-        raise UnknownType(f"unknown type {sub!r}")
+    declared edges leads from sub to super. An unknown `sub` raises
+    UnknownType before an unknown `super_` does."""
+    ancestors = vocab._ancestors.get(sub)
+    if ancestors is None:
+        if not vocab.has_type(sub):
+            raise UnknownType(f"unknown type {sub!r}")
+        ancestors = _ancestor_set(vocab, sub)
+    elif super_ in ancestors:
+        return True
     if not vocab.has_type(super_):
         raise UnknownType(f"unknown type {super_!r}")
-    return super_ in _ancestor_set(vocab, sub)
+    return super_ in ancestors
 
 
 def is_strict_subtype(vocab: Vocabulary, sub: str, super_: str) -> bool:

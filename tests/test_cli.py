@@ -8,6 +8,10 @@ from pathlib import Path
 import pytest
 
 from gosil.cli import main
+from gosil.parser import parse_theory
+from gosil.typecheck import check_sentence, derivation_to_dict
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def run(*argv: str) -> tuple[int, str]:
@@ -176,6 +180,60 @@ def test_check_json_with_derivation(running_example_path):
     assert tree["children"][0]["rule"] == "G-c"
 
 
+_JSON_RUNS = [
+    *(("check", f"{name}.gos", "--json", "--derivation")
+      for name in ("running_example", "sounds", "mixed_locations")),
+    *(("eval", f"{name}.gos", "--structure", "s0.str", "--json") for name in ("running_example", "sounds")),
+]
+
+
+@pytest.mark.parametrize("argv", _JSON_RUNS, ids=" ".join)
+def test_json_payloads_are_the_text_of_json_dumps(argv):
+    # the payload is written from an explicit stack, in the very bytes
+    # json.dumps(..., sort_keys=True) would write
+    command, theory, *options = argv
+    options = [str(FIXTURES / option) if option.endswith(".str") else option for option in options]
+    line = run(command, str(FIXTURES / theory), *options)[1].splitlines()[-1]
+    assert line == json.dumps(json.loads(line), sort_keys=True)
+
+
+def test_json_payloads_escape_as_json_dumps_does(tmp_path):
+    # names outside ASCII reach the labels, expressions and messages
+    theory = tmp_path / "umlaut.gos"
+    theory.write_text(
+        "type Kätze\nconst tōm : Kätze\npred miau : Kätze\n"
+        "axiom größe: miau(tōm)\naxiom schlecht: miau(3)\n", encoding="utf-8")
+    code, output = run("check", str(theory), "--json", "--derivation")
+    line = output.splitlines()[-1]
+    assert code == 1 and "\\u00f6" in line
+    assert line == json.dumps(json.loads(line), sort_keys=True)
+
+
+def test_check_json_derivation_of_a_deep_theory(tmp_path):
+    # 3000 nested negations nest their derivation records 3000 deep, beyond
+    # what json.dumps can write under the default recursion limit
+    theory = tmp_path / "deep.gos"
+    theory.write_text("axiom deep: " + "~" * 3000 + "true\n")
+    code, output = run("check", str(theory), "--json", "--derivation")
+    assert code == 0
+    # the expected text, spelled one record at a time down the chain
+    parsed = parse_theory(theory.read_text())
+    node = derivation_to_dict(check_sentence(parsed, parsed.axioms[0].formula))
+    hole = "\0"
+    record = {"derivation": hole, "error": None, "label": "deep", "verdict": "well-typed"}
+    prefix, suffix = json.dumps({"command": "check", "axioms": [record]}, sort_keys=True).split(
+        json.dumps(hole))
+    prefixes, suffixes = [prefix], [suffix]
+    while node is not None:
+        (child,) = node["children"] or (None,)
+        before, after = json.dumps({**node, "children": [hole] if child else []},
+                                   sort_keys=True).partition(json.dumps(hole))[::2]
+        prefixes.append(before)
+        suffixes.append(after)
+        node = child
+    assert output.splitlines()[-1] == "".join(prefixes) + "".join(reversed(suffixes))
+
+
 def test_eval_with_nat_bound(tmp_path):
     theory = tmp_path / "t.gos"
     theory.write_text(
@@ -277,7 +335,7 @@ def test_malformed_numerals_are_parse_errors(tmp_path, value, message):
     code, output = run("models", str(theory), "--bound", f"A={value}")
     if value == "²":
         message = "bad --bound 'A=²'; expected TYPE=N"
-    assert (code, output) == (2, f"{theory}: error: ParseError: {message}\n")
+    assert (code, output) == (2, f"--bound: error: ParseError: {message}\n")
 
 
 def test_decimal_digits_of_any_script_read_as_numbers(tmp_path):

@@ -1,4 +1,6 @@
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from gosil.errors import (
     UnknownSupertype,
     UnknownType,
 )
+from gosil.parser import parse_theory
 from gosil.vocabulary import (
     BOOL,
     CONCEPT,
@@ -28,6 +31,8 @@ from gosil.vocabulary import (
     least_common_supertype,
     validate,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 @pytest.fixture
@@ -197,6 +202,52 @@ def test_subtyping_is_partial_order():
                         assert is_subtype(vocab, a, c)
 
 
+def _reachable(vocab, sub: str, super_: str) -> bool:
+    """Subtyping by a search over `direct_edges` alone."""
+    seen, todo = {sub}, [sub]
+    while todo:
+        node = todo.pop()
+        for a, b in vocab.direct_edges:
+            if a == node and b not in seen:
+                seen.add(b)
+                todo.append(b)
+    return super_ in seen
+
+
+def _subtype_vocabularies():
+    for name in ("running_example", "sounds", "mixed_locations"):
+        yield parse_theory((FIXTURES / f"{name}.gos").read_text()).vocabulary
+    rng = random.Random(23)
+    for _ in range(30):
+        yield random_vocabulary(rng, max_types=12)
+
+
+def test_is_subtype_agrees_with_a_search_over_the_edges_cold_and_warm():
+    for vocab in _subtype_vocabularies():
+        names = vocab.type_names()
+        expected = {(a, b): _reachable(vocab, a, b) for a in names for b in names}
+        for a, b in expected:  # each pair on a copy whose ancestor cache is empty
+            assert is_subtype(replace(vocab), a, b) == expected[a, b], (a, b)
+        for _ in range(2):  # the first pass fills the cache, the second reads it
+            assert {pair: is_subtype(vocab, *pair) for pair in expected} == expected
+
+
+def test_is_subtype_names_an_unknown_subtype_before_an_unknown_supertype(animals):
+    for warm in (False, True):
+        if warm:
+            assert is_subtype(animals, "Cat", "Animal")
+            # the ancestor set of an undeclared name is never cached
+            assert least_common_supertype(animals, "Nope", "Nope") == "Nope"
+        with pytest.raises(UnknownType, match="'Nope'"):
+            is_subtype(animals, "Nope", "Nada")
+        with pytest.raises(UnknownType, match="'Nope'"):
+            is_subtype(animals, "Nope", "Nope")
+        with pytest.raises(UnknownType, match="'Nope'"):
+            is_subtype(animals, "Nope", "Animal")
+        with pytest.raises(UnknownType, match="'Nada'"):
+            is_subtype(animals, "Cat", "Nada")
+
+
 def test_every_type_below_universe_small():
     rng = random.Random(11)
     for _ in range(25):
@@ -214,8 +265,6 @@ def test_equality_family_present(animals):
 
 
 def test_validate_flags_missing_arithmetic(animals):
-    from dataclasses import replace
-
     broken = replace(
         animals, signatures=tuple(s for s in animals.signatures if s.name != "+")
     )
@@ -224,8 +273,6 @@ def test_validate_flags_missing_arithmetic(animals):
 
 
 def test_replace_starts_fresh_caches(animals):
-    from dataclasses import replace
-
     assert is_subtype(animals, "Cat", "Animal")
     assert animals.signature("tom") is not None
     no_edge = replace(

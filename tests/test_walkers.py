@@ -435,6 +435,7 @@ REWRITTEN = (
     "typecheck.typecheck",
     "typecheck.derive_term",
     "typecheck.render_derivation",
+    "typecheck.derivation_lines",
     "typecheck.derivation_to_dict",
     "typecheck.validate_derivation",
     "parser._FormulaParser.chain",
