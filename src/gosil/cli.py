@@ -33,7 +33,7 @@ from .errors import (
 from .grounding import ground_trace, interpretation, is_intensional
 from .models import DEFAULT_EXPLOSION_CAP, find_models
 from .parser import numeral, parse_theory
-from .semantics import evaluate, format_structure, parse_structure
+from .semantics import evaluate, format_structures, parse_structure
 from .typecheck import (
     check_sentence,
     derivation_lines,
@@ -247,14 +247,16 @@ def cmd_models(args, out) -> int:
         nat_bound=args.nat_bound,
         explosion_cap=args.cap,
     )
-    for i, structure in enumerate(found, start=1):
+    for i, text in enumerate(format_structures(found), start=1):
         out.write(f"// model {i}\n")
-        out.write(format_structure(structure))
+        out.write(text)
     out.write(f"// {len(found)} model(s)\n")
     return 0 if found else 1
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The command line: each command runs the `cmd_<command>` function of
+    this module."""
     parser = argparse.ArgumentParser(
         prog="gosil",
         description="Check, elaborate, ground, and evaluate guarded "
@@ -267,23 +269,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
     check.add_argument("--derivation", action="store_true", help="print derivation trees")
     check.add_argument("--trace", action="store_true", help="print grounding steps")
     check.add_argument("--json", action="store_true", help="machine-readable verdicts")
-    check.set_defaults(run=cmd_check)
 
     elab = sub.add_parser("elaborate", help="expand implicit guards")
     elab.add_argument("theory")
-    elab.set_defaults(run=cmd_elaborate)
 
     grnd = sub.add_parser("ground", help="eliminate intensional constructs")
     grnd.add_argument("theory")
     grnd.add_argument("--trace", action="store_true", help="print grounding steps")
-    grnd.set_defaults(run=cmd_ground)
 
     evl = sub.add_parser("eval", help="evaluate axioms against a structure")
     evl.add_argument("theory")
     evl.add_argument("--structure", required=True)
     evl.add_argument("--nat-bound", type=_count, default=None)
     evl.add_argument("--json", action="store_true")
-    evl.set_defaults(run=cmd_eval)
 
     models = sub.add_parser("models", help="enumerate satisfying structures")
     models.add_argument("theory")
@@ -291,17 +289,20 @@ def build_arg_parser() -> argparse.ArgumentParser:
     models.add_argument("--limit", type=_count, default=None)
     models.add_argument("--nat-bound", type=_count, default=None)
     models.add_argument("--cap", type=_count, default=DEFAULT_EXPLOSION_CAP)
-    models.set_defaults(run=cmd_models)
 
     return parser
 
 
+# built once; the command's function is looked up when it runs, so that a
+# wrapper bound in its place is the one called
+_PARSER = build_arg_parser()
+
+
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return args.run(args, out)
+        return globals()[f"cmd_{args.command}"](args, out)
     except FileNotFoundError as err:
         out.write(f"error: {err}\n")
         return 2

@@ -8,17 +8,28 @@ expression remembers its own location when it came from source text).
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
+
+
+def _refuse_assignment(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def record(cls):
     """`cls` as a `dataclass(frozen=True, slots=True)` whose `__init__`
     stores each field through its slot's descriptor, not through
     `object.__setattr__`. The generated `__init__` takes the dataclass's
-    parameters, defaults included; everything else, equality, hashing,
-    `repr`, `dataclasses.replace`, `__match_args__` and the refusal of
-    assignment, is the dataclass's own. Every field is an `__init__`
-    parameter, with no default factory and no `__post_init__`."""
+    parameters, defaults included; equality, hashing, `repr`,
+    `dataclasses.replace` and `__match_args__` are the dataclass's own.
+    Assigning or deleting any name raises `FrozenInstanceError`: the
+    dataclass's own refusal tests the class it replaced when it added the
+    slots, and raises `TypeError` for a name that is not a field. Every
+    field is an `__init__` parameter, with no default factory and no
+    `__post_init__`."""
     cls = dataclass(frozen=True, slots=True)(cls)
     if hasattr(cls, "__post_init__"):
         raise TypeError(f"{cls.__name__}: a record has no __post_init__")
@@ -39,6 +50,8 @@ def record(cls):
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     init.__module__ = cls.__module__
     cls.__init__ = init
+    cls.__setattr__ = _refuse_assignment
+    cls.__delattr__ = _refuse_deletion
     return cls
 
 

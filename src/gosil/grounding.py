@@ -478,10 +478,18 @@ def dependencies(formula: ast.Formula, interp: GroundInterpretation) -> frozense
     interpretation guards expand under. Grounding errors propagate; a
     sentence `typecheck.check_sentence` accepted has been grounded this way
     already."""
-    vocab = interp.vocab
+    return grounded_dependencies(interp.vocab, formula, ground(formula, interp))
+
+
+def grounded_dependencies(
+    vocab: Vocabulary, formula: ast.Formula, grounded: ast.Formula
+) -> frozenset[str]:
+    """`dependencies` of `formula`, read off `grounded`, its grounded form:
+    the expression that the derivation `typecheck.check_sentence` returns
+    concludes."""
     found = {
         node.predicate if isinstance(node, ast.Atom) else node.symbol
-        for node in ast.walk(ground(formula, interp))
+        for node in ast.walk(grounded)
         if isinstance(node, (ast.Atom, ast.Apply))
     }
     if ast.has_guards(formula) or ast.has_intensional_nodes(formula):

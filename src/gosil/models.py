@@ -21,13 +21,13 @@ explosion cap.
 Search strategy. The result is that of testing every candidate in the order
 above, evaluating the axioms in declaration order up to the first false one,
 but most candidates are never built. Each type set is searched depth first,
-one symbol per level, over option lists built once per type set; symbols
-with a single option are fixed first and the rest in declaration order, so
-the order is unchanged. An axiom depends on the user symbols of its
-grounded form, plus every concept-valued function when it has guards or
-intensional nodes (their graphs fix the interpretation guards expand
-under). It is checked at the level that fixes its last dependency, on a
-fresh structure holding only its dependencies' graphs, and its verdict
+one symbol per level; symbols with a single option are fixed first and the
+rest in declaration order, so the order is unchanged. An axiom depends on
+the user symbols of its grounded form, read off the derivation that
+checking it returned, plus every concept-valued function when it has
+guards or intensional nodes (their graphs fix the interpretation guards
+expand under). It is checked at the level that fixes its last dependency,
+on a fresh structure holding only its dependencies' graphs, and its verdict
 (true, false, or the error it raised) is memoised per type set under the
 option indices of those dependencies. A subtree is left as soon as some
 axiom does not hold on it and every axiom declared before that one has been
@@ -53,6 +53,18 @@ structure holding only that graph. This is exact here because every
 option's rows come from the type set's domains and 0..nat_bound, so a
 graph checked on its own sees the same members and the same naturals as
 inside the full candidate.
+
+What depends only on the theory and the bounds is kept by the enumeration
+for the whole search, and each type set's search only walks its tree:
+  * a symbol's graph options, and whether each passes validation, are
+    built once per space (the symbol, its argument domains and its result
+    domain) and shared by every type set giving the symbol those domains.
+    Validity depends on nothing else: the space holds no Universe, and
+    every option's naturals lie in 0..nat_bound;
+  * the intensional interpretation is computed once per choice of graphs
+    for the concept-valued symbols; the partial structures on which axioms
+    reading them all are evaluated take it through
+    `semantics.share_interpretation`.
 """
 
 from __future__ import annotations
@@ -68,7 +80,7 @@ from .errors import (
     IllTypedSentence,
     TypingError,
 )
-from .grounding import dependencies, interpretation
+from .grounding import grounded_dependencies, interpretation
 from .semantics import (
     FALSE,
     TRUE,
@@ -81,6 +93,7 @@ from .semantics import (
     Structure,
     _forced_type_sets,
     evaluate,
+    share_interpretation,
     validate_graph,
     validate_type_sets,
 )
@@ -129,7 +142,9 @@ def _nonempty_subsets(elems: tuple) -> list[tuple]:
 class _Enumeration:
     """The candidate space of a theory under its bounds: the type sets and,
     per type set, each symbol's graph options, both in the documented
-    order."""
+    order. It keeps what the searches of all type sets share: the options
+    per space, whether each passes validation, and the concept part per
+    choice of concept-valued graphs."""
 
     def __init__(
         self,
@@ -156,6 +171,16 @@ class _Enumeration:
             self.fact_rows.setdefault(fname, {})[
                 tuple(ConceptElement(a) for a in args)
             ] = ConceptElement(value)
+        self.concept_valued = frozenset(
+            s.name for s in self.symbols if is_subtype(vocab, s.result_type, CONCEPT)
+        )
+        # the options by (symbol, argument domains, result domain), and by
+        # an option's id whether it passes validation, once checked
+        self.spaces: dict[tuple, list[FunctionGraph]] = {}
+        self.graph_ok: dict[int, bool] = {}
+        # by the ids of the chosen concept-valued graphs: a structure
+        # holding those graphs, whose interpretation partial structures share
+        self.concept_parts: dict[tuple[int, ...], Structure] = {}
 
     def _parent_pool(self, name: str, type_sets: dict[str, tuple]) -> tuple:
         pools = [
@@ -213,22 +238,40 @@ class _Enumeration:
         return max(1, len(result_domain)) ** max(0, tuples - len(pinned))
 
     def options(self, sig: Signature, type_sets: dict[str, tuple]) -> list[FunctionGraph]:
-        """The graph options of one symbol, in order."""
+        """The graph options of one symbol, in order, built once per space
+        and shared by every type set that gives the symbol the same
+        domains."""
         arg_domains, result_domain, pinned = self.space(sig, type_sets)
+        key = (sig.name, tuple(arg_domains), result_domain)
+        options = self.spaces.get(key)
+        if options is not None:
+            return options
         tuples = list(itertools.product(*arg_domains))
+        options = []
         if sig.is_predicate:
-            options = []
             for mask in range(2 ** len(tuples)):
                 true_rows = {t for i, t in enumerate(tuples) if mask & (1 << i)}
                 options.append(FunctionGraph.for_predicate(sig.name, true_rows))
-            return options
-        free_tuples = [t for t in tuples if t not in pinned]
-        options = []
-        for values in itertools.product(result_domain, repeat=len(free_tuples)):
-            mapping = dict(pinned)
-            mapping.update(zip(free_tuples, values))
-            options.append(FunctionGraph.for_function(sig.name, mapping))
+        else:
+            free_tuples = [t for t in tuples if t not in pinned]
+            for values in itertools.product(result_domain, repeat=len(free_tuples)):
+                mapping = dict(pinned)
+                mapping.update(zip(free_tuples, values))
+                options.append(FunctionGraph.for_function(sig.name, mapping))
+        self.spaces[key] = options
         return options
+
+    def concept_part(self, graphs: list[FunctionGraph]) -> Structure:
+        """A structure holding only the concept-valued `graphs`, one per
+        concept-valued symbol, kept per choice of them: every partial
+        structure holding the same ones shares its interpretation."""
+        key = tuple(map(id, graphs))  # the graphs are kept alive by `spaces`
+        part = self.concept_parts.get(key)
+        if part is None:
+            part = self.concept_parts[key] = Structure(
+                self.vocab, self.base_sets, {g.name: g for g in graphs}
+            )
+        return part
 
     def count(self, cap: int) -> int:
         """The candidate count, with every dependent type at its widest;
@@ -266,6 +309,7 @@ class _TypeSetSearch:
         results: list[Structure],
         limit: int | None,
     ):
+        self.enumeration = enumeration
         self.vocab = enumeration.vocab
         self.nat_bound = enumeration.nat_bound
         self.type_sets = type_sets
@@ -279,6 +323,11 @@ class _TypeSetSearch:
         level = {name: i for i, name in enumerate(self.names)}
         self.declared_levels = [level[name] for name in options]
         self.dep_levels = [sorted(level[s] for s in d) for d in deps]
+        self.concept_levels = [level[name] for name in sorted(enumeration.concept_valued)]
+        # only guards read the interpretation, and an axiom with guards
+        # depends on every concept-valued symbol: such an axiom shares the
+        # interpretation of their chosen graphs
+        self.shares_interpretation = [enumeration.concept_valued <= d for d in deps]
         # depth: the number of fixed symbols once every dependency is fixed
         depths = [levels[-1] + 1 if levels else 0 for levels in self.dep_levels]
         self.checks: list[list[int]] = [[] for _ in range(len(self.names) + 1)]
@@ -313,7 +362,6 @@ class _TypeSetSearch:
         self.subtrees: dict[tuple, list[tuple[int, ...]]] = {}
         self.reached: list[tuple[int, ...]] = []
         self.type_sets_ok: bool | None = None
-        self.graph_ok: dict[tuple[int, int], bool] = {}
 
     def has_candidates(self) -> bool:
         """Whether any candidate exists and passes validation; candidates of
@@ -335,6 +383,9 @@ class _TypeSetSearch:
         verdict = self.memo.get(key)
         if verdict is None:
             partial = Structure(self.vocab, self.type_sets, self.graphs(levels), self.nat_bound)
+            if self.shares_interpretation[a]:
+                concept_graphs = [self.options[lvl][self.chosen[lvl]] for lvl in self.concept_levels]
+                share_interpretation(partial, self.enumeration.concept_part(concept_graphs))
             try:
                 verdict = bool(evaluate(partial, self.axioms[a]))
             except GosilError as err:
@@ -347,17 +398,18 @@ class _TypeSetSearch:
     def valid(self) -> bool:
         """Whether the complete candidate passes validation, composed from
         the type-set part, checked once, and each chosen option's graph
-        part, checked once per option."""
+        part, checked once per option of a space."""
         if self.type_sets_ok is None:
             self.type_sets_ok = validate_type_sets(self.vocab, self.type_sets).ok
         if not self.type_sets_ok:
             return False
-        for lvl, i in enumerate(self.chosen):
-            ok = self.graph_ok.get((lvl, i))
+        graph_ok = self.enumeration.graph_ok
+        for options, i in zip(self.options, self.chosen):
+            graph = options[i]
+            ok = graph_ok.get(id(graph))  # the graph is kept alive by `spaces`
             if ok is None:
-                graph = self.options[lvl][i]
                 ok = validate_graph(self.vocab, self.type_sets, graph, self.nat_bound).ok
-                self.graph_ok[lvl, i] = ok
+                graph_ok[id(graph)] = ok
             if not ok:
                 return False
         return True
@@ -438,13 +490,16 @@ def find_models(
                 f"concept type {t.name!r} has no declared extension"
             )
 
+    deps = []
     for axiom in theory.axioms:
         try:
-            check_sentence(theory, axiom.formula)
+            derivation = check_sentence(theory, axiom.formula)
         except TypingError as err:
             raise IllTypedSentence(
                 f"axiom {axiom.label!r} is ill-typed: {err.message}", err.loc or axiom.loc
             ) from err
+        # the derivation concludes the grounded sentence
+        deps.append(grounded_dependencies(vocab, axiom.formula, derivation.expr))
 
     enumeration = _Enumeration(theory, domain_bounds, nat_bound)
     candidates = enumeration.count(explosion_cap)
@@ -457,7 +512,6 @@ def find_models(
     if limit is not None and limit < 1:
         return []
     axioms = [axiom.formula for axiom in theory.axioms]
-    deps = [dependencies(f, enumeration.interp) for f in axioms]
     results: list[Structure] = []
     for type_sets in enumeration.type_sets():
         search = _TypeSetSearch(enumeration, type_sets, axioms, deps, results, limit)

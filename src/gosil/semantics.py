@@ -32,15 +32,16 @@ in the order the definition gives them.
 Each wrapper node memoises its compiled expansion per instance, keyed by the
 structure's intensional interpretation (interned by content, so structures
 agreeing on their concept part share it) and the (variable, concept)
-bindings; the variable types in scope are fixed per compiled node. A failed
-expansion is not memoised and raises again on every evaluation.
+bindings, or by the interpretation alone where no free variable's type can
+hold a concept; the variable types in scope are fixed per compiled node. A
+failed expansion is not memoised and raises again on every evaluation.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from . import ast, grounding
@@ -442,8 +443,14 @@ def evaluate(
     """The value of an expression: a DomainElement for terms, a bool for
     formulas. `var_types` gives the declared types of the free variables,
     needed when implicit guard wrappers must be expanded on the fly."""
-    code = _compiled(structure.vocab, expr, dict(var_types or {}))
-    return code(structure, dict(assignment or {}))
+    if var_types:
+        code = _compiled(structure.vocab, expr, dict(var_types))
+    else:  # the commonest call, a sentence: its code by id alone
+        by_id = structure.vocab._eval_cache.get("untyped_by_id")
+        code = None if by_id is None else by_id.get(id(expr))
+        if code is None:
+            code = _compiled(structure.vocab, expr, {})
+    return code(structure, dict(assignment) if assignment else {})
 
 
 def _compiled(vocab: Vocabulary, expr: ast.Term | ast.Formula, types: dict[str, str]) -> Code:
@@ -451,7 +458,8 @@ def _compiled(vocab: Vocabulary, expr: ast.Term | ast.Formula, types: dict[str, 
     first use and cached on the vocabulary. The cache keeps alive the
     expression each entry was compiled from, so that object's id stays
     unique and indexes the entry too: evaluating it again skips hashing the
-    whole tree."""
+    whole tree. Code compiled with no variable types is also indexed by
+    the id alone."""
     cache = vocab._eval_cache.setdefault("code", {})
     by_id = vocab._eval_cache.setdefault("code_by_id", {})
     types_key = tuple(types.items())
@@ -464,6 +472,8 @@ def _compiled(vocab: Vocabulary, expr: ast.Term | ast.Formula, types: dict[str, 
         else:
             code = _compile_formula(vocab, expr, types)
         cache[expr, types_key] = by_id[id(expr), types_key] = code
+    if not types:
+        vocab._eval_cache.setdefault("untyped_by_id", {})[id(expr)] = code
     return code
 
 
@@ -544,7 +554,7 @@ def _compile_formula(vocab: Vocabulary, f: ast.Formula, types: dict[str, str]) -
                 return True
             return forall
         case ast.GuardC() | ast.GuardI():
-            return _compile_guard(f, types)
+            return _compile_guard(vocab, f, types)
     return _raising(TypeError, f"not a formula: {f!r}")
 
 
@@ -706,13 +716,24 @@ def _graph_lookup(name: str, arguments, truth: str | None) -> Code:
     return lookup
 
 
-def _compile_guard(wrapper: ast.Formula, types: dict[str, str]) -> Code:
+def _compile_guard(vocab: Vocabulary, wrapper: ast.Formula, types: dict[str, str]) -> Code:
     """A guard wrapper, expanded per instance and memoised by the structure's
     interpretation and the concept-valued bindings; `types` is fixed per
-    node. Interpretations are interned on the vocabulary, so an id stays
-    valid as long as this memo."""
+    node. Where no free variable's declared type can hold a concept, the
+    interpretation alone is the key. Interpretations are interned on the
+    vocabulary, so an id stays valid as long as this memo."""
     free = sorted(ast.free_variables(wrapper.body))
-    memo: dict[tuple, Code] = {}
+    memo: dict = {}
+
+    if not any(_may_hold_concept(vocab, types.get(var)) for var in free):
+        def plain_guard(s, asg):
+            interp = interpretation_of(s)
+            code = memo.get(id(interp))
+            if code is None:  # a failed expansion raises here and is not stored
+                code = memo[id(interp)] = _expand_guard(interp, wrapper, types, ())
+            return code(s, asg)
+
+        return plain_guard
 
     def guard(s, asg):
         bound = tuple(
@@ -726,6 +747,18 @@ def _compile_guard(wrapper: ast.Formula, types: dict[str, str]) -> Code:
         return code(s, asg)
 
     return guard
+
+
+def _may_hold_concept(vocab: Vocabulary, type_name: str | None) -> bool:
+    """Whether a variable of this declared type (None: undeclared) may be
+    bound to a concept: Universe, Concept, a type below Concept, or a type
+    the vocabulary does not declare."""
+    return (
+        type_name is None
+        or type_name == UNIVERSE
+        or not vocab.has_type(type_name)
+        or is_subtype(vocab, type_name, CONCEPT)
+    )
 
 
 def _expand_guard(
@@ -788,6 +821,17 @@ def interpretation_of(structure: Structure) -> grounding.GroundInterpretation:
     object.__setattr__(structure, "_interp", interp)
     object.__setattr__(structure, "_theory", theory)
     return interp
+
+
+def share_interpretation(structure: Structure, source: Structure) -> Structure:
+    """Give `structure` the interpretation of `source`, so that many
+    structures take one computed interpretation. `source` must agree with
+    `structure` on its concept part, at least where the sentences
+    evaluated on `structure` read it. Returns `structure`."""
+    interpretation_of(source)
+    object.__setattr__(structure, "_interp", source._interp)
+    object.__setattr__(structure, "_theory", source._theory)
+    return structure
 
 
 def _theory_of(structure: Structure) -> ast.Theory:
@@ -911,19 +955,39 @@ def parse_structure(text: str, vocab: Vocabulary, nat_bound: int | None = None) 
 def format_structure(structure: Structure) -> str:
     """Canonical structure text: user-suppliable blocks only, types first,
     everything sorted by identifier so outputs diff cleanly."""
-    vocab = structure.vocab
-    forced_types = {ext.type_name for ext in vocab.extensions}
+    return "\n".join(_type_lines(structure) + _graph_lines(structure)) + "\n"
+
+
+def format_structures(structures: Iterable[Structure]) -> Iterator[str]:
+    """`format_structure` of each structure in turn, spelling the type
+    blocks once per run of structures over one vocabulary with equal type
+    sets."""
+    vocab = type_sets = type_lines = None
+    for structure in structures:
+        if structure.vocab is not vocab or structure.type_sets != type_sets:
+            vocab, type_sets = structure.vocab, structure.type_sets
+            type_lines = _type_lines(structure)
+        yield "\n".join(type_lines + _graph_lines(structure)) + "\n"
+
+
+def _type_lines(structure: Structure) -> list[str]:
+    forced_types = {ext.type_name for ext in structure.vocab.extensions}
     lines: list[str] = []
-    for t in vocab.types:
+    for t in structure.vocab.types:
         if t.builtin or t.name in forced_types:
             continue
         elems = sorted(structure.type_sets.get(t.name, ()), key=lambda e: e.identifier)
         lines.append(f"type {t.name} = {{ {', '.join(e.identifier for e in elems)} }}")
-    for sig in vocab.signatures:
+    return lines
+
+
+def _graph_lines(structure: Structure) -> list[str]:
+    lines: list[str] = []
+    for sig in structure.vocab.signatures:
         if sig.builtin:
             continue
         graph = structure.graph(sig.name)
         if graph is None:
             continue
         lines.append(f"interp {sig.name} = {{ {graph.rows_text} }}")
-    return "\n".join(lines) + "\n"
+    return lines

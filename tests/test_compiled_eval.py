@@ -277,3 +277,22 @@ def test_builtins_agree_with_reference(expr, expected):
         assert got == expected
     else:
         assert got[0] == "raised" and str(got[2]).startswith(expected), got
+
+
+@pytest.mark.parametrize("kind_type", ["Kind", "Universe"])
+def test_memo_keeps_concept_bindings_apart(running_example, kind_type):
+    # k takes each concept in turn, so the guard has one instance per binding;
+    # a is an Animal and never holds a concept, so the guard inside !b is
+    # keyed by the interpretation alone
+    vocab = running_example.vocabulary
+    texts = (
+        f"!a[Animal]: ?k[{kind_type}]: <<c: $(soundOfKind(k))(a)>>",
+        f"!a[Animal]: !k[{kind_type}]: <<i: $(soundOfKind(k))(a)>>",
+        "!a[Animal]: !b[Animal]: <<c: meow(a)>> | <<c: bark(b)>>",
+    )
+    formulas = [parse_formula(text, vocab) for text in texts]
+    kinds = set()
+    for structure in _oracle_structures(vocab)[::40]:
+        for f in formulas:
+            kinds.add(agree(structure, f)[0])
+    assert kinds == ({"value", "raised"} if kind_type == "Universe" else {"value"})

@@ -19,6 +19,7 @@ from test_models import small_theory
 
 from gosil import ast
 from gosil.errors import GosilError
+from gosil.grounding import dependencies, grounded_dependencies, interpretation
 from gosil.models import _Enumeration, find_models
 from gosil.parser import parse_theory
 from gosil.semantics import (
@@ -310,3 +311,76 @@ def test_subtree_key_separates_cuts_and_failures(limit):
         assert (kind, found[0].__name__) == ("raised", "UnboundedNatQuantifier")
     else:
         assert (kind, len(found[0])) == ("models", limit)
+
+
+# B and C range over the non-empty subsets of A, so p, f and kindOf get
+# different domains in different type sets, and two type sets can give B
+# sets of one size but different members; q's domain is A in every one.
+# kindOf is concept-valued with a user-typed argument, so the
+# interpretation the guard axioms share is looked up per choice of its
+# graph. At nat bound 0, shift is total on (0, 0) alone: `t` raises
+# wherever its premise holds.
+SUBTYPE_DOMAINS = """
+type A
+type B <: A
+type C <: A
+pred p : B
+pred q : A
+func f : C -> B
+func shift : Nat * Nat -> Nat
+type K <: Concept := { p, q }
+func kindOf : B -> K
+"""
+DOMAIN_AXIOMS = {
+    "guarded": "axiom g: ?x[B]: <<c: p(x)>>\naxiom k: !x[B]: kindOf(x) = `p => p(x)\n",
+    "functions": "axiom h: !x[C]: p(f(x)) | q(x)\naxiom i: !x[B]: <<i: p(x)>> | q(x)\n",
+    "trap": (
+        "axiom g: ?x[B]: <<c: p(x)>>\n"
+        "axiom t: (?x[C]: q(x) & p(f(x)) & kindOf(f(x)) = `q) => shift(2, 0) = 0\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("limit", [None, 1, 40])
+@pytest.mark.parametrize("axioms", sorted(DOMAIN_AXIOMS))
+def test_subtype_domains_agree_with_reference(axioms, limit):
+    theory = parse_theory(SUBTYPE_DOMAINS + DOMAIN_AXIOMS[axioms])
+    kind, *found = agree(theory, {"A": 2}, limit=limit, nat_bound=0)
+    if axioms == "trap" and limit != 1:
+        assert (kind, found[0].__name__) == ("raised", "EvaluationError")
+    else:
+        assert kind == "models" and len(found[0]) == (limit or len(found[0])) > 0
+
+
+def test_options_are_shared_by_type_sets_giving_equal_domains():
+    theory = parse_theory(SUBTYPE_DOMAINS + DOMAIN_AXIOMS["guarded"])
+    enumeration = _Enumeration(theory, {"A": 2}, nat_bound=0)
+    sigs = {sig.name: sig for sig in enumeration.symbols}
+    type_sets = list(enumeration.type_sets())
+    assert len(type_sets) == 9
+    # the type each symbol's domains are drawn from, besides fixed ones
+    reads = {"p": ("B",), "q": (), "f": ("B", "C"), "shift": (), "kindOf": ("B",)}
+    for first, second in itertools.product(type_sets, repeat=2):
+        for name, types in reads.items():
+            same = all(first[t] == second[t] for t in types)
+            shared = enumeration.options(sigs[name], first) is enumeration.options(sigs[name], second)
+            assert shared == same, (name, first, second)
+
+
+def test_dependencies_read_from_derivations_equal_grounded_ones(sounds_path):
+    theories = [parse_theory(path.read_text()) for path in sorted(sounds_path.parent.glob("*.gos"))]
+    assert len(theories) == 3
+    theories += [parse_theory(SUBTYPE_DOMAINS + text) for text in DOMAIN_AXIOMS.values()]
+    theories += [random_theory(random.Random(seed)) for seed in range(220)]
+    compared = 0
+    for theory in theories:
+        interp = interpretation(theory)
+        for axiom in theory.axioms:
+            try:
+                derivation = check_sentence(theory, axiom.formula)
+            except GosilError:
+                continue  # model search refuses the theory
+            read = grounded_dependencies(theory.vocabulary, axiom.formula, derivation.expr)
+            assert read == dependencies(axiom.formula, interp), axiom.label
+            compared += 1
+    assert compared > 500

@@ -68,10 +68,11 @@ def test_records_refuse_assignment_and_deletion(sample):
             setattr(sample, f.name, None)
         with pytest.raises(FrozenInstanceError):
             delattr(sample, f.name)
-    # any other name is refused too: the dataclass's `__setattr__` raises
-    # TypeError for it on a slotted class (CPython 3.10 to 3.13)
-    with pytest.raises((FrozenInstanceError, TypeError)):
+    # any other name is refused too
+    with pytest.raises(FrozenInstanceError):
         sample.undeclared = None
+    with pytest.raises(FrozenInstanceError):
+        del sample.undeclared
     assert not hasattr(sample, "undeclared")
 
 

@@ -11,7 +11,7 @@ from gosil.errors import (
     UnassignedVariable,
     UnboundedNatQuantifier,
 )
-from gosil.parser import parse_formula, parse_term
+from gosil.parser import parse_formula, parse_term, parse_theory
 from gosil.semantics import (
     ConceptElement,
     FunctionGraph,
@@ -22,9 +22,11 @@ from gosil.semantics import (
     assemble_structure,
     evaluate,
     format_structure,
+    format_structures,
     interpretation_of,
     parse_structure,
     satisfies,
+    share_interpretation,
     validate_structure,
 )
 from gosil.vocabulary import ConceptObject, concept_universe, resolve_concept
@@ -282,3 +284,32 @@ def test_guard_semantic_contract(vocab, s0):
     split = ast.Or(ast.GuardC(body), ast.GuardI(ast.Not(body)))
     for element in (T, D):
         assert evaluate(s0, split, {"a": element}, types) is True
+
+
+def test_format_structures_equals_format_structure_on_each(vocab, s0):
+    oracle = _oracle_structures(vocab)
+    # runs of one type set, a type set met again after others, and two
+    # vocabularies whose structures have equal type sets but different types
+    two = parse_theory("type T\ntype U <: T\npred p : T").vocabulary
+    one = parse_theory("type T\npred p : T").vocabulary
+    x = PlainElement("x")
+    sets = {"T": (x,), "U": (x,)}
+    structures = oracle[:200] + [s0] + oracle[:3] + [
+        Structure(two, sets, {}),
+        Structure(one, sets, {}),
+        Structure(two, dict(sets), {}),
+    ]
+    assert list(format_structures(structures)) == [format_structure(s) for s in structures]
+    assert list(format_structures([])) == []
+
+
+def test_shared_interpretation_is_the_sources(vocab, s0, axioms):
+    # a structure without soundOfKind's graph takes s0's interpretation,
+    # and with it the facts its guards and dereferences expand under
+    graphs = {name: g for name, g in s0.graphs.items() if name != "soundOfKind"}
+    bare = Structure(vocab, s0.type_sets, graphs)
+    assert share_interpretation(bare, s0) is bare
+    assert interpretation_of(bare) is interpretation_of(s0)
+    for label in ("compact_def", "compact_specific", "implicit_sound_def"):
+        assert evaluate(bare, axioms[label]) == evaluate(s0, axioms[label])
+        assert satisfies(bare, axioms[label]) == satisfies(s0, axioms[label])
