@@ -61,9 +61,12 @@ for the whole search, and each type set's search only walks its tree:
     domain) and shared by every type set giving the symbol those domains.
     Validity depends on nothing else: the space holds no Universe, and
     every option's naturals lie in 0..nat_bound;
-  * the intensional interpretation is computed once per choice of graphs
-    for the concept-valued symbols; the partial structures on which axioms
-    reading them all are evaluated take it through
+  * the intensional interpretation is computed once. Only graph rows with
+    all-concept arguments become its facts, and the theory's facts pin
+    every such row (the theory's interpretation refuses facts that are
+    not total there), so every candidate induces the interpretation of a
+    structure holding the concept type sets and the pinned rows alone.
+    Each partial structure an axiom is evaluated on takes it through
     `semantics.share_interpretation`.
 """
 
@@ -143,8 +146,7 @@ class _Enumeration:
     """The candidate space of a theory under its bounds: the type sets and,
     per type set, each symbol's graph options, both in the documented
     order. It keeps what the searches of all type sets share: the options
-    per space, whether each passes validation, and the concept part per
-    choice of concept-valued graphs."""
+    per space, whether each passes validation, and the concept part."""
 
     def __init__(
         self,
@@ -171,16 +173,16 @@ class _Enumeration:
             self.fact_rows.setdefault(fname, {})[
                 tuple(ConceptElement(a) for a in args)
             ] = ConceptElement(value)
-        self.concept_valued = frozenset(
-            s.name for s in self.symbols if is_subtype(vocab, s.result_type, CONCEPT)
+        # the facts pin every concept-valued row with all-concept arguments,
+        # so this structure has the interpretation of every candidate
+        self.concept_part = Structure(
+            vocab,
+            self.base_sets,
+            {name: FunctionGraph.for_function(name, rows) for name, rows in self.fact_rows.items()},
         )
-        # the options by (symbol, argument domains, result domain), and by
-        # an option's id whether it passes validation, once checked
-        self.spaces: dict[tuple, list[FunctionGraph]] = {}
-        self.graph_ok: dict[int, bool] = {}
-        # by the ids of the chosen concept-valued graphs: a structure
-        # holding those graphs, whose interpretation partial structures share
-        self.concept_parts: dict[tuple[int, ...], Structure] = {}
+        # by (symbol, argument domains, result domain): the options, and
+        # whether each passes validation, None until checked
+        self.spaces: dict[tuple, tuple[list[FunctionGraph], list[bool | None]]] = {}
 
     def _parent_pool(self, name: str, type_sets: dict[str, tuple]) -> tuple:
         pools = [
@@ -238,14 +240,21 @@ class _Enumeration:
         return max(1, len(result_domain)) ** max(0, tuples - len(pinned))
 
     def options(self, sig: Signature, type_sets: dict[str, tuple]) -> list[FunctionGraph]:
-        """The graph options of one symbol, in order, built once per space
-        and shared by every type set that gives the symbol the same
+        """The graph options of one symbol, in order."""
+        return self.options_and_validity(sig, type_sets)[0]
+
+    def options_and_validity(
+        self, sig: Signature, type_sets: dict[str, tuple]
+    ) -> tuple[list[FunctionGraph], list[bool | None]]:
+        """The graph options of one symbol, in order, and beside them
+        whether each passes validation (None until checked), built once per
+        space and shared by every type set that gives the symbol the same
         domains."""
         arg_domains, result_domain, pinned = self.space(sig, type_sets)
         key = (sig.name, tuple(arg_domains), result_domain)
-        options = self.spaces.get(key)
-        if options is not None:
-            return options
+        space = self.spaces.get(key)
+        if space is not None:
+            return space
         tuples = list(itertools.product(*arg_domains))
         options = []
         if sig.is_predicate:
@@ -258,20 +267,8 @@ class _Enumeration:
                 mapping = dict(pinned)
                 mapping.update(zip(free_tuples, values))
                 options.append(FunctionGraph.for_function(sig.name, mapping))
-        self.spaces[key] = options
-        return options
-
-    def concept_part(self, graphs: list[FunctionGraph]) -> Structure:
-        """A structure holding only the concept-valued `graphs`, one per
-        concept-valued symbol, kept per choice of them: every partial
-        structure holding the same ones shares its interpretation."""
-        key = tuple(map(id, graphs))  # the graphs are kept alive by `spaces`
-        part = self.concept_parts.get(key)
-        if part is None:
-            part = self.concept_parts[key] = Structure(
-                self.vocab, self.base_sets, {g.name: g for g in graphs}
-            )
-        return part
+        space = self.spaces[key] = options, [None] * len(options)
+        return space
 
     def count(self, cap: int) -> int:
         """The candidate count, with every dependent type at its widest;
@@ -309,25 +306,23 @@ class _TypeSetSearch:
         results: list[Structure],
         limit: int | None,
     ):
-        self.enumeration = enumeration
         self.vocab = enumeration.vocab
+        self.concept_part = enumeration.concept_part
         self.nat_bound = enumeration.nat_bound
         self.type_sets = type_sets
         self.axioms = axioms
         self.results = results
         self.limit = limit
-        options = {s.name: enumeration.options(s, type_sets) for s in enumeration.symbols}
+        spaces = {
+            s.name: enumeration.options_and_validity(s, type_sets) for s in enumeration.symbols
+        }
         # a symbol with one option cannot change the order: fix it first
-        self.names = sorted(options, key=lambda name: len(options[name]) != 1)
-        self.options = [options[name] for name in self.names]
+        self.names = sorted(spaces, key=lambda name: len(spaces[name][0]) != 1)
+        self.options = [spaces[name][0] for name in self.names]
+        self.validity = [spaces[name][1] for name in self.names]
         level = {name: i for i, name in enumerate(self.names)}
-        self.declared_levels = [level[name] for name in options]
+        self.declared_levels = [level[name] for name in spaces]
         self.dep_levels = [sorted(level[s] for s in d) for d in deps]
-        self.concept_levels = [level[name] for name in sorted(enumeration.concept_valued)]
-        # only guards read the interpretation, and an axiom with guards
-        # depends on every concept-valued symbol: such an axiom shares the
-        # interpretation of their chosen graphs
-        self.shares_interpretation = [enumeration.concept_valued <= d for d in deps]
         # depth: the number of fixed symbols once every dependency is fixed
         depths = [levels[-1] + 1 if levels else 0 for levels in self.dep_levels]
         self.checks: list[list[int]] = [[] for _ in range(len(self.names) + 1)]
@@ -383,9 +378,7 @@ class _TypeSetSearch:
         verdict = self.memo.get(key)
         if verdict is None:
             partial = Structure(self.vocab, self.type_sets, self.graphs(levels), self.nat_bound)
-            if self.shares_interpretation[a]:
-                concept_graphs = [self.options[lvl][self.chosen[lvl]] for lvl in self.concept_levels]
-                share_interpretation(partial, self.enumeration.concept_part(concept_graphs))
+            share_interpretation(partial, self.concept_part)
             try:
                 verdict = bool(evaluate(partial, self.axioms[a]))
             except GosilError as err:
@@ -403,13 +396,12 @@ class _TypeSetSearch:
             self.type_sets_ok = validate_type_sets(self.vocab, self.type_sets).ok
         if not self.type_sets_ok:
             return False
-        graph_ok = self.enumeration.graph_ok
-        for options, i in zip(self.options, self.chosen):
-            graph = options[i]
-            ok = graph_ok.get(id(graph))  # the graph is kept alive by `spaces`
+        for options, validity, i in zip(self.options, self.validity, self.chosen):
+            ok = validity[i]
             if ok is None:
-                ok = validate_graph(self.vocab, self.type_sets, graph, self.nat_bound).ok
-                graph_ok[id(graph)] = ok
+                ok = validity[i] = validate_graph(
+                    self.vocab, self.type_sets, options[i], self.nat_bound
+                ).ok
             if not ok:
                 return False
         return True

@@ -32,9 +32,9 @@ in the order the definition gives them.
 Each wrapper node memoises its compiled expansion per instance, keyed by the
 structure's intensional interpretation (interned by content, so structures
 agreeing on their concept part share it) and the (variable, concept)
-bindings, or by the interpretation alone where no free variable's type can
-hold a concept; the variable types in scope are fixed per compiled node. A
-failed expansion is not memoised and raises again on every evaluation.
+bindings of the free variables whose type can hold a concept; the variable
+types in scope are fixed per compiled node. A failed expansion is not
+memoised and raises again on every evaluation.
 """
 
 from __future__ import annotations
@@ -445,9 +445,9 @@ def evaluate(
     needed when implicit guard wrappers must be expanded on the fly."""
     if var_types:
         code = _compiled(structure.vocab, expr, dict(var_types))
-    else:  # the commonest call, a sentence: its code by id alone
-        by_id = structure.vocab._eval_cache.get("untyped_by_id")
-        code = None if by_id is None else by_id.get(id(expr))
+    else:  # the commonest call, a sentence: its code by id, if compiled from it
+        by_id = structure.vocab._eval_cache.get("code_by_id")
+        code = None if by_id is None else by_id.get((id(expr), ()))
         if code is None:
             code = _compiled(structure.vocab, expr, {})
     return code(structure, dict(assignment) if assignment else {})
@@ -458,8 +458,9 @@ def _compiled(vocab: Vocabulary, expr: ast.Term | ast.Formula, types: dict[str, 
     first use and cached on the vocabulary. The cache keeps alive the
     expression each entry was compiled from, so that object's id stays
     unique and indexes the entry too: evaluating it again skips hashing the
-    whole tree. Code compiled with no variable types is also indexed by
-    the id alone."""
+    whole tree. Only the object compiled is indexed by its id: an equal
+    object found through the content key is not kept alive, so its id may
+    be reused by another expression once it is freed."""
     cache = vocab._eval_cache.setdefault("code", {})
     by_id = vocab._eval_cache.setdefault("code_by_id", {})
     types_key = tuple(types.items())
@@ -472,8 +473,6 @@ def _compiled(vocab: Vocabulary, expr: ast.Term | ast.Formula, types: dict[str, 
         else:
             code = _compile_formula(vocab, expr, types)
         cache[expr, types_key] = by_id[id(expr), types_key] = code
-    if not types:
-        vocab._eval_cache.setdefault("untyped_by_id", {})[id(expr)] = code
     return code
 
 
@@ -719,25 +718,21 @@ def _graph_lookup(name: str, arguments, truth: str | None) -> Code:
 def _compile_guard(vocab: Vocabulary, wrapper: ast.Formula, types: dict[str, str]) -> Code:
     """A guard wrapper, expanded per instance and memoised by the structure's
     interpretation and the concept-valued bindings; `types` is fixed per
-    node. Where no free variable's declared type can hold a concept, the
-    interpretation alone is the key. Interpretations are interned on the
+    node, and only the free variables whose declared type can hold a
+    concept are looked at for bindings. Interpretations are interned on the
     vocabulary, so an id stays valid as long as this memo."""
-    free = sorted(ast.free_variables(wrapper.body))
-    memo: dict = {}
-
-    if not any(_may_hold_concept(vocab, types.get(var)) for var in free):
-        def plain_guard(s, asg):
-            interp = interpretation_of(s)
-            code = memo.get(id(interp))
-            if code is None:  # a failed expansion raises here and is not stored
-                code = memo[id(interp)] = _expand_guard(interp, wrapper, types, ())
-            return code(s, asg)
-
-        return plain_guard
+    concept_vars = [
+        var
+        for var in sorted(ast.free_variables(wrapper.body))
+        if _may_hold_concept(vocab, types.get(var))
+    ]
+    memo: dict[tuple, Code] = {}
 
     def guard(s, asg):
         bound = tuple(
-            (var, e.concept) for var in free if isinstance(e := asg.get(var), ConceptElement)
+            (var, e.concept)
+            for var in concept_vars
+            if isinstance(e := asg.get(var), ConceptElement)
         )
         interp = interpretation_of(s)
         key = (id(interp), bound)

@@ -25,6 +25,7 @@ from gosil.parser import parse_theory
 from gosil.semantics import (
     Structure,
     format_structure,
+    interpretation_of,
     validate_graph,
     validate_structure,
     validate_type_sets,
@@ -316,9 +317,9 @@ def test_subtree_key_separates_cuts_and_failures(limit):
 # B and C range over the non-empty subsets of A, so p, f and kindOf get
 # different domains in different type sets, and two type sets can give B
 # sets of one size but different members; q's domain is A in every one.
-# kindOf is concept-valued with a user-typed argument, so the
-# interpretation the guard axioms share is looked up per choice of its
-# graph. At nat bound 0, shift is total on (0, 0) alone: `t` raises
+# kindOf is concept-valued with a user-typed argument, so its rows are no
+# facts and every choice of its graph induces one interpretation, the one
+# the guard axioms share. At nat bound 0, shift is total on (0, 0) alone: `t` raises
 # wherever its premise holds.
 SUBTYPE_DOMAINS = """
 type A
@@ -384,3 +385,41 @@ def test_dependencies_read_from_derivations_equal_grounded_ones(sounds_path):
             assert read == dependencies(axiom.formula, interp), axiom.label
             compared += 1
     assert compared > 500
+
+
+# pick's rows all have concept arguments, so the facts pin every one of
+# them; kindOf's have a user-typed argument, so they are free and no facts.
+CONCEPT_ROWS = SUBTYPE_DOMAINS + """
+func pick : K -> K
+define pick(`p) = `q
+define pick(`q) = `p
+axiom g: ?x[B]: <<c: $(pick(`q))(x)>>
+axiom m: !x[B]: ?k[K]: <<c: $(pick(k))(x)>> & kindOf(x) = `q
+"""
+
+
+@pytest.mark.parametrize("limit", [None, 7])
+def test_concept_rows_agree_with_reference(limit):
+    kind, models = agree(parse_theory(CONCEPT_ROWS), {"A": 2}, limit=limit, nat_bound=0)
+    assert kind == "models" and len(models) == (limit or len(models)) > 0
+
+
+def test_every_candidate_induces_the_shared_interpretation(sounds_path):
+    # only graph rows with all-concept arguments become facts, and the
+    # theory's facts pin all of them, so the concept part the search shares
+    # has the interpretation of every candidate
+    cases = [
+        (parse_theory(sounds_path.read_text()), {"Animal": 2}, 3, 6144),
+        (parse_theory(CONCEPT_FUNCTION), {"Cat": 1}, None, 2),
+        (parse_theory(CONCEPT_ROWS), {"A": 2}, 0, 608),
+        (random_theory(random.Random(0)), {"Animal": 1}, 1, 512),
+    ]
+    for theory, bounds, nat_bound, expected in cases:
+        vocab = theory.vocabulary
+        shared = interpretation_of(_Enumeration(theory, bounds, nat_bound).concept_part)
+        assert shared.facts == interpretation(theory).facts
+        count = 0
+        for type_sets, graphs in candidates(theory, bounds, nat_bound):
+            assert interpretation_of(Structure(vocab, type_sets, graphs)) is shared
+            count += 1
+        assert count == expected

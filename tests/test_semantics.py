@@ -313,3 +313,19 @@ def test_shared_interpretation_is_the_sources(vocab, s0, axioms):
     for label in ("compact_def", "compact_specific", "implicit_sound_def"):
         assert evaluate(bare, axioms[label]) == evaluate(s0, axioms[label])
         assert satisfies(bare, axioms[label]) == satisfies(s0, axioms[label])
+
+
+def test_code_is_not_found_by_the_id_of_a_freed_equal_formula(vocab, s0):
+    # an equal but distinct formula finds its code by content, and nothing
+    # keeps it alive: once freed, its address may go to the next formula of
+    # its node class, which must not be given the first formula's code
+    sentence = parse_formula("?a[Cat]: meow(a)", vocab)
+    negated = ast.Not(sentence)
+    value = evaluate(s0, ast.Not(sentence))
+    for _ in range(50):
+        equal = ast.Not(sentence)
+        assert evaluate(s0, equal) is value
+        del equal
+        other = ast.Not(negated)
+        assert evaluate(s0, other) is not value
+        del other
