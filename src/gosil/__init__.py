@@ -15,9 +15,9 @@ from .ast import (
     format_theory,
     free_variables,
 )
-from .elaboration import elaborate, guard_targets
+from .elaboration import guard_targets
 from .errors import GosilError
-from .grounding import build_intensional_interp, ground, grounded_size
+from .grounding import build_intensional_interp, elaborate, ground, grounded_size
 from .models import find_models
 from .parser import parse_formula, parse_term, parse_theory
 from .semantics import (

@@ -21,7 +21,6 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from . import ast
-from .elaboration import elaborate
 from .errors import (
     ElaborationError,
     GosilError,
@@ -30,7 +29,7 @@ from .errors import (
     StructureError,
     TypingError,
 )
-from .grounding import ground_trace, interpretation, is_intensional
+from .grounding import elaborate, ground_trace, interpretation, is_intensional
 from .models import DEFAULT_EXPLOSION_CAP, find_models
 from .parser import numeral, parse_theory
 from .semantics import evaluate, format_structures, parse_structure
@@ -60,16 +59,16 @@ def _json_text(value) -> str | dict | list:
     return json.dumps(value)
 
 
-def _dumps(payload: dict) -> str:
-    """The text of `json.dumps(payload, sort_keys=True)` for a payload of
-    dicts with string keys, lists and scalars, written from an explicit
-    stack: the records of a derivation nest as deep as its tree."""
-    chunks: list[str] = []
+def _write_json(out, payload: dict) -> None:
+    """Write the text of `json.dumps(payload, sort_keys=True)`, for a payload
+    of dicts with string keys, lists and scalars, to `out` piece by piece,
+    from an explicit stack: the records of a derivation nest as deep as its
+    tree, and their text can be far larger than the records."""
     todo: list = [payload]
     while todo:
         item = todo.pop()
         if type(item) is str:  # JSON text
-            chunks.append(item)
+            out.write(item)
             continue
         if type(item) is dict:
             parts = [x for key in sorted(item) for x in (
@@ -83,8 +82,7 @@ def _dumps(payload: dict) -> str:
             todo.append(closing)
             todo += reversed(parts)
         else:
-            chunks.append(opening + closing)
-    return "".join(chunks)
+            out.write(opening + closing)
 
 
 def _read(path: str) -> str:
@@ -138,7 +136,7 @@ def cmd_check(args, out) -> int:
                     record["derivation"] = derivation_to_dict(derivation)
         records.append(record)
     if args.json:
-        out.write(_dumps({"command": "check", "axioms": records}))
+        _write_json(out, {"command": "check", "axioms": records})
         out.write("\n")
     return 1 if failures else 0
 
@@ -206,7 +204,7 @@ def cmd_eval(args, out) -> int:
         if not value:
             status = 1
     if args.json:
-        out.write(_dumps({"command": "eval", "axioms": records}))
+        _write_json(out, {"command": "eval", "axioms": records})
         out.write("\n")
     return status
 

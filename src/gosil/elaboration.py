@@ -6,9 +6,10 @@ occurrences inside the body whose expected type S_i lies strictly below the
 term's principal type. Wrappers elaborate innermost-first; with no targets a
 wrapper simply disappears.
 
-This module finds the targets and rewrites one wrapper. The walk over a
+This module finds the targets and rewrites one wrapper. The fold over a
 formula that rewrites each wrapper once its body is done is the grounding
-walker's, with expansion and elimination switched off.
+walker's: `grounding.elaborate` is that fold with elimination off and
+nothing to expand, and grounding elaborates each grounded instance.
 """
 
 from __future__ import annotations
@@ -42,32 +43,34 @@ def guard_targets(ctx: TypingContext, body: ast.Formula) -> list[GuardTarget]:
     diagnostic can still point at the wrapper."""
     targets: list[GuardTarget] = []
     seen: set[tuple[ast.Term, str]] = set()
-    # (scope, variables bound inside the body, node, the type its position
-    # expects or None), innermost last
-    todo: list = [(ctx, _NOTHING_BOUND, body, None)]
-    while todo:
-        scope, bound, node, expected = todo.pop()
+    for scope, bound, node, expected in ast.walk((ctx, _NOTHING_BOUND, body, None), _scanned):
         if expected is not None:
             _consider(scope, bound, node, expected, targets, seen)
-        # equality checks both sides at a common supertype, which always
-        # exists, so it has nothing to guard; other applications consider
-        # each argument their signature types, then scan it (an unknown
-        # symbol's arguments are not scanned at all)
-        symbol = None
-        if type(node) is ast.Apply:
-            symbol = node.symbol
-        elif type(node) is ast.Atom and node.predicate != ast.EQUALITY_ATOM:
-            symbol = node.predicate
-        if symbol is not None:
-            sig = scope.lookup_symbol(symbol)
-            if sig is not None:
-                args = [(scope, bound, a, t) for a, t in zip(node.args, sig.argument_types)]
-                todo += reversed(args)
-            continue
-        if isinstance(node, _QUANTIFIERS):
-            scope, bound = scope.push(VarEntry(node.var, node.type_name)), bound | {node.var}
-        todo += [(scope, bound, kid, None) for kid in reversed(ast.children(node))]
     return targets
+
+
+def _scanned(item) -> list:
+    """The items the scan visits below `item`, each, like `item`, a (scope,
+    variables bound inside the body, node, the type its position expects or
+    None) quadruple.
+
+    Equality checks both sides at a common supertype, which always exists,
+    so it has nothing to guard; other applications consider each argument
+    at its signature type, then scan it (an unknown symbol's arguments are
+    not scanned at all)."""
+    scope, bound, node, _ = item
+    symbol = None
+    if type(node) is ast.Apply:
+        symbol = node.symbol
+    elif type(node) is ast.Atom and node.predicate != ast.EQUALITY_ATOM:
+        symbol = node.predicate
+    if symbol is not None:
+        sig = scope.lookup_symbol(symbol)
+        types = sig.argument_types if sig is not None else ()
+        return [(scope, bound, a, t) for a, t in zip(node.args, types)]
+    if isinstance(node, _QUANTIFIERS):
+        scope, bound = scope.push(VarEntry(node.var, node.type_name)), bound | {node.var}
+    return [(scope, bound, kid, None) for kid in ast.children(node)]
 
 
 def _consider(
@@ -104,12 +107,3 @@ def expand_wrapper(wrapper: type, ctx: TypingContext, body: ast.Formula) -> ast.
     if wrapper is ast.GuardC:
         return refold(guards + [body])
     return ast.Implies(refold(guards), body)
-
-
-def elaborate(ctx: TypingContext, formula: ast.Formula) -> ast.Formula:
-    """Rewrite away every guard wrapper, innermost first. The output is
-    wrapper-free; wrapper-free input comes back unchanged. This is the
-    grounding walker with expansion and elimination switched off."""
-    from . import grounding  # local import: grounding uses us
-
-    return grounding.elaborate_wrappers(ctx, formula)

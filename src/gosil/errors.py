@@ -141,7 +141,6 @@ TYPING_ERROR_KINDS = (
     "UnknownSymbol",
     "UnboundVariable",
     "NonBooleanSubformula",
-    "GuardOnNonUniverseTerm",
     "IntensionalNotGrounded",
 )
 

@@ -7,16 +7,21 @@ implicit guard wrappers are elaborated per grounded instance. Quantifiers
 over ordinary types stay put: grounding exists to remove the intensional
 constructs, not to propositionalize the theory.
 
-One pass of one walker does all three, building each instance once. The
-three stages, expansion, then elimination, then elaboration, remain only as
-what `ground_trace` shows and as the order errors are reported in: a
-missing extension first, then the first elimination error, then the first
-elaboration error.
+A formula is surveyed once, in preorder, for what it holds; then one fold
+does all three rewrites, building each instance once. The survey decides
+what is done: whether anything is grounded, whether a sentence is checked
+grounded, elaborated or as it is, and which steps `ground_trace` shows.
+The three stages, expansion, then elimination, then elaboration, remain
+only as those steps and as the order errors are reported in: a missing
+extension first, then the first elimination error, then the first
+elaboration error. Guard elaboration alone, `elaborate`, is the same fold
+with elimination off and nothing to expand.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -44,7 +49,7 @@ from .vocabulary import (
 FactKey = tuple[str, tuple[ConceptObject, ...]]
 _QUANTIFIERS = (ast.Exists, ast.Forall)
 _DEREFS = (ast.Deref, ast.DerefAtom)
-_INTENSIONAL = (ast.ConceptRef,) + _DEREFS
+_WRAPPERS = (ast.GuardC, ast.GuardI)
 
 
 @dataclass(frozen=True)
@@ -67,14 +72,7 @@ class GroundInterpretation:
 def is_intensional(vocab: Vocabulary, formula: ast.Formula) -> bool:
     """True when grounding has work to do: the formula mentions concept
     references/dereferences or quantifies over a concept type."""
-    return any(
-        isinstance(node, _INTENSIONAL) or _is_concept_quantifier(vocab, node)
-        for node in ast.walk(formula)
-    )
-
-
-def _is_concept_quantifier(vocab: Vocabulary, node) -> bool:
-    return isinstance(node, _QUANTIFIERS) and is_subtype(vocab, node.type_name, CONCEPT)
+    return _Pass(vocab, formula).intensional
 
 
 def build_intensional_interp(theory: ast.Theory) -> GroundInterpretation:
@@ -147,25 +145,31 @@ def _check_totality(interp: GroundInterpretation) -> None:
 
 # -- the grounding walker ------------------------------------------------------------
 #
-# One fold of the formula does all three rewrites. What a node inherits is a
-# pair: the concept bindings, the concept reference bound to each variable of
-# an enclosing expansion, and the typing entries, one per quantifier kept
-# above the node, that a guard wrapper elaborates under.
+# A survey walks the formula once, in preorder, before anything is rewritten.
+# It notes whether the formula holds concept quantifiers, dereferences,
+# concept references and guard wrappers, and, given an interpretation, looks
+# up the extension of each concept quantifier, skipping the body of an
+# empty one, which is never grounded.
 #
-# - A concept quantifier folds its body once per member of its extension,
-#   with the variable bound to that member, and joins the instances with |
-#   (for ?) or & (for !); an empty extension gives false (for ?) or true.
+# Then one fold of the formula does all three rewrites. What a node inherits
+# is a pair: the concept bindings, the concept reference bound to each
+# variable of an enclosing expansion, and the typing entries, one per
+# quantifier kept above the node, that a guard wrapper elaborates under.
+#
+# - A concept quantifier whose extension the survey looked up folds its body
+#   once per member, with the variable bound to that member, and joins the
+#   instances with | (for ?) or & (for !); an empty extension gives false
+#   (for ?) or true.
 # - A dereference folds its head first, as a `_Reduce` that reduces it to a
 #   concept object as soon as it is rewritten, then its arguments, and
 #   becomes an application of the symbol that object names.
 # - A wrapper folds its body, then elaborates it.
 #
-# Each rewrite can be switched off; `ground_trace` shows the steps with the
-# later ones off, and `elaborate_wrappers`, which `check_sentence` and
-# `elaboration.elaborate` run, is the walker with elaboration alone on.
-# With elimination on every node but a leaf is rebuilt; with it off, an
-# atom outside every expansion is kept as it is, so that the expansion
-# shown keeps its locations, as substitution would.
+# Elimination and elaboration can be switched off; `ground_trace` shows the
+# steps with the later ones off. With elimination on every node but a leaf
+# is rebuilt; with it off, an atom outside every expansion is kept as it is,
+# so that an expansion keeps its locations, as substitution would. Grounding
+# switches it on only for a formula that holds a dereference or a wrapper.
 
 
 class _Reduce(NamedTuple):
@@ -194,33 +198,62 @@ _EXPANSIONS = {ast.Exists: _Expansion(ast.Or), ast.Forall: _Expansion(ast.And)}
 
 
 class _Pass:
-    """One grounding pass over a formula, with each rewrite switched on or
-    off, and what it met: concept quantifiers, dereferences and wrappers.
-    Only elaboration reads the typing context, and only expansion and
-    elimination the interpretation."""
+    """The grounding of one formula: what its survey found, then folds of it
+    with elimination and elaboration switched on or off. Only elaboration
+    reads the typing context, and only expansion and elimination the
+    interpretation."""
 
     def __init__(
         self,
-        context: TypingContext | None,
+        vocab: Vocabulary,
+        formula: ast.Formula,
         interp: GroundInterpretation | None = None,
-        expand: bool = True,
-        eliminate: bool = True,
-        elaborate: bool = True,
+        theory: ast.Theory | None = None,
     ):
-        self.interp = interp
-        self.expand, self.eliminate, self.elaborate = expand, eliminate, elaborate
+        """Survey `formula`. Extensions are looked up in `interp`, or in the
+        interpretation of `theory`, built once the survey meets something
+        intensional; with neither, nothing is looked up or expanded. A
+        MissingExtension is raised here, before any other grounding error:
+        expansion comes first in the staged order."""
+        self.vocab, self.formula, self.interp, self.theory = vocab, formula, interp, theory
         self.extensions: dict[str, tuple[ConceptObject, ...]] = {}  # of concept quantifiers
-        self.quantified = self.dereferenced = self.guarded = False
-        self.context = context
-        self.scope: tuple = ((), context)  # the entries last elaborated under, and their context
-        self.error: GosilError | None = None  # the first elaboration error
+        self.quantified = self.dereferenced = self.referenced = self.guarded = False
+        deque(ast.walk(formula, self._surveyed), maxlen=0)
+        self.intensional = self.quantified or self.dereferenced or self.referenced
+        if self.intensional and theory is not None:
+            self.interp = interpretation(theory)
 
-    def run(self, formula):
-        """`formula` with the rewrites switched on done. Elaboration comes
-        after elimination in the staged order, so its first error is raised
-        only once the whole pass has met no elimination error."""
-        if self.expand:
-            self._look_up_extensions(formula)
+    def _surveyed(self, node):
+        """The children of `node` the survey goes on to, once it has noted
+        what `node` is: all of them, but none below an empty expansion."""
+        kind = type(node)
+        if kind in _QUANTIFIERS and is_subtype(self.vocab, node.type_name, CONCEPT):
+            self.quantified = True
+            if self.interp is None and self.theory is not None:
+                self.interp = interpretation(self.theory)
+            if self.interp is not None:
+                members = self.extensions.get(node.type_name)
+                if members is None:
+                    members = self.extensions[node.type_name] = self.interp.extension(node.type_name)
+                if not members:
+                    return ()
+        elif kind is ast.ConceptRef:
+            self.referenced = True
+        elif kind in _DEREFS:
+            self.dereferenced = True
+        elif kind in _WRAPPERS:
+            self.guarded = True
+        return ast.children(node)
+
+    def run(self, context: TypingContext | None = None, eliminate=True, elaborate=True):
+        """The formula with its concept quantifiers expanded and the other
+        rewrites switched on done. Elaboration comes after elimination in
+        the staged order, so its first error is raised only once the whole
+        pass has met no elimination error."""
+        self.eliminate, self.elaborate = eliminate, elaborate
+        self.context = context
+        self.scope = ((), context)  # the entries last elaborated under, and their context
+        self.error: GosilError | None = None  # the first elaboration error
         enter_rules, combine_rules = _ENTER, _COMBINE
 
         def enter(node, inherited):  # anything else raises TypeError in ast.children
@@ -229,31 +262,23 @@ class _Pass:
         def combine(node, values):
             return combine_rules[type(node)](self, node, values)
 
-        grounded = ast.fold(formula, combine, enter, ({}, ()))
+        grounded = ast.fold(self.formula, combine, enter, ({}, ()))
         error, self.error = self.error, None
         if error is not None:
             raise error
         return grounded
 
-    def _look_up_extensions(self, formula) -> None:
-        """Look up the extension of each concept quantifier in preorder,
-        skipping the body of an empty one, before anything else: expansion
-        comes first in the staged order, so a MissingExtension outranks
-        every other error."""
-        vocab = self.interp.vocab
-        todo = [formula]
-        while todo:
-            node = todo.pop()
-            if isinstance(node, (ast.Truth, ast.Atom, ast.DerefAtom)):
-                continue  # no quantifier below
-            if _is_concept_quantifier(vocab, node):
-                self.quantified = True
-                members = self.extensions.get(node.type_name)
-                if members is None:
-                    members = self.extensions[node.type_name] = self.interp.extension(node.type_name)
-                if not members:
-                    continue
-            todo.extend(reversed(ast.children(node)))
+    def expanded(self) -> ast.Formula:
+        """Quantifier expansion alone: the first step `ground_trace` shows."""
+        return self.run(eliminate=False, elaborate=False)
+
+    def grounded(self, context: TypingContext) -> ast.Formula:
+        """The grounded formula, wrappers elaborated under `context`: its
+        expansion when it holds neither a dereference nor a wrapper, itself
+        when it holds nothing to ground either."""
+        if self.dereferenced or self.guarded:
+            return self.run(context)
+        return self.expanded() if self.quantified else self.formula
 
     def context_of(self, entries: tuple[VarEntry, ...]) -> TypingContext:
         """The typing context under `entries`, the quantifiers kept above."""
@@ -279,7 +304,6 @@ def _atom(walk: _Pass, node, inherited):
 
 
 def _dereference(walk: _Pass, node, inherited):
-    walk.dereferenced = True
     if not walk.eliminate:
         return None if isinstance(node, ast.Deref) or inherited[0] else node
     pairs = [(_Reduce(node.head), inherited)]
@@ -307,7 +331,6 @@ def _quantifier(walk: _Pass, node, inherited):
 
 
 def _wrapper(walk: _Pass, node, inherited):
-    walk.guarded = True
     if not walk.elaborate:
         return None
     return ast.Below(_Elaboration(type(node), inherited[1]), [(node.body, inherited)])
@@ -331,7 +354,7 @@ _ENTER = {
     ast.Atom: _atom,
     **dict.fromkeys(_DEREFS, _dereference),
     **dict.fromkeys(_QUANTIFIERS, _quantifier),
-    **dict.fromkeys((ast.GuardC, ast.GuardI), _wrapper),
+    **dict.fromkeys(_WRAPPERS, _wrapper),
     _Reduce: _reduce,
 }
 
@@ -409,12 +432,7 @@ def _reduce_head(interp: GroundInterpretation, term: ast.Term) -> ConceptObject:
 
 def _expand_quantifiers(interp: GroundInterpretation, f: ast.Formula) -> ast.Formula:
     """Quantifier expansion alone: the first step `ground_trace` shows."""
-    return _Pass(None, interp, eliminate=False, elaborate=False).run(f)
-
-
-def _eliminate(interp: GroundInterpretation, expr):
-    """Dereference elimination alone, concept quantifiers left as they are."""
-    return _Pass(None, interp, expand=False, elaborate=False).run(expr)
+    return _Pass(interp.vocab, f, interp).expanded()
 
 
 def _context(vocab: Vocabulary, free_var_types: dict[str, str] | None) -> TypingContext:
@@ -423,10 +441,26 @@ def _context(vocab: Vocabulary, free_var_types: dict[str, str] | None) -> Typing
     return initial_context(vocab).push(*entries)
 
 
-def elaborate_wrappers(ctx: TypingContext, formula: ast.Formula) -> ast.Formula:
-    """Guard elaboration alone, under `ctx`: what `check_sentence` and
-    `elaboration.elaborate` run."""
-    return _Pass(ctx, expand=False, eliminate=False).run(formula)
+def elaborate(ctx: TypingContext, formula: ast.Formula) -> ast.Formula:
+    """Rewrite away every guard wrapper under `ctx`, innermost first. The
+    output is wrapper-free; wrapper-free input comes back unchanged."""
+    return _Pass(ctx.vocab, formula).run(ctx, eliminate=False)
+
+
+def checked_form(
+    theory: ast.Theory, ctx: TypingContext, sentence: ast.Formula
+) -> tuple[ast.Formula, str | None]:
+    """What `typecheck.check_sentence` checks of `sentence` under `ctx`, and
+    the note it adds: the grounded sentence when it is intensional (the
+    theory's interpretation is built then and only then), the elaborated
+    sentence when it only has wrappers, else the sentence itself and no
+    note."""
+    walk = _Pass(theory.vocabulary, sentence, theory=theory)
+    if walk.intensional:
+        return walk.grounded(ctx), "typed via grounding"
+    if walk.guarded:
+        return walk.run(ctx, eliminate=False), "typed after guard elaboration"
+    return sentence, None
 
 
 def ground_trace(
@@ -439,17 +473,18 @@ def ground_trace(
     and (when wrappers are present) the guard elaboration. A step is shown
     when it changes the formula: the expansion exactly when the formula
     holds a concept-typed quantifier, the elimination exactly when the
-    expansion holds a dereference. The grounding pass finds out which; the
-    earlier steps shown are the same walker with the later rewrites off."""
-    full = _Pass(_context(interp.vocab, free_var_types), interp)
-    grounded = full.run(formula)
+    expansion holds a dereference. The survey finds out which; a step
+    before the last is the same fold with the later rewrites off."""
+    walk = _Pass(interp.vocab, formula, interp)
+    grounded = walk.grounded(_context(interp.vocab, free_var_types))
     steps = [("original", formula)]
-    if full.quantified:
-        steps.append(("grounded concept quantifiers", _expand_quantifiers(interp, formula)))
-    if full.dereferenced:
-        eliminated = _Pass(None, interp, elaborate=False).run(formula) if full.guarded else grounded
+    if walk.quantified:
+        rewritten = walk.dereferenced or walk.guarded
+        steps.append(("grounded concept quantifiers", walk.expanded() if rewritten else grounded))
+    if walk.dereferenced:
+        eliminated = walk.run(elaborate=False) if walk.guarded else grounded
         steps.append(("eliminated intensional terms", eliminated))
-    if full.guarded:
+    if walk.guarded:
         steps.append(("elaborated implicit guards", grounded))
     return steps
 
@@ -462,13 +497,9 @@ def ground(
     """Fully ground a formula: the output contains no concept-typed
     quantifier, no reference or dereference in applied position, and no
     guard wrapper. Formulas with none of those come back unchanged. The
-    result is the last step of `ground_trace`, from one pass when the
-    formula holds a dereference or a wrapper."""
-    full = _Pass(_context(interp.vocab, free_var_types), interp)
-    grounded = full.run(formula)
-    if full.dereferenced or full.guarded:
-        return grounded
-    return _expand_quantifiers(interp, formula) if full.quantified else formula
+    result is the last step of `ground_trace`, from one survey and at most
+    one fold."""
+    return _Pass(interp.vocab, formula, interp).grounded(_context(interp.vocab, free_var_types))
 
 
 def dependencies(formula: ast.Formula, interp: GroundInterpretation) -> frozenset[str]:

@@ -3,7 +3,8 @@
 Terms receive principal (least) types bottom-up — a context hit, the
 variable's declared type, or the symbol's declared result type — and
 subsumption is applied exactly where needed: at argument positions and at
-the guard premises requiring Universe. Conjunctions whose leading conjuncts
+the guard premises requiring Universe, which every type lies below, so a
+guard premise never fails. Conjunctions whose leading conjuncts
 are type-predicate atoms are typed by the conjunction-guarding rule (G-c),
 which re-types the guarded terms inside the remainder; implications whose
 whole antecedent is such a prefix use implication guarding (G-i).
@@ -17,6 +18,11 @@ parent hands down and builds its conclusion from its premises' derivations.
 Rendering, export and validation walk a derivation over its premises with
 `ast.walk`/`ast.fold`. All of them keep their own stack, so no tree is too
 deep for them.
+
+`check_sentence` checks a sentence as `grounding.checked_form` prepares it:
+one survey of the sentence decides whether it is grounded, its wrappers
+elaborated, or it is checked as it is, and at most one grounding fold
+follows.
 """
 
 from __future__ import annotations
@@ -231,7 +237,6 @@ class _Conclusion(NamedTuple):
 
 _MISMATCHES = {  # the message of each error kind raised where a type does not fit
     "ArgumentTypeMismatch": "expected {expected}, found {found}",
-    "GuardOnNonUniverseTerm": "guarded term is not below {expected}",
     "NonBooleanSubformula": "{expr.predicate!r} yields {found}, not {expected}",
 }
 
@@ -328,12 +333,13 @@ def _equation(vocab: Vocabulary, atom: ast.Atom, sides) -> TypingDerivation:
 
 
 def _guarded(ctx: TypingContext, rule: str, formula, split):
-    """Each guarded term must be typeable at Universe, and the remainder is
-    checked with the guards' type annotations pushed."""
+    """Each guarded term must be typeable, and so typed at Universe, above
+    every type; the remainder is checked with the guards' type annotations
+    pushed."""
     guards, body = split
     terms = [g.args[0] for g in guards]
     inner = ctx.push(*(TermEntry(t, g.predicate) for t, g in zip(terms, guards)))
-    pairs = [(_At(t, UNIVERSE, "GuardOnNonUniverseTerm"), ctx) for t in terms]
+    pairs = [(_At(t, UNIVERSE, None), ctx) for t in terms]
     return ast.Below(_Conclusion(rule, formula, BOOL), pairs + [(body, inner)])
 
 
@@ -392,7 +398,8 @@ def typecheck(ctx: TypingContext, formula) -> TypingDerivation:
 def check_sentence(theory: ast.Theory, sentence: ast.Formula) -> TypingDerivation:
     """Full pipeline for one sentence: intensional sentences are grounded
     first (which also expands implicit guards), wrapper-only sentences are
-    elaborated, and the result is checked against the initial context."""
+    elaborated, and the result is checked against the initial context. One
+    survey of the sentence tells which, and the note says which it was."""
     from . import grounding  # local import: grounding uses us
 
     free = ast.free_variables(sentence)
@@ -400,19 +407,11 @@ def check_sentence(theory: ast.Theory, sentence: ast.Formula) -> TypingDerivatio
         names = ", ".join(sorted(free))
         raise TypingError("UnboundVariable", f"not a sentence, free variables: {names}", sentence)
     ctx = initial_context(theory.vocabulary)
-    if grounding.is_intensional(theory.vocabulary, sentence):
-        grounded = grounding.ground(sentence, grounding.interpretation(theory))
-        derivation = typecheck(ctx, grounded)
-        return replace(
-            derivation, note=f"typed via grounding: {ast.format_formula(grounded)}"
-        )
-    if ast.has_guards(sentence):
-        expanded = grounding.elaborate_wrappers(ctx, sentence)
-        derivation = typecheck(ctx, expanded)
-        return replace(
-            derivation, note=f"typed after guard elaboration: {ast.format_formula(expanded)}"
-        )
-    return typecheck(ctx, sentence)
+    checked, note = grounding.checked_form(theory, ctx, sentence)
+    derivation = typecheck(ctx, checked)
+    if note is None:
+        return derivation
+    return replace(derivation, note=f"{note}: {ast.format_formula(checked)}")
 
 
 # -- rendering and export -----------------------------------------------------------------

@@ -4,11 +4,19 @@ each calls itself once per node, so trees deeper than the recursion limit
 are out of its reach. Only the imports differ from the original. The
 contexts, derivations, guard recognition and node-local validation rules
 are the library's.
+
+Also `staged_check_sentence`, the sentence pipeline `check_sentence` ran
+before one survey of the sentence chose what to do: an `is_intensional`
+probe, then a `has_guards` probe, then grounding, guard elaboration or
+neither, and the library's checker on the result.
 """
 
 from __future__ import annotations
 
-from gosil import ast
+import importlib
+from dataclasses import replace
+
+from gosil import ast, grounding
 from gosil.errors import TypingError
 from gosil.typecheck import (
     TermEntry,
@@ -18,6 +26,7 @@ from gosil.typecheck import (
     _node_valid,
     guard_prefix,
     implication_guard,
+    initial_context,
 )
 from gosil.vocabulary import (
     BOOL,
@@ -234,3 +243,44 @@ def validate_derivation(vocab: Vocabulary, d: TypingDerivation) -> bool:
     if not _node_valid(vocab, d):
         return False
     return all(validate_derivation(vocab, p) for p in d.premises)
+
+
+# -- sentences
+
+# the module: `gosil.typecheck` as an attribute is the re-exported function
+_library = importlib.import_module("gosil.typecheck")
+_INTENSIONAL = (ast.ConceptRef, ast.Deref, ast.DerefAtom)
+
+
+def is_intensional(vocab: Vocabulary, formula: ast.Formula) -> bool:
+    """The probe: the formula mentions concept references/dereferences or
+    quantifies over a concept type."""
+    return any(
+        isinstance(node, _INTENSIONAL)
+        or (isinstance(node, (ast.Exists, ast.Forall)) and is_subtype(vocab, node.type_name, CONCEPT))
+        for node in ast.walk(formula)
+    )
+
+
+def staged_check_sentence(theory: ast.Theory, sentence: ast.Formula) -> TypingDerivation:
+    """Full pipeline for one sentence: intensional sentences are grounded
+    first (which also expands implicit guards), wrapper-only sentences are
+    elaborated, and the result is checked against the initial context."""
+    free = ast.free_variables(sentence)
+    if free:
+        names = ", ".join(sorted(free))
+        raise TypingError("UnboundVariable", f"not a sentence, free variables: {names}", sentence)
+    ctx = initial_context(theory.vocabulary)
+    if is_intensional(theory.vocabulary, sentence):
+        grounded = grounding.ground(sentence, grounding.interpretation(theory))
+        derivation = _library.typecheck(ctx, grounded)
+        return replace(
+            derivation, note=f"typed via grounding: {ast.format_formula(grounded)}"
+        )
+    if ast.has_guards(sentence):
+        expanded = grounding.elaborate(ctx, sentence)
+        derivation = _library.typecheck(ctx, expanded)
+        return replace(
+            derivation, note=f"typed after guard elaboration: {ast.format_formula(expanded)}"
+        )
+    return _library.typecheck(ctx, sentence)

@@ -21,9 +21,14 @@ from generators import (
 )
 from gosil import ast
 from gosil.cli import main
-from gosil.elaboration import elaborate
 from gosil.errors import EvaluationError, GosilError, TypingError
-from gosil.grounding import build_intensional_interp, ground, ground_trace, grounded_size
+from gosil.grounding import (
+    build_intensional_interp,
+    elaborate,
+    ground,
+    ground_trace,
+    grounded_size,
+)
 from gosil.parser import parse_formula, parse_theory
 from gosil.semantics import (
     FunctionGraph,

@@ -1,8 +1,9 @@
 import pytest
 
 from gosil import ast
-from gosil.elaboration import elaborate, guard_targets
+from gosil.elaboration import guard_targets
 from gosil.errors import IncomparableTypes
+from gosil.grounding import elaborate
 from gosil.parser import parse_formula
 from gosil.typecheck import VarEntry, initial_context, typecheck
 

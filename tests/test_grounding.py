@@ -271,6 +271,7 @@ def _check_output(path, *flags) -> tuple[int, str]:
 
 
 def test_check_on_a_wide_theory_equals_the_staged_pipeline(tmp_path, monkeypatch):
+    import reference_typecheck as ref_checker
     import reference_walkers as ref
 
     from gosil import cli, grounding
@@ -283,6 +284,7 @@ def test_check_on_a_wide_theory_equals_the_staged_pipeline(tmp_path, monkeypatch
     for label in ("concept_def", "concept_specific", "guard_pair"):
         assert f"{label}: well-typed" in found[1]
     # the staged passes, one after the other
+    monkeypatch.setattr(cli, "check_sentence", ref_checker.staged_check_sentence)
     monkeypatch.setattr(grounding, "ground", ref.ground)
     monkeypatch.setattr(cli, "ground_trace", ref.ground_trace)
     assert _check_output(path, *flags) == found

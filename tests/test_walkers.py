@@ -21,10 +21,18 @@ import reference_typecheck as ref_checker
 import reference_walkers as ref
 from generators import FUZZ_FREE_VARS, fuzz_vocabulary, random_formula
 from gosil import ast, elaboration, grounding, parser
-from gosil.errors import Location, TypingError, UnresolvableDeref
+from gosil.errors import (
+    GroundArityError,
+    IncomparableTypes,
+    Location,
+    MissingExtension,
+    NonFunctionalFacts,
+    TypingError,
+    UnresolvableDeref,
+)
 from gosil.parser import parse_formula, parse_theory
 from gosil.typecheck import VarEntry, initial_context, refold
-from test_grounding import wide_theory_text
+from test_grounding import NON_FUNCTIONAL, wide_theory_text
 
 # the module: `gosil.typecheck` as an attribute is the re-exported function
 checker = importlib.import_module("gosil.typecheck")
@@ -76,7 +84,6 @@ def outcome(walker, *args) -> tuple:
 
 def walker_pairs(f: ast.Formula):
     """(name, library call, reference call) for every walker on `f`."""
-    expanded = ref._expand_quantifiers(INTERP, f)  # no concept type lacks an extension
     yield "free_variables", ast.free_variables, ref.free_variables, (f,)
     for var in FUZZ_FREE_VARS:
         for replacement in (MEOW, TOM_AGE):
@@ -88,12 +95,10 @@ def walker_pairs(f: ast.Formula):
         yield "format_term", ast.format_term, ref.format_term, (term,)
     yield "is_intensional", grounding.is_intensional, ref.is_intensional, (VOCAB, f)
     yield "_expand_quantifiers", grounding._expand_quantifiers, ref._expand_quantifiers, (INTERP, f)
-    yield "_eliminate", grounding._eliminate, ref._eliminate, (INTERP, f)
-    yield "_eliminate", grounding._eliminate, ref._eliminate, (INTERP, expanded)
     yield "ground_trace", grounding.ground_trace, ref.ground_trace, (f, INTERP, FUZZ_FREE_VARS)
     yield "dependencies", grounding.dependencies, ref.dependencies, (f, INTERP)
     yield "ground", grounding.ground, ref.ground, (f, INTERP, FUZZ_FREE_VARS)
-    yield "elaborate", elaboration.elaborate, ref.elaborate, (CTX, f)
+    yield "elaborate", grounding.elaborate, ref.elaborate, (CTX, f)
 
 
 def agree(f: ast.Formula, seen: set[tuple[str, str]]) -> None:
@@ -118,7 +123,7 @@ def test_walkers_agree_with_reference_on_random_formulas():
     for f in random_cases(1000, 20_261_019):
         agree(f, seen)
     # the corpus reaches both outcomes of the walkers that raise on it
-    for name in ("desugar", "_eliminate", "ground_trace", "dependencies", "ground", "elaborate"):
+    for name in ("desugar", "ground_trace", "dependencies", "ground", "elaborate"):
         assert {(name, "value"), (name, "raised")} <= seen, name
 
 
@@ -171,7 +176,7 @@ def test_walkers_agree_with_reference_on_intensional_formulas(text):
 def test_eliminate_reports_errors_in_evaluation_order(text, message):
     f = parse_formula(text, VOCAB, FUZZ_FREE_VARS)
     with pytest.raises(UnresolvableDeref) as raised:
-        grounding._eliminate(INTERP, f)
+        grounding.ground(f, INTERP, FUZZ_FREE_VARS)
     assert str(raised.value).startswith(message)
 
 
@@ -239,11 +244,140 @@ def test_checker_agrees_with_reference_on_theory_axioms(name):
             if grounding.is_intensional(theory.vocabulary, f):
                 f = grounding.ground(f, grounding.interpretation(theory))
             else:
-                f = elaboration.elaborate(ctx, f)
+                f = grounding.elaborate(ctx, f)
         except Exception:  # the original is checked above
             continue
         checker_agrees(ctx, f, seen)
     assert "value" in seen
+
+
+def sentence_outcome(check, theory: ast.Theory, sentence: ast.Formula) -> tuple:
+    """What `check` makes of `sentence`: every derivation node's rule, type,
+    note and expression, with its locations, or the error's class, message
+    and location."""
+    try:
+        d = check(theory, sentence)
+    except Exception as err:  # the class, message and location are what is compared
+        return ("raised", type(err), str(err), getattr(err, "loc", None))
+    return ("value", [
+        (node.rule, node.type_name, node.note, located(node.expr))
+        for node in ast.walk(d, premises)
+    ])
+
+
+# a concept type without an extension, under a concept quantifier after an
+# arity error, beside an elaboration error, and below an empty expansion
+NO_EXTENSION = """\
+type A; type B <: A; type C; const a : A; const c : C; pred p : B
+type P <: Concept
+type E <: Concept := { }
+axiom missing: $(`a)(a) & ?s[P]: $(s)(a)
+axiom arity: <<c: p(c)>> & $(`a)(a)
+axiom incomparable: <<c: p(c)>>
+axiom skipped: ?x[B]: p(x) & ?e[E]: <<c: $(e)(x)>>
+axiom unlooked: !e[E]: ?s[P]: $(s)(a)
+"""
+
+
+def test_grounding_skips_the_body_of_an_empty_expansion():
+    """Nothing below an empty expansion is grounded: its dereferences and
+    wrappers add no step and rebuild no atom outside it, and the extensions
+    of its concept quantifiers are not looked up."""
+    theory = parse_theory(NO_EXTENSION)
+    interp = grounding.interpretation(theory)
+    for axiom in theory.axioms[3:]:
+        f = axiom.formula
+        for walker, reference in (
+            (grounding.ground_trace, ref.ground_trace), (grounding.ground, ref.ground)
+        ):
+            found = outcome(walker, f, interp)
+            assert found == outcome(reference, f, interp), axiom.label
+            assert found[0] == "value", axiom.label
+
+
+def sentence_corpus():
+    """(theory, sentence) for every axiom of the fixtures, of 40 wide
+    theories, of the random theories of the model search tests and of two
+    theories whose grounding fails, and the fuzz corpus closed under
+    !x[Animal]: !y[Universe]:."""
+    from test_model_search import random_theory
+
+    theories = [parse_theory(path.read_text()) for path in sorted(FIXTURES.glob("*.gos"))]
+    theories += [parse_theory(wide_theory_text(width)) for width in range(3, 43)]
+    theories += [random_theory(random.Random(seed)) for seed in range(220)]
+    theories += [parse_theory(NON_FUNCTIONAL), parse_theory(NO_EXTENSION)]
+    for theory in theories:
+        for axiom in theory.axioms:
+            yield theory, axiom.formula
+    fuzz = ast.Theory(VOCAB)
+    for f in random_cases(1000, 20_261_019):
+        yield fuzz, ast.Forall("x", "Animal", ast.Forall("y", "Universe", f))
+
+
+def test_check_sentence_agrees_with_the_staged_pipeline():
+    seen = set()
+    for theory, sentence in sentence_corpus():
+        found = sentence_outcome(checker.check_sentence, theory, sentence)
+        staged = sentence_outcome(ref_checker.staged_check_sentence, theory, sentence)
+        assert found == staged, ast.format_formula(sentence)
+        if found[0] == "raised":
+            seen.add(found[1])
+        else:
+            note = found[1][0][2]
+            seen.add(note.split(":")[0] if note else "typed as it is")
+    # grounded, elaborated and plain sentences are checked, and sentences
+    # are refused by the checker and by grounding
+    assert {
+        "typed via grounding", "typed after guard elaboration", "typed as it is",
+        TypingError, UnresolvableDeref, GroundArityError, IncomparableTypes,
+        MissingExtension, NonFunctionalFacts,
+    } <= seen, seen
+
+
+def test_check_sentence_surveys_a_sentence_once(monkeypatch):
+    """Inside `check_sentence`, the walks and folds whose root is the sentence
+    are one survey walk, at most one grounding fold and one free-variables
+    fold; those whose root is its grounded form, one checker fold and one
+    spelling of the note."""
+    calls = []
+    walk, fold = ast.walk, ast.fold
+
+    def counted_walk(expr, *args, **kwargs):
+        calls.append(("walk", expr))
+        return walk(expr, *args, **kwargs)
+
+    def counted_fold(expr, *args, **kwargs):
+        calls.append(("fold", expr))
+        return fold(expr, *args, **kwargs)
+
+    checked = 0
+    for path in sorted(FIXTURES.glob("*.gos")):
+        theory = parse_theory(path.read_text())
+        for axiom in theory.axioms:
+            sentence = axiom.formula
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(ast, "walk", counted_walk)
+                patch.setattr(ast, "fold", counted_fold)
+                try:
+                    d = checker.check_sentence(theory, sentence)
+                except Exception:
+                    d = None
+            on_sentence = [kind for kind, root in calls if root is sentence]
+            assert on_sentence.count("walk") == 1, axiom.label
+            if d is None:
+                assert on_sentence.count("fold") <= 2, axiom.label
+                continue
+            grounded = d.expr
+            on_grounded = [kind for kind, root in calls if root is grounded]
+            spelled = 1 if d.note else 0
+            if grounded is sentence:
+                assert on_sentence.count("fold") <= 3 + spelled, axiom.label
+            else:
+                assert on_sentence.count("fold") <= 2, axiom.label
+                assert on_grounded == ["fold"] * (1 + spelled), axiom.label
+            checked += 1
+    assert checked > 20
 
 
 # -- trees deeper than the recursion limit -------------------------------------
@@ -299,8 +433,7 @@ def test_walkers_handle_trees_deeper_than_the_recursion_limit(build):
     for copy in (
         ast.fold(tree, ast.rebuild),
         grounding._expand_quantifiers(INTERP, tree),
-        grounding._eliminate(INTERP, tree),
-        elaboration.elaborate(CTX, tree),
+        grounding.elaborate(CTX, tree),
     ):
         assert ast.format_formula(copy) == spelled_chain(tree, "likes(x, tom)")
     # each conjunction becomes ~(~l | ~r): three more nodes
@@ -428,9 +561,8 @@ REWRITTEN = (
     "ast._spell",
     "grounding.is_intensional",
     "grounding._expand_quantifiers",
-    "grounding._eliminate",
     "grounding.dependencies",
-    "elaboration.elaborate",
+    "grounding.elaborate",
     "elaboration.guard_targets",
     "typecheck.typecheck",
     "typecheck.derive_term",
