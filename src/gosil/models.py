@@ -27,9 +27,10 @@ the user symbols of its grounded form, read off the derivation that
 checking it returned, plus every concept-valued function when it has
 guards or intensional nodes (their graphs fix the interpretation guards
 expand under). It is checked at the level that fixes its last dependency,
-on a fresh structure holding only its dependencies' graphs, and its verdict
-(true, false, or the error it raised) is memoised per type set under the
-option indices of those dependencies. A subtree is left as soon as some
+on a fresh structure holding only its dependencies' graphs, by evaluating
+its grounded form, the sentence that derivation concludes: it holds no
+guard wrapper and no dereference, so its verdict (true, false, or the
+error it raised) reads no interpretation. A subtree is left as soon as some
 axiom does not hold on it and every axiom declared before that one has been
 checked and holds; if that axiom raised, its error is raised. Until then
 only symbols that the earlier axioms read keep all their options.
@@ -61,13 +62,13 @@ for the whole search, and each type set's search only walks its tree:
     domain) and shared by every type set giving the symbol those domains.
     Validity depends on nothing else: the space holds no Universe, and
     every option's naturals lie in 0..nat_bound;
-  * the intensional interpretation is computed once. Only graph rows with
+  * the intensional interpretation is computed once, and the axioms are
+    grounded under it once, when they are checked. Only graph rows with
     all-concept arguments become its facts, and the theory's facts pin
     every such row (the theory's interpretation refuses facts that are
-    not total there), so every candidate induces the interpretation of a
-    structure holding the concept type sets and the pinned rows alone.
-    Each partial structure an axiom is evaluated on takes it through
-    `semantics.share_interpretation`.
+    not total there), so every candidate induces the theory's
+    interpretation, and an axiom's grounded form means on every candidate
+    what the axiom means there.
 """
 
 from __future__ import annotations
@@ -96,7 +97,6 @@ from .semantics import (
     Structure,
     _forced_type_sets,
     evaluate,
-    share_interpretation,
     validate_graph,
     validate_type_sets,
 )
@@ -146,7 +146,7 @@ class _Enumeration:
     """The candidate space of a theory under its bounds: the type sets and,
     per type set, each symbol's graph options, both in the documented
     order. It keeps what the searches of all type sets share: the options
-    per space, whether each passes validation, and the concept part."""
+    per space and whether each passes validation."""
 
     def __init__(
         self,
@@ -291,11 +291,11 @@ class _Enumeration:
 
 class _TypeSetSearch:
     """The search over one type set's graph options, one symbol per level,
-    appending models to `results` until it holds `limit` of them.
-    `chosen[level]` is the option index fixed at each level above the
-    current one; `memo` maps (axiom, option index of each dependency) to the
-    axiom's verdict, and `subtrees` maps a subtree's key to the option
-    indices, from its depth on, of each leaf it reached."""
+    appending models to `results` until it holds `limit` of them. `axioms`
+    are the grounded forms of the theory's axioms. `chosen[level]` is the
+    option index fixed at each level above the current one, and `subtrees`
+    maps a subtree's key to the option indices, from its depth on, of each
+    leaf it reached."""
 
     def __init__(
         self,
@@ -307,7 +307,6 @@ class _TypeSetSearch:
         limit: int | None,
     ):
         self.vocab = enumeration.vocab
-        self.concept_part = enumeration.concept_part
         self.nat_bound = enumeration.nat_bound
         self.type_sets = type_sets
         self.axioms = axioms
@@ -353,7 +352,6 @@ class _TypeSetSearch:
             for depth in range(len(self.names) + 1)
         ]
         self.chosen = [0] * len(self.names)
-        self.memo: dict[tuple, bool | GosilError] = {}
         self.subtrees: dict[tuple, list[tuple[int, ...]]] = {}
         self.reached: list[tuple[int, ...]] = []
         self.type_sets_ok: bool | None = None
@@ -373,20 +371,16 @@ class _TypeSetSearch:
         return Structure(self.vocab, dict(self.type_sets), graphs, self.nat_bound)
 
     def verdict(self, a: int) -> bool | GosilError:
-        levels = self.dep_levels[a]
-        key = (a, *[self.chosen[lvl] for lvl in levels])
-        verdict = self.memo.get(key)
-        if verdict is None:
-            partial = Structure(self.vocab, self.type_sets, self.graphs(levels), self.nat_bound)
-            share_interpretation(partial, self.concept_part)
-            try:
-                verdict = bool(evaluate(partial, self.axioms[a]))
-            except GosilError as err:
-                # without its traceback the stored error holds no frame, and
-                # through it no reference back to this search
-                verdict = err.with_traceback(None)
-            self.memo[key] = verdict
-        return verdict
+        """Axiom `a`'s grounded form on a structure holding only its
+        dependencies' graphs: True, False or the error it raised."""
+        graphs = self.graphs(self.dep_levels[a])
+        partial = Structure(self.vocab, self.type_sets, graphs, self.nat_bound)
+        try:
+            return bool(evaluate(partial, self.axioms[a]))
+        except GosilError as err:
+            # without its traceback an error kept in a subtree key holds no
+            # frame, and through it no reference back to this search
+            return err.with_traceback(None)
 
     def valid(self) -> bool:
         """Whether the complete candidate passes validation, composed from
@@ -482,7 +476,7 @@ def find_models(
                 f"concept type {t.name!r} has no declared extension"
             )
 
-    deps = []
+    grounded, deps = [], []
     for axiom in theory.axioms:
         try:
             derivation = check_sentence(theory, axiom.formula)
@@ -491,6 +485,7 @@ def find_models(
                 f"axiom {axiom.label!r} is ill-typed: {err.message}", err.loc or axiom.loc
             ) from err
         # the derivation concludes the grounded sentence
+        grounded.append(derivation.expr)
         deps.append(grounded_dependencies(vocab, axiom.formula, derivation.expr))
 
     enumeration = _Enumeration(theory, domain_bounds, nat_bound)
@@ -503,10 +498,9 @@ def find_models(
 
     if limit is not None and limit < 1:
         return []
-    axioms = [axiom.formula for axiom in theory.axioms]
     results: list[Structure] = []
     for type_sets in enumeration.type_sets():
-        search = _TypeSetSearch(enumeration, type_sets, axioms, deps, results, limit)
+        search = _TypeSetSearch(enumeration, type_sets, grounded, deps, results, limit)
         if search.has_candidates() and search.descend(0):
             break
     return results

@@ -3,8 +3,9 @@ replaced, kept in reference_models: on every theory the outcome, the list of
 formatted models or the exception class and message, must agree. Plus the
 candidate count against the options the search builds, the closed-form
 model count at Animal=3, the order in which errors are reported, replayed
-subtrees, and the search's validation, composed from a type-set part and
-per-graph parts, against `validate_structure` on every candidate."""
+subtrees, the search's validation, composed from a type-set part and
+per-graph parts, against `validate_structure` on every candidate, and the
+grounded axioms the search evaluates against the axioms as written."""
 
 from __future__ import annotations
 
@@ -17,14 +18,16 @@ import reference_models
 from generators import fuzz_vocabulary, random_formula
 from test_models import small_theory
 
-from gosil import ast
+from gosil import ast, semantics
 from gosil.errors import GosilError
 from gosil.grounding import dependencies, grounded_dependencies, interpretation
 from gosil.models import _Enumeration, find_models
 from gosil.parser import parse_theory
 from gosil.semantics import (
     Structure,
+    evaluate,
     format_structure,
+    format_structures,
     interpretation_of,
     validate_graph,
     validate_structure,
@@ -423,3 +426,57 @@ def test_every_candidate_induces_the_shared_interpretation(sounds_path):
             assert interpretation_of(Structure(vocab, type_sets, graphs)) is shared
             count += 1
         assert count == expected
+
+
+def evaluation(structure: Structure, formula: ast.Formula) -> tuple:
+    try:
+        return ("value", evaluate(structure, formula))
+    except GosilError as err:  # the class and message are what is compared
+        return ("raised", type(err), str(err))
+
+
+def test_grounded_axioms_evaluate_as_written(sounds_path):
+    # the search evaluates each axiom's grounded form, the sentence its
+    # derivation concludes: on every candidate it must have the written
+    # axiom's value, or raise the same error
+    cases = [
+        (parse_theory(sounds_path.read_text()), {"Animal": 2}, 3),
+        (parse_theory(CONCEPT_FUNCTION), {"Cat": 1}, None),
+        (parse_theory(CONCEPT_ROWS), {"A": 2}, 0),
+    ]
+    cases += [(parse_theory(SUBTYPE_DOMAINS + text), {"A": 2}, 0) for text in DOMAIN_AXIOMS.values()]
+    for seed in range(50):  # with the nat bounds of the agreement test
+        rng = random.Random(seed)
+        theory = random_theory(rng)
+        rng.choice((None, None, 1, 3))
+        cases.append((theory, {"Animal": 1}, rng.choice((0, 1))))
+    compared = raised = 0
+    for theory, bounds, nat_bound in cases:
+        pairs = []
+        for axiom in theory.axioms:
+            try:
+                derivation = check_sentence(theory, axiom.formula)
+            except GosilError:
+                continue  # model search refuses the theory
+            pairs.append((axiom.label, axiom.formula, derivation.expr))
+        for type_sets, graphs in candidates(theory, bounds, nat_bound):
+            structure = Structure(theory.vocabulary, type_sets, graphs, nat_bound)
+            for label, written, grounded in pairs:
+                expected = evaluation(structure, written)
+                assert evaluation(structure, grounded) == expected, label
+                compared += 1
+                raised += expected[0] == "raised"
+    assert compared > raised > 0
+
+
+def test_search_expands_no_wrapper_and_binds_no_dereference(sounds_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("model search evaluated an axiom as written")
+
+    for name in ("_compile_guard", "_expand_guard", "_compile_deref"):
+        monkeypatch.setattr(semantics, name, refuse)
+    # a fresh vocabulary holds no code compiled before the patch
+    found = find_models(parse_theory(sounds_path.read_text()), {"Animal": 2}, nat_bound=3)
+    text = "".join(f"// model {i}\n{t}" for i, t in enumerate(format_structures(found), start=1))
+    golden = sounds_path.parent.parent / "tests" / "golden" / "sounds.models.out"
+    assert text + "// 192 model(s)\n" == golden.read_text()
