@@ -359,15 +359,6 @@ def substitute(expr, var: str, replacement: Term):
     return fold(expr, rebuild, enter)
 
 
-def has_intensional_nodes(expr: Term | Formula) -> bool:
-    """True if the expression mentions a concept reference or dereference."""
-    return any(isinstance(node, (ConceptRef,) + _DEREFS) for node in walk(expr))
-
-
-def has_guards(f: Formula) -> bool:
-    return any(isinstance(node, (GuardC, GuardI)) for node in walk(f))
-
-
 def atom_count(f: Formula) -> int:
     """Number of atomic formulas (Atom and DerefAtom nodes)."""
     return sum(isinstance(node, (Atom, DerefAtom)) for node in walk(f))

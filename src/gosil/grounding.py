@@ -502,33 +502,17 @@ def ground(
     return _Pass(interp.vocab, formula, interp).grounded(_context(interp.vocab, free_var_types))
 
 
-def dependencies(formula: ast.Formula, interp: GroundInterpretation) -> frozenset[str]:
+def grounded_dependencies(vocab: Vocabulary, grounded: ast.Formula) -> frozenset[str]:
     """The user symbols whose graphs can decide a sentence's value: those
-    applied in its grounded form, plus, when it has guards or intensional
-    nodes, every concept-valued function, whose graphs fix the
-    interpretation guards expand under. Grounding errors propagate; a
-    sentence `typecheck.check_sentence` accepted has been grounded this way
-    already."""
-    return grounded_dependencies(interp.vocab, formula, ground(formula, interp))
-
-
-def grounded_dependencies(
-    vocab: Vocabulary, formula: ast.Formula, grounded: ast.Formula
-) -> frozenset[str]:
-    """`dependencies` of `formula`, read off `grounded`, its grounded form:
-    the expression that the derivation `typecheck.check_sentence` returns
-    concludes."""
+    applied in `grounded`, its grounded form, the expression that the
+    derivation `typecheck.check_sentence` returns concludes. That form holds
+    no guard wrapper and no dereference, so its value reads no
+    interpretation."""
     found = {
         node.predicate if isinstance(node, ast.Atom) else node.symbol
         for node in ast.walk(grounded)
         if isinstance(node, (ast.Atom, ast.Apply))
     }
-    if ast.has_guards(formula) or ast.has_intensional_nodes(formula):
-        found.update(
-            s.name
-            for s in vocab.signatures
-            if not s.builtin and is_subtype(vocab, s.result_type, CONCEPT)
-        )
     return frozenset(found & {s.name for s in vocab.signatures if not s.builtin})
 
 

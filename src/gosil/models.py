@@ -24,13 +24,11 @@ but most candidates are never built. Each type set is searched depth first,
 one symbol per level; symbols with a single option are fixed first and the
 rest in declaration order, so the order is unchanged. An axiom depends on
 the user symbols of its grounded form, read off the derivation that
-checking it returned, plus every concept-valued function when it has
-guards or intensional nodes (their graphs fix the interpretation guards
-expand under). It is checked at the level that fixes its last dependency,
-on a fresh structure holding only its dependencies' graphs, by evaluating
-its grounded form, the sentence that derivation concludes: it holds no
-guard wrapper and no dereference, so its verdict (true, false, or the
-error it raised) reads no interpretation. A subtree is left as soon as some
+checking it returned. It is checked at the level that fixes its last
+dependency, on a fresh structure holding only its dependencies' graphs, by
+evaluating its grounded form, the sentence that derivation concludes: it
+holds no guard wrapper and no dereference, so its verdict (true, false, or
+the error it raised) reads no interpretation. A subtree is left as soon as some
 axiom does not hold on it and every axiom declared before that one has been
 checked and holds; if that axiom raised, its error is raised. Until then
 only symbols that the earlier axioms read keep all their options.
@@ -62,13 +60,12 @@ for the whole search, and each type set's search only walks its tree:
     domain) and shared by every type set giving the symbol those domains.
     Validity depends on nothing else: the space holds no Universe, and
     every option's naturals lie in 0..nat_bound;
-  * the intensional interpretation is computed once, and the axioms are
-    grounded under it once, when they are checked. Only graph rows with
-    all-concept arguments become its facts, and the theory's facts pin
-    every such row (the theory's interpretation refuses facts that are
-    not total there), so every candidate induces the theory's
-    interpretation, and an axiom's grounded form means on every candidate
-    what the axiom means there.
+  * the axioms are grounded once, under the theory's interpretation, when
+    they are checked. Only graph rows with all-concept arguments become a
+    structure's facts, and the theory's facts pin every such row (the
+    theory's interpretation refuses facts that are not total there), so
+    every candidate induces the theory's interpretation, and an axiom's
+    grounded form means on every candidate what the axiom means there.
 """
 
 from __future__ import annotations
@@ -95,7 +92,6 @@ from .semantics import (
     PlainElement,
     Row,
     Structure,
-    _forced_type_sets,
     evaluate,
     validate_graph,
     validate_type_sets,
@@ -164,22 +160,17 @@ class _Enumeration:
             )
             for name in _maximal_user_types(vocab)
         }
-        self.base_sets.update(_forced_type_sets(vocab))
+        interp = interpretation(theory)
+        # concept types are fixed by their declared extensions
+        for name, members in interp.extensions.items():
+            self.base_sets[name] = tuple(ConceptElement(c) for c in members)
         self.concept_elements = Structure(vocab, {}, {}).elements(CONCEPT)
         self.dependents = _dependent_user_types(vocab)
-        self.interp = interpretation(theory)
         self.fact_rows: dict[str, dict[Row, DomainElement]] = {}
-        for (fname, args), value in self.interp.facts.items():
+        for (fname, args), value in interp.facts.items():
             self.fact_rows.setdefault(fname, {})[
                 tuple(ConceptElement(a) for a in args)
             ] = ConceptElement(value)
-        # the facts pin every concept-valued row with all-concept arguments,
-        # so this structure has the interpretation of every candidate
-        self.concept_part = Structure(
-            vocab,
-            self.base_sets,
-            {name: FunctionGraph.for_function(name, rows) for name, rows in self.fact_rows.items()},
-        )
         # by (symbol, argument domains, result domain): the options, and
         # whether each passes validation, None until checked
         self.spaces: dict[tuple, tuple[list[FunctionGraph], list[bool | None]]] = {}
@@ -486,7 +477,7 @@ def find_models(
             ) from err
         # the derivation concludes the grounded sentence
         grounded.append(derivation.expr)
-        deps.append(grounded_dependencies(vocab, axiom.formula, derivation.expr))
+        deps.append(grounded_dependencies(vocab, derivation.expr))
 
     enumeration = _Enumeration(theory, domain_bounds, nat_bound)
     candidates = enumeration.count(explosion_cap)

@@ -18,16 +18,16 @@ wrappers are evaluated by resolving the current concept-valued bindings and
 grounding the resulting instance with `grounding.ground`, the pipeline
 `check` and `ground` run on whole sentences.
 
-Evaluation compiles an expression once into nested closures, cached on the
-vocabulary by (expression, variable types). Each application is bound to its
-signature when it is compiled: the membership test of each argument position
-and the built-in or graph lookup giving its value are chosen then, and an
-atom's code yields a bool without building a truth element. A dereference
-binds the application once per head concept it meets. Save for that first
-binding and for guard wrappers, which read each structure's interpretation
-once and expand once per instance, evaluating compiled code looks up no
-name. Errors still surface only when the node raising them is evaluated,
-in the order the definition gives them.
+Evaluation compiles an expression object once into nested closures, cached
+on the vocabulary by (object id, variable types). Each application is bound
+to its signature when it is compiled: the membership test of each argument
+position and the built-in or graph lookup giving its value are chosen then,
+and an atom's code yields a bool without building a truth element. A
+dereference binds the application once per head concept it meets. Save for
+that first binding and for guard wrappers, which read each structure's
+interpretation once and expand once per instance, evaluating compiled code
+looks up no name. Errors still surface only when the node raising them is
+evaluated, in the order the definition gives them.
 
 Each wrapper node memoises its compiled expansion per instance, keyed by the
 structure's intensional interpretation (interned by content, so structures
@@ -445,35 +445,29 @@ def evaluate(
     needed when implicit guard wrappers must be expanded on the fly."""
     if var_types:
         code = _compiled(structure.vocab, expr, dict(var_types))
-    else:  # the commonest call, a sentence: its code by id, if compiled from it
-        by_id = structure.vocab._eval_cache.get("code_by_id")
-        code = None if by_id is None else by_id.get((id(expr), ()))
-        if code is None:
-            code = _compiled(structure.vocab, expr, {})
+    else:  # the commonest call, a sentence: one lookup once it is compiled
+        entry = structure.vocab._eval_cache.get("code", {}).get((id(expr), ()))
+        code = _compiled(structure.vocab, expr, {}) if entry is None else entry[1]
     return code(structure, dict(assignment) if assignment else {})
 
 
 def _compiled(vocab: Vocabulary, expr: ast.Term | ast.Formula, types: dict[str, str]) -> Code:
     """The code of `expr` with free variables typed by `types`, compiled on
-    first use and cached on the vocabulary. The cache keeps alive the
-    expression each entry was compiled from, so that object's id stays
-    unique and indexes the entry too: evaluating it again skips hashing the
-    whole tree. Only the object compiled is indexed by its id: an equal
-    object found through the content key is not kept alive, so its id may
-    be reused by another expression once it is freed."""
+    first use and cached on the vocabulary by the object's id. Each entry
+    keeps alive the expression it was compiled from, so that id cannot pass
+    to another object, and a lookup never hashes the tree. An entry lives
+    per expression object evaluated, for the vocabulary's lifetime: an
+    equal copy of an expression is compiled again."""
     cache = vocab._eval_cache.setdefault("code", {})
-    by_id = vocab._eval_cache.setdefault("code_by_id", {})
-    types_key = tuple(types.items())
-    code = by_id.get((id(expr), types_key))
-    if code is None:
-        code = cache.get((expr, types_key))
-    if code is None:
+    key = (id(expr), tuple(types.items()))
+    entry = cache.get(key)
+    if entry is None:
         if isinstance(expr, ast.Term):
             code = _compile_term(vocab, expr)
         else:
             code = _compile_formula(vocab, expr, types)
-        cache[expr, types_key] = by_id[id(expr), types_key] = code
-    return code
+        entry = cache[key] = (expr, code)
+    return entry[1]
 
 
 def _raising(error: type[Exception], message: str) -> Code:
@@ -816,17 +810,6 @@ def interpretation_of(structure: Structure) -> grounding.GroundInterpretation:
     object.__setattr__(structure, "_interp", interp)
     object.__setattr__(structure, "_theory", theory)
     return interp
-
-
-def share_interpretation(structure: Structure, source: Structure) -> Structure:
-    """Give `structure` the interpretation of `source`, so that many
-    structures take one computed interpretation. `source` must agree with
-    `structure` on its concept part, at least where the sentences
-    evaluated on `structure` read it. Returns `structure`."""
-    interpretation_of(source)
-    object.__setattr__(structure, "_interp", source._interp)
-    object.__setattr__(structure, "_theory", source._theory)
-    return structure
 
 
 def _theory_of(structure: Structure) -> ast.Theory:

@@ -123,8 +123,8 @@ class Vocabulary:
     extensions: tuple[ConceptExtension, ...]
     _index: _Index | None = field(default=None, init=False, compare=False, repr=False)
     _ancestors: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # gosil.semantics: compiled code by (expression, variable types), also
-    # indexed by expression id, and structure interpretations interned by content
+    # gosil.semantics: compiled code by (expression id, variable types), and
+    # structure interpretations interned by content
     _eval_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     # -- lookup helpers ------------------------------------------------------

@@ -16,6 +16,8 @@ from __future__ import annotations
 import importlib
 from dataclasses import replace
 
+from reference_walkers import has_guards
+
 from gosil import ast, grounding
 from gosil.errors import TypingError
 from gosil.typecheck import (
@@ -277,7 +279,7 @@ def staged_check_sentence(theory: ast.Theory, sentence: ast.Formula) -> TypingDe
         return replace(
             derivation, note=f"typed via grounding: {ast.format_formula(grounded)}"
         )
-    if ast.has_guards(sentence):
+    if has_guards(sentence):
         expanded = grounding.elaborate(ctx, sentence)
         derivation = _library.typecheck(ctx, expanded)
         return replace(

@@ -4,7 +4,9 @@ oracle: each calls itself once per node. Only the imports differ from the
 original. The node classes, `children`/`rebuild` and `GuardTarget` are the
 library's. The grounding and elaboration walkers reach the ast walkers and
 `elaborate` of this file through the names `ast` and `elaboration`, which
-stand in for the library modules.
+stand in for the library modules. `has_guards`, `has_intensional_nodes`
+and `dependencies` have no library walker left to compare with; tests use
+them as helpers.
 """
 
 from __future__ import annotations
@@ -339,11 +341,7 @@ def ground(
 
 def dependencies(formula: ast.Formula, interp: GroundInterpretation) -> frozenset[str]:
     """The user symbols whose graphs can decide a sentence's value: those
-    applied in its grounded form, plus, when it has guards or intensional
-    nodes, every concept-valued function, whose graphs fix the
-    interpretation guards expand under. Grounding errors propagate; a
-    sentence `typecheck.check_sentence` accepted has been grounded this way
-    already."""
+    applied in its grounded form. Grounding errors propagate."""
     vocab = interp.vocab
     found: set[str] = set()
     todo: list = [ground(formula, interp)]
@@ -354,12 +352,6 @@ def dependencies(formula: ast.Formula, interp: GroundInterpretation) -> frozense
         elif isinstance(node, ast.Apply):
             found.add(node.symbol)
         todo.extend(ast.children(node))
-    if ast.has_guards(formula) or ast.has_intensional_nodes(formula):
-        found.update(
-            s.name
-            for s in vocab.signatures
-            if not s.builtin and is_subtype(vocab, s.result_type, CONCEPT)
-        )
     return frozenset(found & {s.name for s in vocab.signatures if not s.builtin})
 
 

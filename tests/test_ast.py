@@ -41,6 +41,6 @@ def test_non_nodes_raise_type_error(value):
         ast.children(value)
     with pytest.raises(TypeError):
         ast.rebuild(value, ())
-    for walker in (ast.free_variables, ast.has_guards, ast.atom_count, ast.node_count):
+    for walker in (ast.free_variables, ast.atom_count, ast.node_count):
         with pytest.raises(TypeError):
             walker(value)

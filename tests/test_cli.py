@@ -249,17 +249,8 @@ def test_eval_with_nat_bound(tmp_path):
     assert "UnboundedNatQuantifier" in output
 
 
-@pytest.mark.parametrize(
-    "middle, kind",
-    [
-        ("?c[Concept]: $(c)(a, a)", "GroundArityError"),
-        ("!d[Dog]: <<i: meow(d)>>", "IncomparableTypes"),
-    ],
-    ids=["grounding", "elaboration"],
-)
-def test_check_reports_grounding_and_elaboration_errors_per_axiom(tmp_path, middle, kind):
-    # the middle axiom fails to ground or to elaborate: the checker still
-    # reaches the last one and prints the JSON payload
+def middle_theory(tmp_path, middle: str) -> Path:
+    """A theory of three axioms whose middle one, on line 7, is `middle`."""
     theory = tmp_path / "middle.gos"
     theory.write_text(
         "type A\nconst a : A\ntype Cat <: A\ntype Dog <: A\npred meow : Cat\n"
@@ -267,6 +258,22 @@ def test_check_reports_grounding_and_elaboration_errors_per_axiom(tmp_path, midd
         f"axiom middle: {middle}\n"
         "axiom last: ?x[A]: x = a\n"
     )
+    return theory
+
+
+UNGROUNDABLE = "?c[Concept]: $(c)(a, a)"
+UNELABORABLE = "!d[Dog]: <<i: meow(d)>>"
+
+
+@pytest.mark.parametrize(
+    "middle, kind",
+    [(UNGROUNDABLE, "GroundArityError"), (UNELABORABLE, "IncomparableTypes")],
+    ids=["grounding", "elaboration"],
+)
+def test_check_reports_grounding_and_elaboration_errors_per_axiom(tmp_path, middle, kind):
+    # the middle axiom fails to ground or to elaborate: the checker still
+    # reaches the last one and prints the JSON payload
+    theory = middle_theory(tmp_path, middle)
     code, output = run("check", str(theory), "--json")
     assert code == 1
     lines = output.splitlines()
@@ -279,6 +286,48 @@ def test_check_reports_grounding_and_elaboration_errors_per_axiom(tmp_path, midd
     error = payload["axioms"][1]["error"]
     assert (error["kind"], error["line"], error["column"]) == (kind, 7, 1)
     assert (error["expected"], error["found"]) == (None, None)
+
+
+@pytest.mark.parametrize(
+    "argv, middle, kind",
+    [
+        (["elaborate"], UNELABORABLE, "IncomparableTypes"),
+        (["ground"], UNGROUNDABLE, "GroundArityError"),
+        (["ground", "--trace"], UNELABORABLE, "IncomparableTypes"),
+    ],
+    ids=["elaborate", "ground", "ground-trace"],
+)
+def test_elaborate_and_ground_report_a_failing_axiom_and_go_on(tmp_path, argv, middle, kind):
+    # the middle axiom ends in its located diagnostic, and the last one is
+    # still printed
+    theory = middle_theory(tmp_path, middle)
+    code, output = run(*argv, str(theory))
+    assert code == 1
+    step = "original: " if "--trace" in argv else ""
+    first, error, last = output.splitlines()
+    assert (first, last) == (f"first: {step}true", f"last: {step}?x[A]: x = a")
+    assert error.startswith(f"{theory}:7:1: error: {kind}: ")
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_eval_reports_a_false_axiom_with_exit_one(tmp_path, as_json):
+    theory = tmp_path / "t.gos"
+    theory.write_text(
+        "type A\nconst a : A\npred p : A\n"
+        "axiom some: ?x[A]: x = a\naxiom none: p(a)\naxiom last: true\n"
+    )
+    structure = tmp_path / "t.str"
+    structure.write_text("type A = { x }\ninterp a = { () -> x }\ninterp p = { }\n")
+    argv = ["eval", str(theory), "--structure", str(structure)] + ["--json"] * as_json
+    code, output = run(*argv)
+    assert code == 1
+    lines = output.splitlines()
+    assert lines[:3] == ["some: true", "none: false", "last: true"]
+    if as_json:
+        payload = json.loads(lines[3])
+        verdicts = [(a["label"], a["verdict"], a["error"]) for a in payload["axioms"]]
+        assert verdicts == [("some", "true", None), ("none", "false", None), ("last", "true", None)]
+    assert len(lines) == 3 + as_json
 
 
 def test_internal_error_is_one_line_with_exit_three(monkeypatch, running_example_path):

@@ -1,5 +1,7 @@
 import pytest
 
+from reference_walkers import has_guards
+
 from gosil import ast
 from gosil.elaboration import guard_targets
 from gosil.errors import IncomparableTypes
@@ -93,7 +95,7 @@ def test_idempotence(vocab, axioms):
 def test_guard_freeness(vocab, axioms):
     ctx = initial_context(vocab)
     for label in ("implicit_meow", "each_its_sound", "implicit_sound_def"):
-        assert not ast.has_guards(elaborate(ctx, axioms[label]))
+        assert not has_guards(elaborate(ctx, axioms[label]))
 
 
 def test_elaborated_output_typechecks(vocab, axioms):

@@ -1,5 +1,7 @@
 import pytest
 
+from reference_walkers import has_guards
+
 from gosil import ast
 from gosil.errors import (
     GroundArityError,
@@ -173,7 +175,7 @@ def test_arity_error_after_dereference(vocab, interp):
 def test_output_purity(running_example, interp, axioms):
     for label in ("any_sound", "sound_by_kind", "compact_def", "compact_specific"):
         grounded = ground(axioms[label], interp)
-        assert not ast.has_guards(grounded)
+        assert not has_guards(grounded)
         assert _no_deref_or_concept_quantifier(running_example.vocabulary, grounded)
 
 

@@ -16,11 +16,12 @@ import pytest
 
 import reference_models
 from generators import fuzz_vocabulary, random_formula
+from reference_walkers import dependencies, has_guards
 from test_models import small_theory
 
 from gosil import ast, semantics
 from gosil.errors import GosilError
-from gosil.grounding import dependencies, grounded_dependencies, interpretation
+from gosil.grounding import grounded_dependencies, interpretation
 from gosil.models import _Enumeration, find_models
 from gosil.parser import parse_theory
 from gosil.semantics import (
@@ -156,7 +157,7 @@ def test_random_theories_agree_with_reference():
         kind = agree(theory, {"Animal": 1}, limit=limit, nat_bound=rng.choice((0, 1)))[0]
         seen[kind] += 1
         formulas = [a.formula for a in theory.axioms]
-        seen["guarded"] += any(ast.has_guards(f) for f in formulas)
+        seen["guarded"] += any(has_guards(f) for f in formulas)
         seen["concept-quantified"] += any(_quantifies_concepts(f) for f in formulas)
     assert seen["models"] + seen["raised"] == 220
     assert min(seen.values()) >= 20, seen
@@ -384,7 +385,7 @@ def test_dependencies_read_from_derivations_equal_grounded_ones(sounds_path):
                 derivation = check_sentence(theory, axiom.formula)
             except GosilError:
                 continue  # model search refuses the theory
-            read = grounded_dependencies(theory.vocabulary, axiom.formula, derivation.expr)
+            read = grounded_dependencies(theory.vocabulary, derivation.expr)
             assert read == dependencies(axiom.formula, interp), axiom.label
             compared += 1
     assert compared > 500
@@ -407,10 +408,23 @@ def test_concept_rows_agree_with_reference(limit):
     assert kind == "models" and len(models) == (limit or len(models)) > 0
 
 
+def test_an_axiom_depends_on_the_symbols_its_grounded_form_applies(sounds_path):
+    # the grounded form holds no guard and no dereference, so a
+    # concept-valued function it does not apply cannot decide its value
+    cases = [
+        (parse_theory(CONCEPT_ROWS), "g", {"p"}),
+        (parse_theory(sounds_path.read_text()), "implicit_meow", {"meow"}),
+    ]
+    for theory, label, expected in cases:
+        (axiom,) = [a for a in theory.axioms if a.label == label]
+        grounded = check_sentence(theory, axiom.formula).expr
+        assert grounded_dependencies(theory.vocabulary, grounded) == expected
+
+
 def test_every_candidate_induces_the_shared_interpretation(sounds_path):
     # only graph rows with all-concept arguments become facts, and the
-    # theory's facts pin all of them, so the concept part the search shares
-    # has the interpretation of every candidate
+    # theory's facts pin all of them, so every candidate induces one
+    # interpretation, the theory's
     cases = [
         (parse_theory(sounds_path.read_text()), {"Animal": 2}, 3, 6144),
         (parse_theory(CONCEPT_FUNCTION), {"Cat": 1}, None, 2),
@@ -419,13 +433,15 @@ def test_every_candidate_induces_the_shared_interpretation(sounds_path):
     ]
     for theory, bounds, nat_bound, expected in cases:
         vocab = theory.vocabulary
-        shared = interpretation_of(_Enumeration(theory, bounds, nat_bound).concept_part)
-        assert shared.facts == interpretation(theory).facts
-        count = 0
-        for type_sets, graphs in candidates(theory, bounds, nat_bound):
-            assert interpretation_of(Structure(vocab, type_sets, graphs)) is shared
-            count += 1
-        assert count == expected
+        induced = [
+            interpretation_of(Structure(vocab, type_sets, graphs))
+            for type_sets, graphs in candidates(theory, bounds, nat_bound)
+        ]
+        assert len(induced) == expected
+        shared = induced[0]
+        assert all(interp is shared for interp in induced)
+        theirs = interpretation(theory)
+        assert (shared.facts, shared.extensions) == (theirs.facts, theirs.extensions)
 
 
 def evaluation(structure: Structure, formula: ast.Formula) -> tuple:

@@ -26,7 +26,6 @@ from gosil.semantics import (
     interpretation_of,
     parse_structure,
     satisfies,
-    share_interpretation,
     validate_structure,
 )
 from gosil.vocabulary import ConceptObject, concept_universe, resolve_concept
@@ -303,22 +302,11 @@ def test_format_structures_equals_format_structure_on_each(vocab, s0):
     assert list(format_structures([])) == []
 
 
-def test_shared_interpretation_is_the_sources(vocab, s0, axioms):
-    # a structure without soundOfKind's graph takes s0's interpretation,
-    # and with it the facts its guards and dereferences expand under
-    graphs = {name: g for name, g in s0.graphs.items() if name != "soundOfKind"}
-    bare = Structure(vocab, s0.type_sets, graphs)
-    assert share_interpretation(bare, s0) is bare
-    assert interpretation_of(bare) is interpretation_of(s0)
-    for label in ("compact_def", "compact_specific", "implicit_sound_def"):
-        assert evaluate(bare, axioms[label]) == evaluate(s0, axioms[label])
-        assert satisfies(bare, axioms[label]) == satisfies(s0, axioms[label])
-
-
 def test_code_is_not_found_by_the_id_of_a_freed_equal_formula(vocab, s0):
-    # an equal but distinct formula finds its code by content, and nothing
-    # keeps it alive: once freed, its address may go to the next formula of
-    # its node class, which must not be given the first formula's code
+    # code is found by the id of the formula object it was compiled from:
+    # an equal but distinct formula is compiled again, and once this test
+    # drops it, its address must not go to the next formula of its node
+    # class with the first formula's code
     sentence = parse_formula("?a[Cat]: meow(a)", vocab)
     negated = ast.Not(sentence)
     value = evaluate(s0, ast.Not(sentence))
