@@ -216,6 +216,7 @@ class _Pass:
         MissingExtension is raised here, before any other grounding error:
         expansion comes first in the staged order."""
         self.vocab, self.formula, self.interp, self.theory = vocab, formula, interp, theory
+        self.applied: dict[int, ast.Term | ast.Formula] | None = None  # see `ground`
         self.extensions: dict[str, tuple[ConceptObject, ...]] = {}  # of concept quantifiers
         self.quantified = self.dereferenced = self.referenced = self.guarded = False
         deque(ast.walk(formula, self._surveyed), maxlen=0)
@@ -254,6 +255,7 @@ class _Pass:
         self.context = context
         self.scope = ((), context)  # the entries last elaborated under, and their context
         self.error: GosilError | None = None  # the first elaboration error
+        self.wrappers = 0  # the wrappers being elaborated around the node folded
         enter_rules, combine_rules = _ENTER, _COMBINE
 
         def enter(node, inherited):  # anything else raises TypeError in ast.children
@@ -333,6 +335,7 @@ def _quantifier(walk: _Pass, node, inherited):
 def _wrapper(walk: _Pass, node, inherited):
     if not walk.elaborate:
         return None
+    walk.wrappers += 1
     return ast.Below(_Elaboration(type(node), inherited[1]), [(node.body, inherited)])
 
 
@@ -373,7 +376,10 @@ def _applied(walk: _Pass, node, values):
             f"{obj} dereferences to {sig.name!r} expecting {sig.arity} "
             f"argument(s), got {len(args)}"
         )
-    return (ast.Apply if isinstance(node, ast.Deref) else ast.Atom)(sig.name, args)
+    applied = (ast.Apply if isinstance(node, ast.Deref) else ast.Atom)(sig.name, args)
+    if walk.applied is not None and not walk.wrappers:
+        walk.applied[id(applied)] = applied
+    return applied
 
 
 def _joined(walk: _Pass, node: _Expansion, values):
@@ -382,6 +388,7 @@ def _joined(walk: _Pass, node: _Expansion, values):
 
 def _elaborated(walk: _Pass, node: _Elaboration, values):
     (body,) = values
+    walk.wrappers -= 1
     if walk.error is not None:
         return body
     try:
@@ -408,26 +415,34 @@ _COMBINE = {
 }
 
 
-def _reduce_head(interp: GroundInterpretation, term: ast.Term) -> ConceptObject:
-    """Reduce a dereference head to the concept object it denotes."""
-    match term:
-        case ast.ConceptRef(concept):
-            return concept
-        case ast.Apply(symbol, args):
-            sig = interp.vocab.signature(symbol)
-            if sig is not None and is_subtype(interp.vocab, sig.result_type, CONCEPT):
-                reduced = tuple(_reduce_head(interp, a) for a in args)
-                value = interp.facts.get((symbol, reduced))
-                if value is None:
-                    shown = ", ".join(str(c) for c in reduced)
-                    raise UnresolvableDeref(
-                        f"no fact determines {symbol}({shown})", term.loc
-                    )
-                return value
-    raise UnresolvableDeref(
-        f"dereference head {ast.format_term(term)} does not reduce to a concept",
-        getattr(term, "loc", None),
-    )
+def _reduce_head(interp: GroundInterpretation, head: ast.Term) -> ConceptObject:
+    """Reduce a dereference head to the concept object it denotes, on an
+    explicit stack: a reference denotes its concept, and an application of
+    a concept-valued function the fact for its reduced arguments. A head
+    that holds anything else is reported whole, located at the first
+    subterm, in preorder, that does not reduce."""
+    vocab = interp.vocab
+
+    def enter(term, _):
+        if type(term) is ast.ConceptRef:
+            return term.concept
+        if type(term) is ast.Apply:
+            sig = vocab.signature(term.symbol)
+            if sig is not None and is_subtype(vocab, sig.result_type, CONCEPT):
+                return None
+        raise UnresolvableDeref(
+            f"dereference head {ast.format_term(head)} does not reduce to a concept",
+            getattr(term, "loc", None),
+        )
+
+    def combine(term: ast.Apply, reduced):
+        value = interp.facts.get((term.symbol, tuple(reduced)))
+        if value is None:
+            shown = ", ".join(str(c) for c in reduced)
+            raise UnresolvableDeref(f"no fact determines {term.symbol}({shown})", term.loc)
+        return value
+
+    return ast.fold(head, combine, enter)
 
 
 def _expand_quantifiers(interp: GroundInterpretation, f: ast.Formula) -> ast.Formula:
@@ -493,13 +508,19 @@ def ground(
     formula: ast.Formula,
     interp: GroundInterpretation,
     free_var_types: dict[str, str] | None = None,
+    applied: dict[int, ast.Term | ast.Formula] | None = None,
 ) -> ast.Formula:
     """Fully ground a formula: the output contains no concept-typed
     quantifier, no reference or dereference in applied position, and no
     guard wrapper. Formulas with none of those come back unchanged. The
     result is the last step of `ground_trace`, from one survey and at most
-    one fold."""
-    return _Pass(interp.vocab, formula, interp).grounded(_context(interp.vocab, free_var_types))
+    one fold. Into `applied`, when given, goes each application that a
+    dereference outside every guard wrapper became, by id (the dict holds
+    it, so no other node takes the id): evaluation applies those as the
+    dereferences they were."""
+    walk = _Pass(interp.vocab, formula, interp)
+    walk.applied = applied
+    return walk.grounded(_context(interp.vocab, free_var_types))
 
 
 def grounded_dependencies(vocab: Vocabulary, grounded: ast.Formula) -> frozenset[str]:

@@ -13,40 +13,45 @@ Value clauses follow the inductive definition: connectives short-circuit in
 evaluation order, existential quantification scans the type's elements in
 their canonical order, a reference evaluates to its concept object, and a
 dereference applies the symbol the head's concept names, rejecting argument
-elements outside that symbol's declared argument types. Implicit guard
-wrappers are evaluated by resolving the current concept-valued bindings and
-grounding the resulting instance with `grounding.ground`, the pipeline
-`check` and `ground` run on whole sentences.
+elements outside that symbol's declared argument types. In the paper an
+intensional sentence means what its grounding means, so a sentence holding
+a concept quantifier, a dereference or an implicit guard wrapper is
+evaluated as its grounded form, the sentence `check` types (see `evaluate`
+for where the written form is evaluated instead).
 
 Evaluation compiles an expression object once into nested closures, cached
-on the vocabulary by (object id, variable types). Each application is bound
-to its signature when it is compiled: the membership test of each argument
-position and the built-in or graph lookup giving its value are chosen then,
-and an atom's code yields a bool without building a truth element. A
-dereference binds the application once per head concept it meets. Save for
-that first binding and for guard wrappers, which read each structure's
-interpretation once and expand once per instance, evaluating compiled code
-looks up no name. Errors still surface only when the node raising them is
-evaluated, in the order the definition gives them.
+on the vocabulary by (object id, variable types), from one fold on an
+explicit stack: no expression is too deep to compile, and a chain of & or |
+runs as one loop and a run of ~ as its parity, however long. Each
+application is bound to its signature when it is compiled: the membership
+test of each argument position and the built-in or graph lookup giving its
+value are chosen then, and an atom's code yields a bool without building a
+truth element. The code of an intensional sentence reads the structure's
+interpretation, interned by content so that structures agreeing on their
+concept part share it, and runs the grounded form compiled once for that
+interpretation; grounding is not repeated per structure. Errors still
+surface only when the node raising them is evaluated, in the order the
+definition gives them.
 
-Each wrapper node memoises its compiled expansion per instance, keyed by the
-structure's intensional interpretation (interned by content, so structures
-agreeing on their concept part share it) and the (variable, concept)
-bindings of the free variables whose type can hold a concept; the variable
-types in scope are fixed per compiled node. A failed expansion is not
-memoised and raises again on every evaluation.
+The written form binds a dereference's application once per head concept
+it meets, and expands a guard wrapper per instance: memoised by the
+interpretation and the (variable, concept) bindings of the free variables
+whose type can hold a concept, the variable types in scope being fixed per
+compiled node. A failed expansion is not memoised and raises again on every
+evaluation.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Container, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from . import ast, grounding
 from .errors import (
     EvaluationError,
+    GosilError,
     IllTypedSentence,
     ParseError,
     RuntimeDerefMismatch,
@@ -442,7 +447,24 @@ def evaluate(
 ):
     """The value of an expression: a DomainElement for terms, a bool for
     formulas. `var_types` gives the declared types of the free variables,
-    needed when implicit guard wrappers must be expanded on the fly."""
+    needed when implicit guard wrappers must be expanded on the fly.
+
+    A sentence holding a concept quantifier, a dereference or a guard
+    wrapper is evaluated as its grounded form, `grounding.ground` of it
+    under the structure's interpretation, compiled once per interpretation.
+    An application that grounding made of a dereference outside every
+    wrapper raises what the dereference raised, RuntimeDerefMismatch. The
+    written form is evaluated instead, dereferences and wrappers resolved
+    as evaluation reaches them:
+    - where grounding raises: on a dereference head that only the
+      structure's graphs reduce (`favourite(c)` in
+      `!c[Cat]: $(favourite(c))(c)`, with `func favourite : Cat -> Sound`),
+      a dereference of the wrong arity, a wrapper whose elaboration fails,
+      or a concept type with no extension. The written form raises only if
+      evaluation reaches the node at fault, and may short-circuit past it;
+    - for a sentence with a variable over Universe or over an undeclared
+      type, which may hold a concept that grounding does not expand;
+    - for a term, and for a formula with free variables."""
     if var_types:
         code = _compiled(structure.vocab, expr, dict(var_types))
     else:  # the commonest call, a sentence: one lookup once it is compiled
@@ -462,12 +484,55 @@ def _compiled(vocab: Vocabulary, expr: ast.Term | ast.Formula, types: dict[str, 
     key = (id(expr), tuple(types.items()))
     entry = cache.get(key)
     if entry is None:
-        if isinstance(expr, ast.Term):
-            code = _compile_term(vocab, expr)
+        if _grounds_first(vocab, expr):
+            code = _grounded_code(vocab, expr, types)
         else:
-            code = _compile_formula(vocab, expr, types)
+            code = _compile(vocab, expr, types)
         entry = cache[key] = (expr, code)
     return entry[1]
+
+
+_QUANTIFIERS = (ast.Exists, ast.Forall)
+_INTENSIONAL = (ast.Deref, ast.DerefAtom, ast.GuardC, ast.GuardI)
+
+
+def _grounds_first(vocab: Vocabulary, expr: ast.Term | ast.Formula) -> bool:
+    """Whether `evaluate` runs the grounded form of `expr`: a sentence that
+    holds a concept quantifier, a dereference or a guard wrapper, and no
+    variable over Universe or an undeclared type. A bare reference needs no
+    grounding."""
+    found = False
+    for node in ast.walk(expr):
+        kind = type(node)
+        if kind in _QUANTIFIERS and _may_hold_concept(vocab, node.type_name):
+            if node.type_name == UNIVERSE or not vocab.has_type(node.type_name):
+                return False
+            found = True
+        elif kind in _INTENSIONAL:
+            found = True
+    return found and isinstance(expr, ast.Formula) and not ast.free_variables(expr)
+
+
+def _grounded_code(vocab: Vocabulary, sentence: ast.Formula, types: dict[str, str]) -> Code:
+    """The code of a sentence `_grounds_first` accepts: per interpretation,
+    the code of its grounded form, or its written code where grounding
+    raises. Interpretations are interned on the vocabulary, so an id stays
+    valid as long as this memo."""
+    codes: dict[int, Code] = {}
+
+    def grounded(s, asg):
+        interp = interpretation_of(s)
+        code = codes.get(id(interp))
+        if code is None:
+            applied: dict[int, ast.Term | ast.Formula] = {}
+            try:
+                form = grounding.ground(sentence, interp, types, applied)
+            except GosilError:
+                form, applied = sentence, {}
+            code = codes[id(interp)] = _compile(vocab, form, types, applied)
+        return code(s, asg)
+
+    return grounded
 
 
 def _raising(error: type[Exception], message: str) -> Code:
@@ -477,78 +542,109 @@ def _raising(error: type[Exception], message: str) -> Code:
     return run
 
 
-def _compile_term(vocab: Vocabulary, term: ast.Term) -> Code:
-    match term:
-        case ast.Variable(name):
-            def variable(s, asg):
-                try:
-                    return asg[name]
-                except KeyError:
-                    raise UnassignedVariable(f"variable {name!r} has no assigned value") from None
-            return variable
-        case ast.NatLiteral(value):
-            natural = NaturalElement(value)
-            return lambda s, asg: natural
-        case ast.ConceptRef(concept):
-            reference = ConceptElement(concept)
-            return lambda s, asg: reference
-        case ast.Apply(symbol, args):
-            return _compile_application(vocab, symbol, args, None)
-        case ast.Deref(head, args):
-            return _compile_deref(vocab, head, args, None)
-    return _raising(TypeError, f"not a term: {term!r}")
+def _compile(
+    vocab: Vocabulary,
+    expr: ast.Term | ast.Formula,
+    types: dict[str, str],
+    applied: Container[int] = (),
+) -> Code:
+    """The code of a term or formula, from one fold whose inherited value
+    is the variable types in scope, so no expression is too deep for it. A
+    chain of & or | compiles to one loop over its operands and a run of ~
+    to its parity, so their code calls no deeper for a longer run. The
+    applications in `applied` raise as the dereferences they were made of
+    (see `grounding.ground`)."""
+
+    def enter(node, scope):
+        kind = type(node)
+        if kind is ast.And or kind is ast.Or:  # a chain of one of them, nested either way
+            chain = ast.walk(node, lambda n: (n.left, n.right) if type(n) is kind else ())
+            return ast.Below(node, [(f, scope) for f in chain if type(f) is not kind])
+        if kind is ast.Not:  # a run of ~ is folded as its parity, a bool
+            run = 0
+            while type(node) is ast.Not:
+                node, run = node.body, run + 1
+            return ast.Below(run % 2 == 1, [(node, scope)])
+        if kind in _QUANTIFIERS:
+            return ast.Below(node, [(node.body, {**scope, node.var: node.type_name})])
+        if kind is ast.GuardC or kind is ast.GuardI:
+            return _compile_guard(vocab, node, scope)
+        return None
+
+    def combine(node, codes):
+        match node:
+            case ast.Variable(name):
+                def variable(s, asg):
+                    try:
+                        return asg[name]
+                    except KeyError:
+                        raise UnassignedVariable(f"variable {name!r} has no assigned value") from None
+                return variable
+            case ast.NatLiteral(value):
+                natural = NaturalElement(value)
+                return lambda s, asg: natural
+            case ast.ConceptRef(concept):
+                reference = ConceptElement(concept)
+                return lambda s, asg: reference
+            case ast.Truth(value):
+                return lambda s, asg: value
+            case ast.Atom(ast.EQUALITY_ATOM, (_, _)):
+                left, right = codes
+                return lambda s, asg: left(s, asg) == right(s, asg)
+            case ast.Apply(name) | ast.Atom(name):
+                truth = name if type(node) is ast.Atom else None
+                if id(node) in applied:
+                    truth = truth and "dereference"
+                    return _compile_application(vocab, name, codes, truth, RuntimeDerefMismatch)
+                return _compile_application(vocab, name, codes, truth)
+            case ast.Deref() | ast.DerefAtom():
+                truth = "dereference" if type(node) is ast.DerefAtom else None
+                return _compile_deref(vocab, codes[0], codes[1:], truth)
+            case ast.And() | ast.Or():
+                return _chain(type(node), tuple(codes))
+            case bool(odd):
+                (inner,) = codes
+                return (lambda s, asg: not inner(s, asg)) if odd else inner
+            case ast.Implies():
+                left, right = codes
+                return lambda s, asg: (not left(s, asg)) or right(s, asg)
+            case ast.Iff():
+                left, right = codes
+                return lambda s, asg: left(s, asg) == right(s, asg)
+            case ast.Exists(var, type_name):
+                (inner,) = codes
+                def exists(s, asg):
+                    scope = dict(asg)  # one per call, rebound per element
+                    for scope[var] in s.elements(type_name):
+                        if inner(s, scope):
+                            return True
+                    return False
+                return exists
+            case ast.Forall(var, type_name):
+                (inner,) = codes
+                def forall(s, asg):
+                    scope = dict(asg)
+                    for scope[var] in s.elements(type_name):
+                        if not inner(s, scope):
+                            return False
+                    return True
+                return forall
+
+    return ast.fold(expr, combine, enter, types)
 
 
-def _compile_formula(vocab: Vocabulary, f: ast.Formula, types: dict[str, str]) -> Code:
-    def sub(body: ast.Formula, scope: dict[str, str] = types) -> Code:
-        return _compile_formula(vocab, body, scope)
-
-    match f:
-        case ast.Truth(value):
-            return lambda s, asg: value
-        case ast.Atom(ast.EQUALITY_ATOM, (l, r)):
-            left, right = _compile_term(vocab, l), _compile_term(vocab, r)
-            return lambda s, asg: left(s, asg) == right(s, asg)
-        case ast.Atom(predicate, args):
-            return _compile_application(vocab, predicate, args, predicate)
-        case ast.DerefAtom(head, args):
-            return _compile_deref(vocab, head, args, "dereference")
-        case ast.Not(body):
-            inner = sub(body)
-            return lambda s, asg: not inner(s, asg)
-        case ast.And(l, r):
-            left, right = sub(l), sub(r)
+def _chain(connective: type, codes: tuple[Code, ...]) -> Code:
+    """A chain's code: its operands in order, up to the first false one
+    for &, the first true one for |. Two operands get a closure of their
+    own, which runs quicker than the loop."""
+    if len(codes) == 2:
+        left, right = codes
+        if connective is ast.And:
             return lambda s, asg: left(s, asg) and right(s, asg)
-        case ast.Or(l, r):
-            left, right = sub(l), sub(r)
-            return lambda s, asg: left(s, asg) or right(s, asg)
-        case ast.Implies(l, r):
-            left, right = sub(l), sub(r)
-            return lambda s, asg: (not left(s, asg)) or right(s, asg)
-        case ast.Iff(l, r):
-            left, right = sub(l), sub(r)
-            return lambda s, asg: left(s, asg) == right(s, asg)
-        case ast.Exists(var, type_name, body):
-            inner = sub(body, {**types, var: type_name})
-            def exists(s, asg):
-                scope = dict(asg)  # one per call, rebound per element
-                for scope[var] in s.elements(type_name):
-                    if inner(s, scope):
-                        return True
-                return False
-            return exists
-        case ast.Forall(var, type_name, body):
-            inner = sub(body, {**types, var: type_name})
-            def forall(s, asg):
-                scope = dict(asg)
-                for scope[var] in s.elements(type_name):
-                    if not inner(s, scope):
-                        return False
-                return True
-            return forall
-        case ast.GuardC() | ast.GuardI():
-            return _compile_guard(vocab, f, types)
-    return _raising(TypeError, f"not a formula: {f!r}")
+        return lambda s, asg: left(s, asg) or right(s, asg)
+    if connective is ast.And:
+        return lambda s, asg: all(code(s, asg) for code in codes)
+    return lambda s, asg: any(code(s, asg) for code in codes)
 
 
 # -- applications ----------------------------------------------------------------------
@@ -563,20 +659,18 @@ def _compile_formula(vocab: Vocabulary, f: ast.Formula, types: dict[str, str]) -
 
 
 def _compile_application(
-    vocab: Vocabulary, symbol: str, args: tuple[ast.Term, ...], truth: str | None
+    vocab: Vocabulary, symbol: str, codes: list[Code], truth: str | None, mismatch=EvaluationError
 ) -> Code:
     sig = vocab.resolve(symbol)
     if sig is None:
         return _raising(EvaluationError, f"unknown symbol {symbol!r}")
-    return _bind(vocab, sig, [_compile_term(vocab, a) for a in args], EvaluationError, truth)
+    return _bind(vocab, sig, codes, mismatch, truth)
 
 
 def _compile_deref(
-    vocab: Vocabulary, head: ast.Term, args: tuple[ast.Term, ...], truth: str | None
+    vocab: Vocabulary, head_code: Code, codes: list[Code], truth: str | None
 ) -> Code:
     """A dereference binds its application once per head concept it meets."""
-    head_code = _compile_term(vocab, head)
-    codes = [_compile_term(vocab, a) for a in args]
     appliers: dict[ConceptObject, Code] = {}  # by head concept
 
     def deref(s, asg):
@@ -777,7 +871,10 @@ def interpretation_of(structure: Structure) -> grounding.GroundInterpretation:
     extensions plus the graphs of its concept-valued functions as facts.
     Interned by content on the vocabulary, so structures that agree on their
     concept part share one object, and with it the guard expansions
-    memoised for it."""
+    memoised for it. What validation rejects is left out, so that grounding
+    refuses what only the written form evaluates: the extension of a
+    concept type holding an element that is no concept, and each row not
+    of concepts or outside the function's argument types."""
     if structure._interp is not None:
         return structure._interp
     vocab = structure.vocab
@@ -786,17 +883,17 @@ def interpretation_of(structure: Structure) -> grounding.GroundInterpretation:
         if t.builtin or not is_strict_subtype(vocab, t.name, CONCEPT):
             continue
         elems = structure.type_sets.get(t.name, ())
-        extensions[t.name] = tuple(
-            e.concept for e in elems if isinstance(e, ConceptElement)
-        )
+        if all(isinstance(e, ConceptElement) for e in elems):
+            extensions[t.name] = tuple(e.concept for e in elems)
     facts: dict[grounding.FactKey, ConceptObject] = {}
     for name, graph in structure.graphs.items():
         sig = vocab.signature(name)
         if sig is None or not is_subtype(vocab, sig.result_type, CONCEPT):
             continue
+        tests = [_membership(arg_type) for arg_type in sig.argument_types]
         for args, result in graph.rows:
-            if isinstance(result, ConceptElement) and all(
-                isinstance(a, ConceptElement) for a in args
+            if isinstance(result, ConceptElement) and len(args) == len(tests) and all(
+                isinstance(a, ConceptElement) and test(structure, a) for a, test in zip(args, tests)
             ):
                 facts[(name, tuple(a.concept for a in args))] = result.concept
     interned = vocab._eval_cache.setdefault("interp", {})

@@ -467,3 +467,21 @@ def test_ground_and_elaborate_print_deep_wrapped_chains(tmp_path, command, body)
     code, output = run(command, str(theory))
     assert code == 0
     assert output == f"g: {body[len('<<c: '):-len('>>')]}\n"
+
+
+def test_check_names_the_dereference_head_that_does_not_reduce(tmp_path):
+    # favourite(c) reduces only through a structure's graph: the diagnostic
+    # names that head, located at the variable c that stops its reduction
+    theory = tmp_path / "favourite.gos"
+    theory.write_text(
+        "type Animal\ntype Cat <: Animal\npred meow : Cat\n"
+        "type Sound <: Concept := { meow }\nfunc favourite : Cat -> Sound\n"
+        "axiom fav: !c[Cat]: $(favourite(c))(c)\n"
+    )
+    code, output = run("check", str(theory))
+    assert code == 1
+    assert output.splitlines() == [
+        "fav: ill-typed",
+        f"{theory}:6:33: error: UnresolvableDeref: "
+        "dereference head favourite(c) does not reduce to a concept",
+    ]

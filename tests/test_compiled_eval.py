@@ -4,11 +4,14 @@ must agree, on the oracle structures, on random formulas, and on
 hand-built structures that reach each outcome of an application. Plus the
 keys of the per-instance guard memo: answers follow each structure's own
 facts, each scope gets its own code, and a failed expansion is never
-cached."""
+cached. Plus the sentences evaluated as their grounded forms: random ones,
+ones grounding refuses, and ones nested thousands deep or 600 wide."""
 
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -16,9 +19,16 @@ import reference_eval
 from generators import FUZZ_FREE_VARS, fuzz_vocabulary, random_formula
 from test_acceptance import _oracle_structures
 
-from gosil import ast
-from gosil.errors import EvaluationError, IncomparableTypes, UnresolvableDeref
-from gosil.parser import parse_formula, parse_term
+from gosil import ast, grounding, semantics
+from gosil.errors import (
+    EvaluationError,
+    GosilError,
+    GroundArityError,
+    IncomparableTypes,
+    RuntimeDerefMismatch,
+    UnresolvableDeref,
+)
+from gosil.parser import parse_formula, parse_term, parse_theory
 from gosil.semantics import (
     FALSE,
     TRUE,
@@ -296,3 +306,243 @@ def test_memo_keeps_concept_bindings_apart(running_example, kind_type):
         for f in formulas:
             kinds.add(agree(structure, f)[0])
     assert kinds == ({"value", "raised"} if kind_type == "Universe" else {"value"})
+
+
+# -- grounded-first evaluation ----------------------------------------------------------
+
+
+FAVOURITE = """
+type Animal
+type Cat <: Animal
+type Dog <: Animal
+pred meow : Cat
+pred bark : Dog
+type Sound <: Concept := { meow, bark }
+func favourite : Cat -> Sound
+axiom fav: !c[Cat]: $(favourite(c))(c)
+"""
+FAVOURITE_STRUCTURE = """
+type Animal = { t }
+type Cat = { t }
+type Dog = { t }
+interp meow = { t }
+interp favourite = { (t) -> `meow }
+"""
+
+
+def test_a_head_only_the_graphs_reduce_is_evaluated_as_written():
+    theory = parse_theory(FAVOURITE)
+    structure = parse_structure(FAVOURITE_STRUCTURE, theory.vocabulary)
+    (axiom,) = theory.axioms
+    assert semantics._grounds_first(theory.vocabulary, axiom.formula)
+    with pytest.raises(UnresolvableDeref, match=r"head favourite\(c\) does not reduce"):
+        grounding.ground(axiom.formula, interpretation_of(structure))
+    for _ in range(2):
+        assert evaluate(structure, axiom.formula) is True
+        assert agree(structure, axiom.formula) == ("value", True)
+
+
+@pytest.mark.parametrize(
+    "text, error, value",
+    [
+        # meow takes one argument: grounding raises, evaluation never gets there
+        ("true | ?c[Concept]: $(c)(tom, tom)", GroundArityError, True),
+        ("?a[Animal]: false & $(`meow)(a, a)", GroundArityError, False),
+        # a Dog is never a Cat: elaboration raises, evaluation short-circuits
+        ("!d[Dog]: false & <<i: meow(d)>>", IncomparableTypes, False),
+        # or reaches the wrapper, and raises there as the written form did
+        ("(?d[Dog]: <<i: meow(d)>>) | true", IncomparableTypes, "raised"),
+    ],
+)
+def test_a_sentence_grounding_refuses_keeps_its_written_value(running_example, s0, text, error, value):
+    sentence = parse_formula(text, running_example.vocabulary)
+    assert semantics._grounds_first(running_example.vocabulary, sentence)
+    with pytest.raises(error):
+        grounding.ground(sentence, interpretation_of(s0))
+    got = agree(s0, sentence)
+    assert got[0] == value if value == "raised" else got == ("value", value)
+
+
+# the ten sentences the benchmark evaluates on every oracle structure; six
+# of them hold a concept quantifier, a dereference or a guard wrapper
+ORACLE_SENTENCES = (
+    "cat_meowing", "making_sound_def", "sound_by_witness", "all_specific", "sound_by_kind",
+    "implicit_meow", "implicit_sound_def", "each_its_sound", "compact_def", "compact_specific",
+)
+INTENSIONAL = {"sound_by_kind", "implicit_meow", "implicit_sound_def", "each_its_sound",
+               "compact_def", "compact_specific"}
+
+
+def test_each_intensional_sentence_is_grounded_once_over_the_oracle_structures(
+    running_example_path, monkeypatch
+):
+    # a fresh theory: its vocabulary has compiled nothing yet
+    theory = parse_theory(running_example_path.read_text())
+    sentences = {a.label: a.formula for a in theory.axioms if a.label in ORACLE_SENTENCES}
+    grounded = []
+    ground = grounding.ground
+
+    def counted(formula, *args):
+        grounded.append(formula)
+        return ground(formula, *args)
+
+    monkeypatch.setattr(grounding, "ground", counted)
+    structures = _oracle_structures(theory.vocabulary)
+    assert len(structures) == 5672
+    for structure in structures:
+        for sentence in sentences.values():
+            evaluate(structure, sentence)
+    assert len(grounded) == 6
+    assert {id(f) for f in grounded} == {id(sentences[label]) for label in INTENSIONAL}
+
+
+def test_an_application_grounding_made_of_a_dereference_raises_as_it(running_example, s0):
+    # s0 has a dog that is no cat: the grounded meow(d) is applied outside
+    # its type, and raises what $(`meow)(d) raises, in the words it does
+    vocab = running_example.vocabulary
+    for text in ("!a[Animal]: ?s[Sound]: $(s)(a)", "!a[Animal]: $(`meow)(a) | true"):
+        sentence = parse_formula(text, vocab)
+        assert semantics._grounds_first(vocab, sentence)
+        got = agree(s0, sentence)
+        assert got[:2] == ("raised", RuntimeDerefMismatch), got
+        assert str(got[2]).startswith("RuntimeDerefMismatch: 'meow' is undefined at d")
+    structure = _with_graphs(raining=RAINING_FUNCTION)
+    sentence = _expr("$(`raining)()")
+    assert semantics._grounds_first(structure.vocab, sentence)
+    got = agree(structure, sentence)
+    assert got[0] == "raised" and str(got[2]).startswith("EvaluationError: dereference evaluated to 2")
+
+
+def test_a_sentence_with_references_alone_reads_no_interpretation(running_example_path, s0_path):
+    theory = parse_theory(running_example_path.read_text())
+    structure = parse_structure(s0_path.read_text(), theory.vocabulary)
+    sentence = parse_formula("soundOfKind(`Cat) = `meow & ?c[Cat]: meow(c)", theory.vocabulary)
+    assert not semantics._grounds_first(theory.vocabulary, sentence)
+    assert evaluate(structure, sentence) is True
+    assert structure._interp is None
+
+
+@pytest.mark.parametrize("text", ["!x[Universe]: <<c: meow(x)>>", "?c[Concept]: <<c: meow(tom)>>"])
+def test_a_variable_over_universe_keeps_the_written_form(running_example, s0, text):
+    # x may hold a concept, which grounding leaves a variable and the
+    # written wrapper binds: only a sentence without one is grounded first
+    vocab = running_example.vocabulary
+    sentence = parse_formula(text, vocab)
+    assert semantics._grounds_first(vocab, sentence) is ("Universe" not in text)
+    agree(s0, sentence)
+
+
+def test_random_sentences_agree_with_reference():
+    structure = _fuzz_structure()
+    vocab = structure.vocab
+    interp = interpretation_of(structure)
+    rng = random.Random(2_026_1020)
+    kinds = {"value": 0, "raised": 0}
+    paths = {"grounded": 0, "written": 0, "refused": 0}
+    for _ in range(1500):
+        sentence = random_formula(rng, vocab, [], depth=4)
+        kinds[agree(structure, sentence)[0]] += 1
+        if not semantics._grounds_first(vocab, sentence):
+            paths["written"] += 1
+            continue
+        try:
+            grounding.ground(sentence, interp)
+        except GosilError:
+            paths["refused"] += 1
+        else:
+            paths["grounded"] += 1
+    assert kinds["value"] > 500 and kinds["raised"] > 200, kinds
+    assert min(paths.values()) > 100, paths
+
+
+# -- sentences deeper than the recursion limit ----------------------------------------
+
+DEEP_HEAD = "type A\nconst a : A\npred p : A\n"
+DEEP = {
+    "not": "~" * 3000 + "p(a)",
+    "and": " & ".join(["p(a)"] * 5000),
+    "or": " | ".join(["p(a)"] * 5000),
+    "wrapped_and": "<<c: " + " & ".join(["p(a)"] * 5000) + ">>",
+    "wrapped_not": "<<c: " + "~" * 3000 + "p(a)>>",
+    "concept_and": "?k[K]: " + " & ".join(["$(k)(a)"] * 5000),
+    "concept_wrapped": "!k[K]: <<c: " + "~" * 3000 + "$(k)(a)>>",
+}
+WIDE = [f"p{i}" for i in range(600)]
+
+
+def reference_outcome(structure, sentence):
+    """The reference's outcome, from a thread whose stack and recursion
+    limit fit a sentence nested thousands deep."""
+    found = []
+    limit, size = sys.getrecursionlimit(), threading.stack_size(256 * 2**20)
+    sys.setrecursionlimit(100_000)
+    try:
+        thread = threading.Thread(
+            target=lambda: found.append(outcome(reference_eval.evaluate, structure, sentence))
+        )
+        thread.start()
+        thread.join(timeout=300)
+    finally:
+        sys.setrecursionlimit(limit)
+        threading.stack_size(size)
+    assert not thread.is_alive() and found
+    return found[0]
+
+
+@pytest.mark.parametrize("name", DEEP)
+@pytest.mark.parametrize("holds", [True, False], ids=["p", "not_p"])
+def test_deep_sentences_agree_with_reference(name, holds):
+    head = DEEP_HEAD + ("pred q : A\ntype K <: Concept := { p, q }\n" if "concept" in name else "")
+    theory = parse_theory(f"{head}axiom {name}: {DEEP[name]}\n")
+    rows = "{ x }" if holds else "{ }"
+    structure = parse_structure(f"type A = {{ x }}\ninterp a = {{ () -> x }}\ninterp p = {rows}\n",
+                                theory.vocabulary)
+    (axiom,) = theory.axioms
+    got = outcome(evaluate, structure, axiom.formula)  # under the default recursion limit
+    assert got[0] == "value", got
+    assert got == reference_outcome(structure, axiom.formula)
+
+
+@pytest.mark.parametrize("held", ["p0", "p599", None])
+def test_a_concept_type_600_wide_agrees_with_reference(held):
+    theory = parse_theory(
+        "type A\nconst a : A\n" + "".join(f"pred {m} : A\n" for m in WIDE)
+        + f"type K <: Concept := {{ {', '.join(WIDE)} }}\n"
+        + "axiom some: ?k[K]: $(k)(a)\naxiom every: !k[K]: <<i: $(k)(a)>>\n"
+    )
+    text = "type A = { x }\ninterp a = { () -> x }\n" + (f"interp {held} = {{ x }}\n" if held else "")
+    structure = parse_structure(text, theory.vocabulary)
+    some, every = (a.formula for a in theory.axioms)
+    assert agree(structure, some) == ("value", held is not None)
+    assert agree(structure, every) == ("value", False)
+
+
+def test_a_concept_part_validation_rejects_is_evaluated_as_the_reference_does(running_example, s0):
+    # Sound holding a plain element, and soundOfKind with a row at `Sound,
+    # outside Kind: the interpretation leaves both out, so grounding
+    # refuses and the written form runs
+    base = _fuzz_structure()
+    sets = {**base.type_sets, "Sound": base.type_sets["Sound"] + (PlainElement("x"),)}
+    junk = Structure(base.vocab, sets, base.graphs, base.nat_bound)
+    sound = resolve_concept(running_example.vocabulary, "Sound")
+    rows = {**s0.graph("soundOfKind").mapping(), (ConceptElement(sound),): MEOW_CONCEPT}
+    outside = Structure(
+        s0.vocab, s0.type_sets,
+        {**s0.graphs, "soundOfKind": FunctionGraph.for_function("soundOfKind", rows)},
+    )
+    cases = [
+        (junk, "?s[Sound]: ~Cat(s) & ~(s = `meow) & ~(s = `bark)", ("value", True)),
+        (junk, "?s[Sound]: ~(s = `meow) & ~(s = `bark) & $(s)(tom)",
+         "RuntimeDerefMismatch: dereference head evaluated to x"),
+        (junk, "?s[Sound]: <<c: $(s)(tom)>>", ("value", True)),
+        (outside, "$(soundOfKind(`Sound))(tom)", "EvaluationError: 'soundOfKind' is undefined at `Sound"),
+        (outside, "?k[Kind]: $(soundOfKind(k))(tom)", ("value", True)),
+    ]
+    for structure, text, expected in cases:
+        sentence = parse_formula(text, structure.vocab)
+        assert semantics._grounds_first(structure.vocab, sentence)
+        got = agree(structure, sentence)
+        if isinstance(expected, tuple):
+            assert got == expected, text
+        else:
+            assert got[0] == "raised" and str(got[2]).startswith(expected), (text, got)

@@ -600,3 +600,13 @@ def test_no_rewritten_walker_calls_itself(name):
     for inner in pyast.walk(definition):
         if isinstance(inner, pyast.FunctionDef) and inner is not definition:
             assert inner.name not in called_names(inner), inner.name
+
+
+@pytest.mark.parametrize("name", ["semantics._compile", "grounding._reduce_head"])
+def test_the_evaluator_compiler_and_head_reduction_call_no_function_of_their_own(name):
+    module, function = name.split(".")
+    walker = getattr(importlib.import_module(f"gosil.{module}"), function)
+    (definition,) = pyast.parse(textwrap.dedent(inspect.getsource(walker))).body
+    own = {inner.name for inner in pyast.walk(definition) if isinstance(inner, pyast.FunctionDef)}
+    assert own >= {function, "enter", "combine"}
+    assert not own & called_names(definition)
