@@ -29,7 +29,7 @@ from .errors import (
     StructureError,
     TypingError,
 )
-from .grounding import elaborate, ground_trace, interpretation, is_intensional
+from .grounding import elaborate, ground, ground_trace, interpretation, is_intensional
 from .models import DEFAULT_EXPLOSION_CAP, find_models
 from .parser import numeral, parse_theory
 from .semantics import evaluate, format_structures, parse_structure
@@ -162,16 +162,17 @@ def cmd_ground(args, out) -> int:
     status = 0
     for axiom in theory.axioms:
         try:
-            steps = ground_trace(axiom.formula, interp)
+            if args.trace:
+                steps = ground_trace(axiom.formula, interp)
+            else:
+                steps = [(None, ground(axiom.formula, interp))]
         except GosilError as err:
             out.write(_diagnostic(args.theory, err, axiom.loc) + "\n")
             status = 1
             continue
-        if args.trace:
-            for step, formula in steps:
-                out.write(f"{axiom.label}: {step}: {ast.format_formula(formula)}\n")
-        else:
-            out.write(f"{axiom.label}: {ast.format_formula(steps[-1][1])}\n")
+        for step, formula in steps:
+            prefix = f"{step}: " if args.trace else ""
+            out.write(f"{axiom.label}: {prefix}{ast.format_formula(formula)}\n")
     return status
 
 

@@ -43,23 +43,17 @@ leaf step instead of walking the subtree again, so order, errors and
 stored. A symbol that no later axiom reads drops out of every key below
 it, so the rest of the type set is searched once for all its options.
 
-A type set whose first candidate fails validation is skipped: the
-enumeration is constructive, so one type set's candidates pass or fail
-validation together. A leaf is emitted only if it passes validation,
-composed from its parts: the type-set part, checked once per type set,
-and each chosen option's graph part, checked once per option on a
-structure holding only that graph. This is exact here because every
-option's rows come from the type set's domains and 0..nat_bound, so a
-graph checked on its own sees the same members and the same naturals as
-inside the full candidate.
+Validation runs once per type set, on its first candidate, and a type set
+whose first candidate fails is skipped. The enumeration is constructive,
+so one type set's candidates pass or fail together: every free row comes
+from the type set's domains and 0..nat_bound, and the only rows that can
+fail are those concept facts pin, which every option of a space holds.
 
 What depends only on the theory and the bounds is kept by the enumeration
 for the whole search, and each type set's search only walks its tree:
-  * a symbol's graph options, and whether each passes validation, are
-    built once per space (the symbol, its argument domains and its result
-    domain) and shared by every type set giving the symbol those domains.
-    Validity depends on nothing else: the space holds no Universe, and
-    every option's naturals lie in 0..nat_bound;
+  * a symbol's graph options are built once per space (the symbol, its
+    argument domains and its result domain) and shared by every type set
+    giving the symbol those domains;
   * the axioms are grounded once, under the theory's interpretation, when
     they are checked. Only graph rows with all-concept arguments become a
     structure's facts, and the theory's facts pin every such row (the
@@ -72,6 +66,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 
 from . import ast
 from .errors import (
@@ -93,8 +88,7 @@ from .semantics import (
     Row,
     Structure,
     evaluate,
-    validate_graph,
-    validate_type_sets,
+    validate_structure,
 )
 from .typecheck import check_sentence
 from .vocabulary import (
@@ -142,7 +136,7 @@ class _Enumeration:
     """The candidate space of a theory under its bounds: the type sets and,
     per type set, each symbol's graph options, both in the documented
     order. It keeps what the searches of all type sets share: the options
-    per space and whether each passes validation."""
+    per space."""
 
     def __init__(
         self,
@@ -171,9 +165,8 @@ class _Enumeration:
             self.fact_rows.setdefault(fname, {})[
                 tuple(ConceptElement(a) for a in args)
             ] = ConceptElement(value)
-        # by (symbol, argument domains, result domain): the options, and
-        # whether each passes validation, None until checked
-        self.spaces: dict[tuple, tuple[list[FunctionGraph], list[bool | None]]] = {}
+        # by (symbol, argument domains, result domain): the options
+        self.spaces: dict[tuple, list[FunctionGraph]] = {}
 
     def _parent_pool(self, name: str, type_sets: dict[str, tuple]) -> tuple:
         pools = [
@@ -183,19 +176,24 @@ class _Enumeration:
             return ()
         return tuple(e for e in pools[0] if all(e in pool for pool in pools[1:]))
 
-    def type_sets(self, index: int = 0, type_sets: dict[str, tuple] | None = None):
-        """Every assignment of the dependent types from `index` on, in
-        order, each extending `type_sets` (the base sets by default)."""
-        if type_sets is None:
-            type_sets = dict(self.base_sets)
-        if index == len(self.dependents):
-            yield dict(type_sets)
-            return
-        name = self.dependents[index]
-        for subset in _nonempty_subsets(self._parent_pool(name, type_sets)):
-            type_sets[name] = subset
-            yield from self.type_sets(index + 1, type_sets)
-        type_sets.pop(name, None)
+    def type_sets(self):
+        """Every assignment of the dependent types, in order, each extending
+        the base sets. `stack[i]` holds the subsets of the i-th dependent
+        type not yet tried; a type's supertypes are declared before it, so
+        its pool reads only types fixed above it."""
+        type_sets = dict(self.base_sets)
+        stack: list[Iterator[tuple]] = []
+        while True:
+            if len(stack) == len(self.dependents):
+                yield dict(type_sets)
+            else:
+                name = self.dependents[len(stack)]
+                stack.append(iter(_nonempty_subsets(self._parent_pool(name, type_sets))))
+            while stack and (subset := next(stack[-1], None)) is None:
+                stack.pop()
+            if not stack:
+                return
+            type_sets[self.dependents[len(stack) - 1]] = subset
 
     def space(self, sig: Signature, type_sets: dict[str, tuple]):
         """What enumeration chooses for one symbol: its argument domains,
@@ -231,21 +229,14 @@ class _Enumeration:
         return max(1, len(result_domain)) ** max(0, tuples - len(pinned))
 
     def options(self, sig: Signature, type_sets: dict[str, tuple]) -> list[FunctionGraph]:
-        """The graph options of one symbol, in order."""
-        return self.options_and_validity(sig, type_sets)[0]
-
-    def options_and_validity(
-        self, sig: Signature, type_sets: dict[str, tuple]
-    ) -> tuple[list[FunctionGraph], list[bool | None]]:
-        """The graph options of one symbol, in order, and beside them
-        whether each passes validation (None until checked), built once per
-        space and shared by every type set that gives the symbol the same
+        """The graph options of one symbol, in order, built once per space
+        and shared by every type set that gives the symbol the same
         domains."""
         arg_domains, result_domain, pinned = self.space(sig, type_sets)
         key = (sig.name, tuple(arg_domains), result_domain)
-        space = self.spaces.get(key)
-        if space is not None:
-            return space
+        options = self.spaces.get(key)
+        if options is not None:
+            return options
         tuples = list(itertools.product(*arg_domains))
         options = []
         if sig.is_predicate:
@@ -258,8 +249,8 @@ class _Enumeration:
                 mapping = dict(pinned)
                 mapping.update(zip(free_tuples, values))
                 options.append(FunctionGraph.for_function(sig.name, mapping))
-        space = self.spaces[key] = options, [None] * len(options)
-        return space
+        self.spaces[key] = options
+        return options
 
     def count(self, cap: int) -> int:
         """The candidate count, with every dependent type at its widest;
@@ -303,13 +294,10 @@ class _TypeSetSearch:
         self.axioms = axioms
         self.results = results
         self.limit = limit
-        spaces = {
-            s.name: enumeration.options_and_validity(s, type_sets) for s in enumeration.symbols
-        }
+        spaces = {s.name: enumeration.options(s, type_sets) for s in enumeration.symbols}
         # a symbol with one option cannot change the order: fix it first
-        self.names = sorted(spaces, key=lambda name: len(spaces[name][0]) != 1)
-        self.options = [spaces[name][0] for name in self.names]
-        self.validity = [spaces[name][1] for name in self.names]
+        self.names = sorted(spaces, key=lambda name: len(spaces[name]) != 1)
+        self.options = [spaces[name] for name in self.names]
         level = {name: i for i, name in enumerate(self.names)}
         self.declared_levels = [level[name] for name in spaces]
         self.dep_levels = [sorted(level[s] for s in d) for d in deps]
@@ -345,12 +333,11 @@ class _TypeSetSearch:
         self.chosen = [0] * len(self.names)
         self.subtrees: dict[tuple, list[tuple[int, ...]]] = {}
         self.reached: list[tuple[int, ...]] = []
-        self.type_sets_ok: bool | None = None
 
     def has_candidates(self) -> bool:
         """Whether any candidate exists and passes validation; candidates of
         one type set pass or fail together, so the first one decides."""
-        return all(self.options) and self.valid()
+        return all(self.options) and validate_structure(self.vocab, self.candidate()).ok
 
     def graphs(self, levels) -> dict[str, FunctionGraph]:
         """The chosen graphs of the symbols at `levels`."""
@@ -373,30 +360,10 @@ class _TypeSetSearch:
             # frame, and through it no reference back to this search
             return err.with_traceback(None)
 
-    def valid(self) -> bool:
-        """Whether the complete candidate passes validation, composed from
-        the type-set part, checked once, and each chosen option's graph
-        part, checked once per option of a space."""
-        if self.type_sets_ok is None:
-            self.type_sets_ok = validate_type_sets(self.vocab, self.type_sets).ok
-        if not self.type_sets_ok:
-            return False
-        for options, validity, i in zip(self.options, self.validity, self.chosen):
-            ok = validity[i]
-            if ok is None:
-                ok = validity[i] = validate_graph(
-                    self.vocab, self.type_sets, options[i], self.nat_bound
-                ).ok
-            if not ok:
-                return False
-        return True
-
     def leaf(self) -> bool:
-        """Emit the complete candidate if it is valid; True once `limit`
-        models are found."""
+        """Emit the complete candidate; True once `limit` models are
+        found."""
         self.reached.append(tuple(self.chosen))
-        if not self.valid():
-            return False
         self.results.append(self.candidate())
         return self.limit is not None and len(self.results) >= self.limit
 

@@ -329,40 +329,7 @@ def validate_structure(vocab: Vocabulary, structure: Structure) -> ValidationRep
     return report
 
 
-def validate_type_sets(
-    vocab: Vocabulary, type_sets: dict[str, tuple[DomainElement, ...]]
-) -> ValidationReport:
-    """The type-set part of `validate_structure`: the checks that read no
-    graph."""
-    report = ValidationReport()
-    _check_type_sets(Structure(vocab, type_sets, {}), report)
-    return report
-
-
-def validate_graph(
-    vocab: Vocabulary,
-    type_sets: dict[str, tuple[DomainElement, ...]],
-    graph: FunctionGraph,
-    nat_bound: int | None = None,
-) -> ValidationReport:
-    """The part of `validate_structure` that checks one graph, run on a
-    structure holding only that graph. A graph reads the other graphs only
-    through the naturals they mention, which a Nat argument's totality
-    ranges over; where every graph's naturals lie in 0..nat_bound (as in
-    model search), this part reports what the full check reports for it."""
-    report = ValidationReport()
-    structure = Structure(vocab, type_sets, {graph.name: graph}, nat_bound)
-    _check_graph(structure, graph.name, graph, report)
-    return report
-
-
 def _check_structure(structure: Structure, report: ValidationReport) -> None:
-    _check_type_sets(structure, report)
-    for name, graph in structure.graphs.items():
-        _check_graph(structure, name, graph, report)
-
-
-def _check_type_sets(structure: Structure, report: ValidationReport) -> None:
     vocab = structure.vocab
     for t in vocab.types:
         if t.builtin:
@@ -380,43 +347,39 @@ def _check_type_sets(structure: Structure, report: ValidationReport) -> None:
                         f"element {e} of {t.name!r} is missing from supertype {sup!r}",
                         t.name,
                     )
-
-
-def _check_graph(
-    structure: Structure, name: str, graph: FunctionGraph, report: ValidationReport
-) -> None:
-    sig = structure.vocab.signature(name)
-    if sig is None:
-        report.add("UnknownSymbol", f"graph for undeclared symbol {name!r}", name)
-        return
-    seen: dict[Row, DomainElement] = {}
-    for args, result in graph.rows:
-        if len(args) != sig.arity:
-            report.add("ArityMismatch", f"row of {name!r} has wrong arity", name)
+    for name, graph in structure.graphs.items():
+        sig = vocab.signature(name)
+        if sig is None:
+            report.add("UnknownSymbol", f"graph for undeclared symbol {name!r}", name)
             continue
-        for e, arg_type in zip(args, sig.argument_types):
-            if not structure.member(e, arg_type):
+        seen: dict[Row, DomainElement] = {}
+        for args, result in graph.rows:
+            if len(args) != sig.arity:
+                report.add("ArityMismatch", f"row of {name!r} has wrong arity", name)
+                continue
+            for e, arg_type in zip(args, sig.argument_types):
+                if not structure.member(e, arg_type):
+                    report.add(
+                        "RowTyping",
+                        f"argument {e} of {name!r} is not in {arg_type!r}",
+                        name,
+                    )
+            if not graph.is_predicate and not structure.member(result, sig.result_type):
                 report.add(
                     "RowTyping",
-                    f"argument {e} of {name!r} is not in {arg_type!r}",
+                    f"result {result} of {name!r} is not in {sig.result_type!r}",
                     name,
                 )
-        if not graph.is_predicate and not structure.member(result, sig.result_type):
-            report.add(
-                "RowTyping",
-                f"result {result} of {name!r} is not in {sig.result_type!r}",
-                name,
-            )
-        if args in seen and seen[args] != result:
-            report.add("Functionality", f"{name!r} maps a tuple to two results", name)
-        seen[args] = result
-    if not graph.is_predicate:
-        for combo in _argument_tuples(structure, sig):
-            if combo not in seen:
-                shown = ", ".join(str(e) for e in combo)
-                report.add(
-                    "Totality", f"{name!r} has no value at ({shown})", name
-                )
+            if args in seen and seen[args] != result:
+                report.add("Functionality", f"{name!r} maps a tuple to two results", name)
+            seen[args] = result
+        if not graph.is_predicate:
+            for combo in _argument_tuples(structure, sig):
+                if combo not in seen:
+                    shown = ", ".join(str(e) for e in combo)
+                    report.add(
+                        "Totality", f"{name!r} has no value at ({shown})", name
+                    )
 
 
 def _argument_tuples(structure: Structure, sig: Signature):

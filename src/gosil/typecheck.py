@@ -115,14 +115,6 @@ class TypingDerivation:
         return f"{self.expr} : {self.type_name}"
 
 
-RULE_NAMES = (
-    "T-tr", "T-fa", "T-or", "T-neg", "T-ex", "T-sub", "T-var", "T-app",
-    "G-c", "G-i",
-    # direct rules for the shortcut connectives and concept references
-    "T-and", "T-imp", "T-iff", "T-all", "T-con",
-)
-
-
 # -- terms -------------------------------------------------------------------------
 
 

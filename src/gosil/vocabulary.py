@@ -405,8 +405,6 @@ def validate(vocab: Vocabulary) -> ValidationReport:
         for end in (sub, sup):
             if end not in names:
                 report.add("UnknownType", f"edge endpoint {end!r} undeclared", f"{sub} <: {sup}")
-        if sup == UNIVERSE:
-            continue
     if any(sub == UNIVERSE for sub, _ in vocab.direct_edges):
         report.add("UniverseSupertype", f"{UNIVERSE} must not have a supertype")
 

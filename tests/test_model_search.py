@@ -3,9 +3,9 @@ replaced, kept in reference_models: on every theory the outcome, the list of
 formatted models or the exception class and message, must agree. Plus the
 candidate count against the options the search builds, the closed-form
 model count at Animal=3, the order in which errors are reported, replayed
-subtrees, the search's validation, composed from a type-set part and
-per-graph parts, against `validate_structure` on every candidate, and the
-grounded axioms the search evaluates against the axioms as written."""
+subtrees, `validate_structure` on every candidate against its type set's
+first candidate, the only one the search validates, and the grounded
+axioms the search evaluates against the axioms as written."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from generators import fuzz_vocabulary, random_formula
 from reference_walkers import dependencies, has_guards
 from test_models import small_theory
 
-from gosil import ast, semantics
+from gosil import ast, models, semantics
 from gosil.errors import GosilError
 from gosil.grounding import grounded_dependencies, interpretation
 from gosil.models import _Enumeration, find_models
@@ -30,9 +30,7 @@ from gosil.semantics import (
     format_structure,
     format_structures,
     interpretation_of,
-    validate_graph,
     validate_structure,
-    validate_type_sets,
 )
 from gosil.typecheck import check_sentence
 
@@ -61,6 +59,17 @@ type A
 pred p : A
 type E <: Concept := { }
 axiom n: ?n[Nat]: true
+"""
+# Every candidate fails validation on a graph: the row the define pins
+# maps into K, outside f's result type S.
+DEFINE_OUTSIDE_RESULT = """
+type Animal
+pred p : Animal
+type K <: Concept := { Animal }
+type S <: Concept := { p }
+func f : K -> S
+define f(`Animal) = `K
+axiom t: true
 """
 
 
@@ -106,6 +115,7 @@ THEORIES = {
     "concept-function": (lambda: parse_theory(CONCEPT_FUNCTION), {"Cat": 1}, {}),
     "outside-supertype": (lambda: parse_theory(OUTSIDE_SUPERTYPE), {"A": 1}, {}),
     "empty-extension": (lambda: parse_theory(EMPTY_EXTENSION), {"A": 1}, {}),
+    "define-outside-result": (lambda: parse_theory(DEFINE_OUTSIDE_RESULT), {"Animal": 2}, {}),
 }
 
 
@@ -224,30 +234,32 @@ def candidates(theory, bounds, nat_bound=None):
             yield type_sets, {g.name: g for g in graphs}
 
 
-def assert_composed_validation_agrees(theory, bounds, nat_bound=None) -> tuple[int, int]:
-    """The type-set part plus each graph's part, checked on its own, against
-    `validate_structure` on the full candidate; returns the number of
-    candidates and how many of them fail validation."""
+def assert_candidates_validate_as_their_first(theory, bounds, nat_bound=None) -> tuple[int, int]:
+    """`validate_structure` on every candidate against its type set's first
+    candidate, the only one the search validates: each must report what the
+    first reports. Returns the number of candidates and how many of them
+    fail validation."""
     vocab = theory.vocabulary
     count = failing = 0
+    first = None
     for type_sets, graphs in candidates(theory, bounds, nat_bound):
-        whole = validate_structure(vocab, Structure(vocab, type_sets, graphs, nat_bound))
-        parts = list(validate_type_sets(vocab, type_sets).violations)
-        for graph in graphs.values():
-            parts += validate_graph(vocab, type_sets, graph, nat_bound).violations
-        assert parts == whole.violations
+        report = validate_structure(vocab, Structure(vocab, type_sets, graphs, nat_bound))
+        # `candidates` yields one type-set dict per type set
+        if first is None or first[0] is not type_sets:
+            first = type_sets, report
+        assert report.violations == first[1].violations
         count += 1
-        failing += not whole.ok
+        failing += not report.ok
     return count, failing
 
 
-def test_composed_validation_agrees_on_sounds(sounds_path):
+def test_candidates_validate_as_their_first_on_sounds(sounds_path):
     theory = parse_theory(sounds_path.read_text())
-    counts = [assert_composed_validation_agrees(theory, {"Animal": n}, 3) for n in (1, 2)]
+    counts = [assert_candidates_validate_as_their_first(theory, {"Animal": n}, 3) for n in (1, 2)]
     assert counts == [(32, 0), (6144, 0)]
 
 
-def test_composed_validation_agrees_on_random_theories():
+def test_candidates_validate_as_their_first_on_random_theories():
     # the random theories share the fuzz vocabulary and the Animal bound,
     # so their candidates are those of the nat bounds they are run with
     nat_bounds = set()
@@ -257,16 +269,31 @@ def test_composed_validation_agrees_on_random_theories():
         rng.choice((None, None, 1, 3))
         nat_bounds.add(rng.choice((0, 1)))
     counts = {
-        nat_bound: assert_composed_validation_agrees(theory, {"Animal": 1}, nat_bound)
+        nat_bound: assert_candidates_validate_as_their_first(theory, {"Animal": 1}, nat_bound)
         for nat_bound in sorted(nat_bounds)
     }
     assert counts == {0: (16, 0), 1: (512, 0)}
 
 
-@pytest.mark.parametrize("source", [OUTSIDE_SUPERTYPE, EMPTY_EXTENSION])
-def test_composed_validation_agrees_on_failing_candidates(source):
-    count, failing = assert_composed_validation_agrees(parse_theory(source), {"A": 1})
+@pytest.mark.parametrize("name", ["outside-supertype", "empty-extension", "define-outside-result"])
+def test_candidates_validate_as_their_first_on_failing_candidates(name):
+    build, bounds, _ = THEORIES[name]
+    count, failing = assert_candidates_validate_as_their_first(build(), bounds)
     assert count == failing > 0
+
+
+def test_search_validates_each_type_set_once(sounds_path, monkeypatch):
+    validated = []
+
+    def counted(vocab, structure):
+        validated.append(structure.type_sets)
+        return validate_structure(vocab, structure)
+
+    monkeypatch.setattr(models, "validate_structure", counted)
+    theory = parse_theory(sounds_path.read_text())
+    assert len(find_models(theory, {"Animal": 2}, nat_bound=3)) == 192
+    type_sets = list(_Enumeration(theory, {"Animal": 2}, nat_bound=3).type_sets())
+    assert validated == type_sets and len(type_sets) == 9
 
 
 # `u` is read by no axiom, so the search walks the rest of each type set

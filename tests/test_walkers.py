@@ -11,6 +11,7 @@ from __future__ import annotations
 import ast as pyast
 import importlib
 import inspect
+import io
 import random
 import textwrap
 from pathlib import Path
@@ -20,7 +21,7 @@ import pytest
 import reference_typecheck as ref_checker
 import reference_walkers as ref
 from generators import FUZZ_FREE_VARS, fuzz_vocabulary, random_formula
-from gosil import ast, elaboration, grounding, parser
+from gosil import ast, cli, elaboration, grounding, parser
 from gosil.errors import (
     GroundArityError,
     IncomparableTypes,
@@ -382,6 +383,32 @@ def test_check_sentence_surveys_a_sentence_once(monkeypatch):
                 assert on_grounded == ["fold"] * (1 + spelled), axiom.label
             checked += 1
     assert checked > 20
+
+
+def test_ground_command_folds_a_sentence_once(monkeypatch):
+    """`gosil ground` without `--trace` folds each sentence at most once, to
+    ground it; only `--trace` folds again, for the steps before the last."""
+    theories, roots = [], []
+    parse, fold = cli.parse_theory, ast.fold
+
+    def captured_parse(text):
+        theories.append(parse(text))
+        return theories[-1]
+
+    def counted_fold(expr, *args, **kwargs):
+        roots.append(expr)
+        return fold(expr, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "parse_theory", captured_parse)
+    monkeypatch.setattr(ast, "fold", counted_fold)
+    folds = {}
+    for path in sorted(FIXTURES.glob("*.gos")):
+        roots.clear()
+        cli.main(["ground", str(path)], out=io.StringIO())
+        for axiom in theories[-1].axioms:
+            assert sum(root is axiom.formula for root in roots) <= 1, axiom.label
+        folds[path.name] = len(roots)
+    assert folds == {"mixed_locations.gos": 31, "running_example.gos": 29, "sounds.gos": 24}
 
 
 # -- trees deeper than the recursion limit -------------------------------------
