@@ -29,7 +29,7 @@ from .errors import (
     StructureError,
     TypingError,
 )
-from .grounding import elaborate, ground, ground_trace, interpretation, is_intensional
+from .grounding import elaborate, ground, ground_trace, interpretation
 from .models import DEFAULT_EXPLOSION_CAP, find_models
 from .parser import numeral, parse_theory
 from .semantics import evaluate, format_structures, parse_structure
@@ -103,12 +103,15 @@ def cmd_check(args, out) -> int:
     records = []
     for axiom in theory.axioms:
         record: dict = {"label": axiom.label}
+        steps: list | None = [] if args.trace else None  # filled once the axiom grounds
         try:
-            if args.trace and is_intensional(theory.vocabulary, axiom.formula):
-                for step, formula in ground_trace(axiom.formula, interpretation(theory)):
-                    out.write(f"{axiom.label}: {step}: {ast.format_formula(formula)}\n")
-            derivation = check_sentence(theory, axiom.formula)
-        except (TypingError, ElaborationError, GroundingError) as err:
+            derivation, err = check_sentence(theory, axiom.formula, steps), None
+        except (TypingError, ElaborationError, GroundingError) as caught:
+            # kept past the handler, so without the traceback that holds this frame
+            derivation, err = None, caught.with_traceback(None)
+        for step, formula in steps or ():
+            out.write(f"{axiom.label}: {step}: {ast.format_formula(formula)}\n")
+        if err is not None:
             failures += 1
             out.write(f"{axiom.label}: ill-typed\n")
             out.write(_diagnostic(args.theory, err, axiom.loc) + "\n")

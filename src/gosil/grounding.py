@@ -15,14 +15,18 @@ The three stages, expansion, then elimination, then elaboration, remain
 only as those steps and as the order errors are reported in: a missing
 extension first, then the first elimination error, then the first
 elaboration error. Guard elaboration alone, `elaborate`, is the same fold
-with elimination off and nothing to expand.
+with elimination off and nothing to expand. Checking a sentence, `checked`,
+is the same fold once more: when it has grounded the sentence, it goes on
+to derive the grounded form by the checker's own rules, so that each
+sentence is surveyed once and folded once, and no grounded instance is
+walked or folded on its own.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from . import ast, elaboration
@@ -32,10 +36,20 @@ from .errors import (
     MissingExtension,
     NonFunctionalFacts,
     NonTotalConceptFunction,
+    TypingError,
     UnknownConceptMember,
     UnresolvableDeref,
 )
-from .typecheck import TypingContext, VarEntry, initial_context, refold
+from .typecheck import (
+    TypingContext,
+    TypingDerivation,
+    VarEntry,
+    conclude,
+    initial_context,
+    refold,
+    step,
+    typecheck,
+)
 from .vocabulary import (
     CONCEPT,
     ConceptObject,
@@ -147,9 +161,9 @@ def _check_totality(interp: GroundInterpretation) -> None:
 #
 # A survey walks the formula once, in preorder, before anything is rewritten.
 # It notes whether the formula holds concept quantifiers, dereferences,
-# concept references and guard wrappers, and, given an interpretation, looks
-# up the extension of each concept quantifier, skipping the body of an
-# empty one, which is never grounded.
+# concept references and guard wrappers, and its free variables, and, given
+# an interpretation, looks up the extension of each concept quantifier. Below
+# an empty one, which is never grounded, it only looks for free variables.
 #
 # Then one fold of the formula does all three rewrites. What a node inherits
 # is a pair: the concept bindings, the concept reference bound to each
@@ -162,8 +176,22 @@ def _check_totality(interp: GroundInterpretation) -> None:
 #   (for ?) or true.
 # - A dereference folds its head first, as a `_Reduce` that reduces it to a
 #   concept object as soon as it is rewritten, then its arguments, and
-#   becomes an application of the symbol that object names.
-# - A wrapper folds its body, then elaborates it.
+#   becomes an application of the symbol that object names. A reference,
+#   or an application to references, reduces at once.
+# - A wrapper folds its body, noting each atom of it with the entries above
+#   the atom, then elaborates it with the guard targets of those atoms, so
+#   that no body is walked again; one whose body is an atom grounded at
+#   once is elaborated at once.
+# - An atom over simple terms is grounded at once.
+#
+# Checking a sentence, the fold starts at a `_Checkpoint`. Once the sentence
+# is grounded below it, so that every elimination and elaboration error has
+# been met first, as the staged order has them, the fold goes on to derive
+# the grounded form by the checker's own rules, `typecheck.step` and
+# `typecheck.conclude`, each subtree inheriting its typing context. The
+# checker's keys are its own, but for a connective, a quantifier or an
+# equation, which it keys by the node as grounding does: those are concluded
+# when their values are derivations.
 #
 # Elimination and elaboration can be switched off; `ground_trace` shows the
 # steps with the later ones off. With elimination on every node but a leaf
@@ -188,13 +216,30 @@ class _Expansion(NamedTuple):
 
 class _Elaboration(NamedTuple):
     """A guard wrapper of class `wrapper` whose grounded body elaborates
-    under `entries`."""
+    under `entries`, the atoms of that body noted from `start` on."""
 
     wrapper: type
     entries: tuple[VarEntry, ...]
+    start: int
+
+
+class _Leave(NamedTuple):
+    """Met by the survey once it is done with the body of a quantifier over
+    `var`, an empty expansion when `empty` is true."""
+
+    var: str
+    empty: bool
+
+
+class _Checkpoint(NamedTuple):
+    """The root of a fold that derives the formula, once it is grounded,
+    under `ctx`."""
+
+    ctx: TypingContext
 
 
 _EXPANSIONS = {ast.Exists: _Expansion(ast.Or), ast.Forall: _Expansion(ast.And)}
+_ATOMS = (ast.Atom, ast.DerefAtom)
 
 
 class _Pass:
@@ -212,59 +257,89 @@ class _Pass:
     ):
         """Survey `formula`. Extensions are looked up in `interp`, or in the
         interpretation of `theory`, built once the survey meets something
-        intensional; with neither, nothing is looked up or expanded. A
-        MissingExtension is raised here, before any other grounding error:
+        intensional; with neither, nothing is looked up or expanded. The
+        first error in building the interpretation or looking an extension
+        up is raised by a fold before any other grounding error, as
         expansion comes first in the staged order."""
         self.vocab, self.formula, self.interp, self.theory = vocab, formula, interp, theory
         self.applied: dict[int, ast.Term | ast.Formula] | None = None  # see `ground`
         self.extensions: dict[str, tuple[ConceptObject, ...]] = {}  # of concept quantifiers
         self.quantified = self.dereferenced = self.referenced = self.guarded = False
+        self.free: set[str] = set()
+        self.unready: GosilError | None = None  # the first error looking extensions up
+        self.bound: dict[str, int] = {}  # the quantifiers binding each name around the node met
+        self.dead = 0  # the empty expansions around it
         deque(ast.walk(formula, self._surveyed), maxlen=0)
         self.intensional = self.quantified or self.dereferenced or self.referenced
-        if self.intensional and theory is not None:
-            self.interp = interpretation(theory)
+        if self.intensional:
+            self._extension(None)
 
     def _surveyed(self, node):
-        """The children of `node` the survey goes on to, once it has noted
-        what `node` is: all of them, but none below an empty expansion."""
+        """What the survey goes on to below `node`, once it has noted what
+        `node` is: its children, and after the body of a quantifier, a
+        `_Leave`. Below an empty expansion, which is never grounded, only
+        free variables are noted."""
         kind = type(node)
-        if kind in _QUANTIFIERS and is_subtype(self.vocab, node.type_name, CONCEPT):
-            self.quantified = True
-            if self.interp is None and self.theory is not None:
-                self.interp = interpretation(self.theory)
-            if self.interp is not None:
-                members = self.extensions.get(node.type_name)
-                if members is None:
-                    members = self.extensions[node.type_name] = self.interp.extension(node.type_name)
-                if not members:
-                    return ()
-        elif kind is ast.ConceptRef:
-            self.referenced = True
-        elif kind in _DEREFS:
-            self.dereferenced = True
-        elif kind in _WRAPPERS:
-            self.guarded = True
+        if kind is _Leave:
+            self.bound[node.var] -= 1
+            self.dead -= node.empty
+            return ()
+        if kind is ast.Variable and not self.bound.get(node.name):
+            self.free.add(node.name)
+        elif kind in _QUANTIFIERS:
+            empty = False
+            if not self.dead and is_subtype(self.vocab, node.type_name, CONCEPT):
+                self.quantified = True
+                empty = self._extension(node.type_name) == ()
+            self.bound[node.var] = self.bound.get(node.var, 0) + 1
+            self.dead += empty
+            return node.body, _Leave(node.var, empty)
+        elif not self.dead:
+            self.referenced |= kind is ast.ConceptRef
+            self.dereferenced |= kind in _DEREFS
+            self.guarded |= kind in _WRAPPERS
         return ast.children(node)
 
-    def run(self, context: TypingContext | None = None, eliminate=True, elaborate=True):
+    def _extension(self, type_name: str | None) -> tuple[ConceptObject, ...] | None:
+        """The extension of `type_name`, looked up once, in the theory's
+        interpretation built if need be, as it is for no type name; None with
+        nothing to look it up in, or once the survey has failed."""
+        try:
+            if self.interp is None and self.theory is not None and self.unready is None:
+                self.interp = interpretation(self.theory)
+            if type_name and type_name not in self.extensions and self.interp and not self.unready:
+                self.extensions[type_name] = self.interp.extension(type_name)
+        except GosilError as err:
+            self.unready = err.with_traceback(None)
+        return self.extensions.get(type_name)
+
+    def run(self, context: TypingContext | None = None, eliminate=True, elaborate=True,
+            deriving: TypingContext | None = None):
         """The formula with its concept quantifiers expanded and the other
-        rewrites switched on done. Elaboration comes after elimination in
-        the staged order, so its first error is raised only once the whole
-        pass has met no elimination error."""
+        rewrites switched on done; with `deriving`, its derivation under
+        that context. Elaboration comes after elimination in the staged
+        order, so its first error is raised only once the whole pass has met
+        no elimination error, and nothing is derived then."""
+        if self.unready is not None:
+            raise self.unready
         self.eliminate, self.elaborate = eliminate, elaborate
         self.context = context
         self.scope = ((), context)  # the entries last elaborated under, and their context
         self.error: GosilError | None = None  # the first elaboration error
         self.wrappers = 0  # the wrappers being elaborated around the node folded
-        enter_rules, combine_rules = _ENTER, _COMBINE
+        self.atoms: list = []  # (entries, atom) of each atom of their bodies, in preorder
+        self.root = None  # the grounded formula, once deriving starts
 
         def enter(node, inherited):  # anything else raises TypeError in ast.children
-            return enter_rules.get(type(node), _visit)(self, node, inherited)
+            if type(inherited) is TypingContext:
+                return step(node, inherited)
+            return _ENTER.get(type(node), _visit)(self, node, inherited)
 
-        def combine(node, values):
-            return combine_rules[type(node)](self, node, values)
+        def combine(key, values):
+            return _COMBINE.get(type(key), _concluded)(self, key, values)
 
-        grounded = ast.fold(self.formula, combine, enter, ({}, ()))
+        root = self.formula if deriving is None else _Checkpoint(deriving)
+        grounded = ast.fold(root, combine, enter, ({}, ()))
         error, self.error = self.error, None
         if error is not None:
             raise error
@@ -281,6 +356,42 @@ class _Pass:
         if self.dereferenced or self.guarded:
             return self.run(context)
         return self.expanded() if self.quantified else self.formula
+
+    def steps(self, grounded: ast.Formula) -> list[tuple[str, ast.Formula]]:
+        """The steps `ground_trace` shows, the last being `grounded`."""
+        steps = [("original", self.formula)]
+        if self.quantified:
+            rewritten = self.dereferenced or self.guarded
+            steps.append(("grounded concept quantifiers", self.expanded() if rewritten else grounded))
+        if self.dereferenced:
+            eliminated = self.run(elaborate=False) if self.guarded else grounded
+            steps.append(("eliminated intensional terms", eliminated))
+        if self.guarded:
+            steps.append(("elaborated implicit guards", grounded))
+        return steps
+
+    def check(self, steps: list | None) -> TypingDerivation:
+        """What `checked` describes, from this survey and at most one fold."""
+        if self.free:
+            names = ", ".join(sorted(self.free))
+            raise TypingError("UnboundVariable", f"not a sentence, free variables: {names}", self.formula)
+        if self.unready is not None:
+            raise self.unready
+        ctx = initial_context(self.vocab)
+        try:
+            if self.quantified or self.dereferenced or self.guarded:
+                elaborate = self.dereferenced or self.guarded
+                derivation = self.run(ctx, self.intensional and elaborate, elaborate, ctx)
+            else:
+                self.root = self.formula
+                derivation = typecheck(ctx, self.formula)
+        finally:  # the steps of a sentence that grounds, whether it types or not
+            if steps is not None and self.intensional and self.root is not None:
+                steps += self.steps(self.root)
+        if not (self.intensional or self.guarded):
+            return derivation
+        note = "typed via grounding" if self.intensional else "typed after guard elaboration"
+        return replace(derivation, note=f"{note}: {ast.format_formula(derivation.expr)}")
 
     def context_of(self, entries: tuple[VarEntry, ...]) -> TypingContext:
         """The typing context under `entries`, the quantifiers kept above."""
@@ -302,7 +413,38 @@ def _visit(walk: _Pass, node, inherited):
 
 
 def _atom(walk: _Pass, node, inherited):
-    return None if walk.eliminate or inherited[0] else node
+    """An atom grounded, or what to fold for it; one in a wrapper's body is
+    noted with the entries above it, for the wrapper's guard targets, and
+    one the fold grounds is filled in by `_atom_built`."""
+    grounded = _grounded_atom(walk, node, inherited)
+    if walk.wrappers:
+        walk.atoms.append((inherited[1], grounded if isinstance(grounded, ast.Formula) else None))
+    return grounded
+
+
+def _grounded_atom(walk: _Pass, node, inherited):
+    """An atom grounded at once when its arguments are simple: a leaf, a
+    variable in place of which goes the reference it is bound to, or a
+    constant, rebuilt as every application is; a dereferencing one too
+    when its head reduces at once. Else what to fold for it."""
+    bindings = inherited[0]
+    if not (walk.eliminate or bindings):
+        return node
+    args = []
+    for arg in node.args:
+        if type(arg) is ast.Variable:
+            arg = bindings.get(arg.name, arg)
+        elif ast.children(arg):
+            return None if type(node) is ast.Atom else _dereference(walk, node, inherited)
+        elif type(arg) is ast.Apply:
+            arg = ast.Apply(arg.symbol, ())
+        args.append(arg)
+    if type(node) is ast.Atom:
+        return ast.Atom(node.predicate, tuple(args))
+    head = bindings.get(node.head.name, node.head) if type(node.head) is ast.Variable else node.head
+    if not walk.eliminate or type(head) not in (ast.Variable, ast.ConceptRef):
+        return _dereference(walk, node, inherited)
+    return _applied(walk, node, [_reduced(walk, node, (head,)), *args])
 
 
 def _dereference(walk: _Pass, node, inherited):
@@ -333,10 +475,17 @@ def _quantifier(walk: _Pass, node, inherited):
 
 
 def _wrapper(walk: _Pass, node, inherited):
+    """A wrapper, elaborated at once when its body is an atom grounded at
+    once."""
     if not walk.elaborate:
         return None
     walk.wrappers += 1
-    return ast.Below(_Elaboration(type(node), inherited[1]), [(node.body, inherited)])
+    key = _Elaboration(type(node), inherited[1], len(walk.atoms))
+    body = _grounded_atom(walk, node.body, inherited) if type(node.body) in _ATOMS else None
+    if isinstance(body, ast.Formula):
+        walk.atoms.append((inherited[1], body))
+        return _elaborated(walk, key, (body,))
+    return ast.Below(key, [(node.body, inherited)])
 
 
 def _reduce(walk: _Pass, node: _Reduce, inherited):
@@ -354,15 +503,20 @@ _ENTER = {
     **dict.fromkeys((ast.NatLiteral, ast.ConceptRef, ast.Truth), _leaf),
     ast.Variable: _variable,
     **dict.fromkeys((ast.Apply, ast.Not, ast.And, ast.Or, ast.Implies, ast.Iff), _visit),
-    ast.Atom: _atom,
-    **dict.fromkeys(_DEREFS, _dereference),
+    **dict.fromkeys(_ATOMS, _atom),
+    ast.Deref: _dereference,
     **dict.fromkeys(_QUANTIFIERS, _quantifier),
     **dict.fromkeys(_WRAPPERS, _wrapper),
     _Reduce: _reduce,
+    _Checkpoint: lambda walk, node, inherited: ast.Below(node, [(walk.formula, inherited)]),
 }
 
 
 def _rebuilt(walk: _Pass, node, values):
+    """A node over its grounded children; or one the checker keys by the
+    node, concluded from its premises."""
+    if values and type(values[0]) is TypingDerivation:
+        return conclude(walk.vocab, node, values)
     return ast.rebuild(node, values)
 
 
@@ -386,33 +540,79 @@ def _joined(walk: _Pass, node: _Expansion, values):
     return refold(values, node.connective)
 
 
+def _atom_built(walk: _Pass, node, values):
+    atom = _rebuilt(walk, node, values) if type(node) is ast.Atom else _applied(walk, node, values)
+    if walk.wrappers:
+        walk.atoms[-1] = walk.atoms[-1][0], atom
+    return atom
+
+
 def _elaborated(walk: _Pass, node: _Elaboration, values):
+    """The wrapper's grounded body guarded by the targets of its atoms, each
+    in the context of the entries above it, the variables bound inside the
+    body being those past the wrapper's own."""
     (body,) = values
     walk.wrappers -= 1
+    n, atoms = len(node.entries), walk.atoms[node.start:]
+    if not walk.wrappers:
+        walk.atoms.clear()
     if walk.error is not None:
         return body
+    if len(atoms) == 1 and atoms[0][1] is body:  # the body is an atom
+        atoms = None
     try:
-        return elaboration.expand_wrapper(node.wrapper, walk.context_of(node.entries), body)
+        if atoms is not None:
+            atoms = [(walk.context_of(e), frozenset(v.name for v in e[n:]), a) for e, a in atoms]
+        return elaboration.expand_wrapper(node.wrapper, walk.context_of(node.entries), body, atoms)
     except GosilError as err:
         walk.error = err.with_traceback(None)
         return body
 
 
 def _reduced(walk: _Pass, node: _Reduce, values):
-    obj = _reduce_head(walk.interp, values[0])
+    head = values[0]
+    obj = head.concept if type(head) is ast.ConceptRef else _fact(walk, head)
+    obj = obj or _reduce_head(walk.interp, head)
     sig = deref_signature(walk.interp.vocab, obj)
     if sig is None:
         raise UnresolvableDeref(f"concept {obj} names nothing applicable")
     return obj, sig
 
 
-_COMBINE = {
+def _derived(walk: _Pass, node: _Checkpoint, values):
+    """The grounded formula, derived by the checker under the checkpoint's
+    context, unless elaborating it failed."""
+    (grounded,) = values
+    if walk.error is not None:
+        return grounded
+    walk.root = grounded
+    entered = step(grounded, node.ctx)
+    return ast.Below(grounded, [(kid, node.ctx) for kid in ast.children(grounded)]) if entered is None else entered
+
+
+_COMBINE = {  # anything else is a key of the checker's
     **dict.fromkeys(_ENTER, _rebuilt),
-    **dict.fromkeys(_DEREFS, _applied),
+    **dict.fromkeys(_ATOMS, _atom_built),
+    ast.Deref: _applied,
     _Expansion: _joined,
     _Elaboration: _elaborated,
     _Reduce: _reduced,
+    _Checkpoint: _derived,
 }
+
+
+def _concluded(walk: _Pass, key, values):
+    return conclude(walk.vocab, key, values)
+
+
+def _fact(walk: _Pass, head: ast.Term) -> ConceptObject | None:
+    """The fact for an application of a concept-valued function to
+    references; None for any other head."""
+    if type(head) is ast.Apply and all(type(arg) is ast.ConceptRef for arg in head.args):
+        sig = walk.vocab.signature(head.symbol)
+        if sig is not None and is_subtype(walk.vocab, sig.result_type, CONCEPT):
+            return walk.interp.facts.get((head.symbol, tuple(arg.concept for arg in head.args)))
+    return None
 
 
 def _reduce_head(interp: GroundInterpretation, head: ast.Term) -> ConceptObject:
@@ -420,7 +620,9 @@ def _reduce_head(interp: GroundInterpretation, head: ast.Term) -> ConceptObject:
     explicit stack: a reference denotes its concept, and an application of
     a concept-valued function the fact for its reduced arguments. A head
     that holds anything else is reported whole, located at the first
-    subterm, in preorder, that does not reduce."""
+    subterm, in preorder, that does not reduce. Only a head that is not a
+    reference nor an application to references, or does not reduce, comes
+    here."""
     vocab = interp.vocab
 
     def enter(term, _):
@@ -462,20 +664,20 @@ def elaborate(ctx: TypingContext, formula: ast.Formula) -> ast.Formula:
     return _Pass(ctx.vocab, formula).run(ctx, eliminate=False)
 
 
-def checked_form(
-    theory: ast.Theory, ctx: TypingContext, sentence: ast.Formula
-) -> tuple[ast.Formula, str | None]:
-    """What `typecheck.check_sentence` checks of `sentence` under `ctx`, and
-    the note it adds: the grounded sentence when it is intensional (the
-    theory's interpretation is built then and only then), the elaborated
-    sentence when it only has wrappers, else the sentence itself and no
-    note."""
-    walk = _Pass(theory.vocabulary, sentence, theory=theory)
-    if walk.intensional:
-        return walk.grounded(ctx), "typed via grounding"
-    if walk.guarded:
-        return walk.run(ctx, eliminate=False), "typed after guard elaboration"
-    return sentence, None
+def checked(
+    theory: ast.Theory, sentence: ast.Formula, steps: list | None = None
+) -> TypingDerivation:
+    """What `typecheck.check_sentence` does: the derivation of the grounded
+    sentence when it is intensional (the theory's interpretation is built
+    then and only then), of the elaborated sentence when it only has
+    wrappers, else of the sentence itself, with a note saying which. One
+    survey and at most one fold, which grounds, elaborates and then derives,
+    report errors in the order of the staged pipeline: free variables, the
+    interpretation and the extensions, the first elimination error, the
+    first elaboration error, the first typing error. Into `steps`, when
+    given, go the steps of `ground_trace` for an intensional sentence once
+    it grounds, the last from the fold."""
+    return _Pass(theory.vocabulary, sentence, theory=theory).check(steps)
 
 
 def ground_trace(
@@ -491,17 +693,7 @@ def ground_trace(
     expansion holds a dereference. The survey finds out which; a step
     before the last is the same fold with the later rewrites off."""
     walk = _Pass(interp.vocab, formula, interp)
-    grounded = walk.grounded(_context(interp.vocab, free_var_types))
-    steps = [("original", formula)]
-    if walk.quantified:
-        rewritten = walk.dereferenced or walk.guarded
-        steps.append(("grounded concept quantifiers", walk.expanded() if rewritten else grounded))
-    if walk.dereferenced:
-        eliminated = walk.run(elaborate=False) if walk.guarded else grounded
-        steps.append(("eliminated intensional terms", eliminated))
-    if walk.guarded:
-        steps.append(("elaborated implicit guards", grounded))
-    return steps
+    return walk.steps(walk.grounded(_context(interp.vocab, free_var_types)))
 
 
 def ground(

@@ -19,16 +19,16 @@ Rendering, export and validation walk a derivation over its premises with
 `ast.walk`/`ast.fold`. All of them keep their own stack, so no tree is too
 deep for them.
 
-`check_sentence` checks a sentence as `grounding.checked_form` prepares it:
-one survey of the sentence decides whether it is grounded, its wrappers
-elaborated, or it is checked as it is, and at most one grounding fold
-follows.
+`check_sentence` checks a sentence in one survey and one fold,
+`grounding.checked`: the fold grounds and elaborates the sentence, then
+derives the grounded form by this module's rules, which `step` and
+`conclude` open to it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import field, replace
+from dataclasses import field
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -81,16 +81,18 @@ class TypingContext:
         """Most recent annotation for this term. A TermEntry is skipped when
         any of its variables was re-bound above it (capture avoidance); a
         VarEntry both answers variable lookups and re-binds its name."""
-        rebound: set[str] = set()
+        rebound: tuple[str, ...] = ()
         name = term.name if type(term) is ast.Variable else None
         for entry in reversed(self.entries):
-            if isinstance(entry, VarEntry):
+            if type(entry) is VarEntry:
                 if entry.name == name:
                     return entry.type_name
-                rebound.add(entry.name)
-            elif isinstance(entry, TermEntry):
-                if entry.term == term and ast.free_variables(entry.term).isdisjoint(rebound):
+                rebound += (entry.name,)
+            elif type(entry.term) is ast.Variable:  # a guarded variable
+                if entry.term.name == name and name not in rebound:
                     return entry.type_name
+            elif entry.term == term and ast.free_variables(entry.term).isdisjoint(rebound):
+                return entry.type_name
         return None
 
 
@@ -327,12 +329,16 @@ def _equation(vocab: Vocabulary, atom: ast.Atom, sides) -> TypingDerivation:
 def _guarded(ctx: TypingContext, rule: str, formula, split):
     """Each guarded term must be typeable, and so typed at Universe, above
     every type; the remainder is checked with the guards' type annotations
-    pushed."""
+    pushed. Decided at once when the terms are simple and the remainder an
+    atom over simple terms, as a guarded instance of a wrapper mostly is."""
     guards, body = split
     terms = [g.args[0] for g in guards]
     inner = ctx.push(*(TermEntry(t, g.predicate) for t, g in zip(terms, guards)))
-    pairs = [(_At(t, UNIVERSE, None), ctx) for t in terms]
-    return ast.Below(_Conclusion(rule, formula, BOOL), pairs + [(body, inner)])
+    key = _Conclusion(rule, formula, BOOL)
+    if all(map(_simple, terms)) and type(body) is ast.Atom and all(map(_simple, body.args)):
+        premises = [_term_at(ctx, t, UNIVERSE, None) for t in terms]
+        return _concluded(ctx.vocab, key, premises + [_atom(inner, body)])
+    return ast.Below(key, [(_At(t, UNIVERSE, None), ctx) for t in terms] + [(body, inner)])
 
 
 def _wrapper(ctx: TypingContext, node):
@@ -367,43 +373,49 @@ _COMBINE = {  # by the class of what was folded below
 }
 
 
+def step(node, ctx: TypingContext):
+    """What the checker's fold does on entering `node` under `ctx`: the
+    node's derivation; or what to fold for it, its children when None, under
+    a key that `conclude` combines. Another fold derives a tree it has just
+    built by the checker's rules through this and `conclude`."""
+    rule = _ENTER.get(type(node))
+    if rule is None:
+        raise TypeError(f"not a formula: {node!r}")
+    return rule(ctx, node)
+
+
+def conclude(vocab: Vocabulary, key, premises) -> TypingDerivation:
+    """What the checker's fold concludes under `key` from the premises
+    folded below it."""
+    return _COMBINE[type(key)](vocab, key, premises)
+
+
 def typecheck(ctx: TypingContext, formula) -> TypingDerivation:
     """Derive `formula : Bool`, or raise TypingError. `formula` may also be
     a term position, as `derive_term` folds one."""
     vocab = ctx.vocab
 
-    def enter(node, inherited: TypingContext):
-        rule = _ENTER.get(type(node))
-        if rule is None:
-            raise TypeError(f"not a formula: {node!r}")
-        return rule(inherited, node)
-
     def combine(key, premises):
         return _COMBINE[type(key)](vocab, key, premises)
 
-    return ast.fold(formula, combine, enter, ctx)
+    return ast.fold(formula, combine, step, ctx)
 
 
 # -- sentences ------------------------------------------------------------------------
 
 
-def check_sentence(theory: ast.Theory, sentence: ast.Formula) -> TypingDerivation:
+def check_sentence(
+    theory: ast.Theory, sentence: ast.Formula, steps: list | None = None
+) -> TypingDerivation:
     """Full pipeline for one sentence: intensional sentences are grounded
     first (which also expands implicit guards), wrapper-only sentences are
-    elaborated, and the result is checked against the initial context. One
-    survey of the sentence tells which, and the note says which it was."""
+    elaborated, and the result is checked against the initial context, all
+    in one survey and one fold (see `grounding.checked`); the note says
+    which it was. Into `steps`, when given, go the grounding steps of an
+    intensional sentence, as `grounding.ground_trace` shows them."""
     from . import grounding  # local import: grounding uses us
 
-    free = ast.free_variables(sentence)
-    if free:
-        names = ", ".join(sorted(free))
-        raise TypingError("UnboundVariable", f"not a sentence, free variables: {names}", sentence)
-    ctx = initial_context(theory.vocabulary)
-    checked, note = grounding.checked_form(theory, ctx, sentence)
-    derivation = typecheck(ctx, checked)
-    if note is None:
-        return derivation
-    return replace(derivation, note=f"{note}: {ast.format_formula(checked)}")
+    return grounding.checked(theory, sentence, steps)
 
 
 # -- rendering and export -----------------------------------------------------------------

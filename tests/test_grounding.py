@@ -285,10 +285,16 @@ def test_check_on_a_wide_theory_equals_the_staged_pipeline(tmp_path, monkeypatch
     assert found[0] == 1 and "unguarded_deref: ill-typed" in found[1]
     for label in ("concept_def", "concept_specific", "guard_pair"):
         assert f"{label}: well-typed" in found[1]
-    # the staged passes, one after the other
-    monkeypatch.setattr(cli, "check_sentence", ref_checker.staged_check_sentence)
+    # the staged passes, one after the other: the trace of an intensional
+    # axiom, then its check
+
+    def staged(theory, sentence, steps=None):
+        if steps is not None and ref.is_intensional(theory.vocabulary, sentence):
+            steps += ref.ground_trace(sentence, grounding.interpretation(theory))
+        return ref_checker.staged_check_sentence(theory, sentence)
+
+    monkeypatch.setattr(cli, "check_sentence", staged)
     monkeypatch.setattr(grounding, "ground", ref.ground)
-    monkeypatch.setattr(cli, "ground_trace", ref.ground_trace)
     assert _check_output(path, *flags) == found
 
 

@@ -300,20 +300,53 @@ def test_grounding_skips_the_body_of_an_empty_expansion():
             assert found[0] == "value", axiom.label
 
 
+# Grounding changes the shape the checker sees: a guard rule that reaches
+# across instances, or starts at a wrapper's guards, or at a written guard
+# above a wrapper; and a typing error met before an elaboration or a
+# grounding error, which wins, or before none.
+RESHAPED = """\
+type S; type A0 <: S; type A1 <: S; type B <: S; type C <: S
+pred p0 : A0; pred p1 : A1; pred r : B; pred q : C
+type P <: Concept := { p0, p1 }; type K <: Concept := { r, q }
+axiom across: !t[S]: !s[P]: <<c: $(s)(t)>>
+axiom after_wrapper: !t[S]: <<c: p0(t)>> & A1(t) & p1(t)
+axiom written_guard: !t[S]: B(t) => <<c: r(t)>>
+axiom guard_first: !t[S]: <<c: B(t) & r(t)>>
+axiom incomparable: !t[S]: r(t) & (!y[B]: <<c: q(y)>>)
+axiom expanded_wrappers: !t[S]: r(t) & (?k[K]: !y[B]: <<c: $(k)(y)>>)
+axiom arity: !t[S]: r(t) & (?k[K]: $(k)(t, t))
+axiom mismatch: !t[S]: q(t) & (?k[K]: <<c: $(k)(t)>>)
+"""
+
+
+def free_sentences() -> list[tuple[ast.Theory, ast.Formula]]:
+    """Sentences of NO_EXTENSION with free variables: under an empty
+    expansion, beside a concept quantifier whose type has no extension, and
+    two of them."""
+    theory = parse_theory(NO_EXTENSION)
+    x, y, a = ast.Variable("x"), ast.Variable("y"), ast.Apply("a")
+    return [(theory, f) for f in (
+        ast.Forall("e", "E", ast.Atom("p", (x,))),
+        ast.And(ast.Atom("p", (x,)), ast.Exists("s", "P", ast.DerefAtom(ast.Variable("s"), (a,)))),
+        ast.And(ast.Atom("p", (y,)), ast.Atom("p", (x,))),
+    )]
+
+
 def sentence_corpus():
     """(theory, sentence) for every axiom of the fixtures, of 40 wide
-    theories, of the random theories of the model search tests and of two
-    theories whose grounding fails, and the fuzz corpus closed under
-    !x[Animal]: !y[Universe]:."""
+    theories, of the random theories of the model search tests, of two
+    theories whose grounding fails and of RESHAPED; sentences with free
+    variables; and the fuzz corpus closed under !x[Animal]: !y[Universe]:."""
     from test_model_search import random_theory
 
     theories = [parse_theory(path.read_text()) for path in sorted(FIXTURES.glob("*.gos"))]
     theories += [parse_theory(wide_theory_text(width)) for width in range(3, 43)]
     theories += [random_theory(random.Random(seed)) for seed in range(220)]
-    theories += [parse_theory(NON_FUNCTIONAL), parse_theory(NO_EXTENSION)]
+    theories += [parse_theory(text) for text in (NON_FUNCTIONAL, NO_EXTENSION, RESHAPED)]
     for theory in theories:
         for axiom in theory.axioms:
             yield theory, axiom.formula
+    yield from free_sentences()
     fuzz = ast.Theory(VOCAB)
     for f in random_cases(1000, 20_261_019):
         yield fuzz, ast.Forall("x", "Animal", ast.Forall("y", "Universe", f))
@@ -339,12 +372,10 @@ def test_check_sentence_agrees_with_the_staged_pipeline():
     } <= seen, seen
 
 
-def test_check_sentence_surveys_a_sentence_once(monkeypatch):
-    """Inside `check_sentence`, the walks and folds whose root is the sentence
-    are one survey walk, at most one grounding fold and one free-variables
-    fold; those whose root is its grounded form, one checker fold and one
-    spelling of the note."""
-    calls = []
+def counting_walks_and_folds(monkeypatch) -> list[tuple[str, object]]:
+    """Every later call of `ast.walk` and `ast.fold`, nested ones included,
+    as (kind, root): a walk's root is the first item it walks."""
+    calls: list[tuple[str, object]] = []
     walk, fold = ast.walk, ast.fold
 
     def counted_walk(expr, *args, **kwargs):
@@ -355,34 +386,45 @@ def test_check_sentence_surveys_a_sentence_once(monkeypatch):
         calls.append(("fold", expr))
         return fold(expr, *args, **kwargs)
 
-    checked = 0
-    for path in sorted(FIXTURES.glob("*.gos")):
-        theory = parse_theory(path.read_text())
+    monkeypatch.setattr(ast, "walk", counted_walk)
+    monkeypatch.setattr(ast, "fold", counted_fold)
+    return calls
+
+
+def test_check_sentence_surveys_a_sentence_once(monkeypatch):
+    """Inside `check_sentence`, on the fixtures and on wide theories, every
+    walk and fold, nested ones included, is one survey walk of the sentence,
+    at most one fold, which grounds and elaborates the sentence and then
+    derives it, and the note's spelling of its grounded form: no grounded
+    instance gets a walk or fold of its own."""
+    theories = [parse_theory(path.read_text()) for path in sorted(FIXTURES.glob("*.gos"))]
+    theories += [parse_theory(wide_theory_text(width)) for width in (3, 8, 20, 64)]
+
+    def of_sentence(root) -> bool:  # the checked sentence, or the checkpoint its fold starts at
+        return root is sentence or isinstance(root, grounding._Checkpoint)
+
+    calls = counting_walks_and_folds(monkeypatch)
+    checked = refused = 0
+    for theory in theories:
         for axiom in theory.axioms:
             sentence = axiom.formula
             calls.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(ast, "walk", counted_walk)
-                patch.setattr(ast, "fold", counted_fold)
-                try:
-                    d = checker.check_sentence(theory, sentence)
-                except Exception:
-                    d = None
-            on_sentence = [kind for kind, root in calls if root is sentence]
-            assert on_sentence.count("walk") == 1, axiom.label
-            if d is None:
-                assert on_sentence.count("fold") <= 2, axiom.label
+            try:
+                d = checker.check_sentence(theory, sentence)
+            except TypingError:
+                d = None
+            walks = [root for kind, root in calls if kind == "walk"]
+            folds = [root for kind, root in calls if kind == "fold"]
+            assert len(walks) == 1 and walks[0] is sentence, axiom.label
+            if d is None or not d.note:
+                assert len(folds) <= 1 and all(map(of_sentence, folds)), axiom.label
+                refused += d is None
                 continue
-            grounded = d.expr
-            on_grounded = [kind for kind, root in calls if root is grounded]
-            spelled = 1 if d.note else 0
-            if grounded is sentence:
-                assert on_sentence.count("fold") <= 3 + spelled, axiom.label
-            else:
-                assert on_sentence.count("fold") <= 2, axiom.label
-                assert on_grounded == ["fold"] * (1 + spelled), axiom.label
+            *derived, spelled = folds
+            assert len(derived) <= 1 and all(map(of_sentence, derived)), axiom.label
+            assert spelled is d.expr, axiom.label
             checked += 1
-    assert checked > 20
+    assert (checked, refused) == (25, 13)
 
 
 def test_ground_command_folds_a_sentence_once(monkeypatch):
@@ -408,7 +450,41 @@ def test_ground_command_folds_a_sentence_once(monkeypatch):
         for axiom in theories[-1].axioms:
             assert sum(root is axiom.formula for root in roots) <= 1, axiom.label
         folds[path.name] = len(roots)
-    assert folds == {"mixed_locations.gos": 31, "running_example.gos": 29, "sounds.gos": 24}
+    assert folds == {"mixed_locations.gos": 15, "running_example.gos": 19, "sounds.gos": 16}
+
+
+def test_traced_check_grounds_a_sentence_once(monkeypatch):
+    """`gosil check --trace` surveys each axiom once and folds it once to
+    check it, as `check` does: the last step is the grounded form that fold
+    derives, or fails to type. Only the steps before the last and the
+    printing of each step add folds. Its output is each axiom's
+    `ground_trace` steps, when it is intensional, then what `check` prints
+    for it."""
+    path = FIXTURES / "running_example.gos"
+    calls = counting_walks_and_folds(monkeypatch)
+    counts, outputs = {}, {}
+    for flags in ((), ("--trace",)):
+        calls.clear()
+        out = io.StringIO()
+        cli.main(["check", str(path), *flags], out=out)
+        outputs[flags] = out.getvalue()
+        kinds = [kind for kind, _ in calls]
+        counts[flags] = kinds.count("walk"), kinds.count("fold")
+    monkeypatch.undo()
+    assert counts == {(): (12, 18), ("--trace",): (12, 38)}
+    theory = parse_theory(path.read_text())
+    blocks: dict[str, list[str]] = {axiom.label: [] for axiom in theory.axioms}
+    for line in outputs[()].splitlines(keepends=True):
+        head = line.split(":", 1)[0]
+        label = head if head in blocks else label  # a diagnostic follows its axiom
+        blocks[label].append(line)
+    expected = []
+    for axiom in theory.axioms:
+        if grounding.is_intensional(theory.vocabulary, axiom.formula):
+            steps = grounding.ground_trace(axiom.formula, grounding.interpretation(theory))
+            expected += [f"{axiom.label}: {step}: {ast.format_formula(f)}\n" for step, f in steps]
+        expected += blocks[axiom.label]
+    assert outputs[("--trace",)] == "".join(expected)
 
 
 # -- trees deeper than the recursion limit -------------------------------------
