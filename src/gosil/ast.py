@@ -217,9 +217,7 @@ class Theory:
 # the node's children, each inheriting what the node did; or a Below(key,
 # pairs), to fold the (subexpression, inherited) pairs in their place and
 # combine their values as combine(key, values); or else the node's value,
-# which skips everything below it. Combining the values of children or
-# pairs, combine may return a Below too, to fold more in place of what it
-# combined: a fold of a tree it has just built. So what flows down is inherited and what
+# which skips everything below it. So what flows down is inherited and what
 # flows up is combined, the inherited and synthesized attributes of an
 # attribute grammar (Knuth, "Semantics of Context-Free Languages", 1968).
 # With combine=rebuild, leaves come back as themselves and every other node
@@ -302,35 +300,30 @@ def fold(expr, combine, enter=None, inherited=None, children=children):
         node = pop()
         if node is _EXIT:  # the values below the innermost node are on top
             node, n, _ = exits.pop()
-            value = combine(node, values[-n:])
-            if type(value) is not Below:
-                values[-n:] = (value,)
-                continue
-            del values[-n:]
-        else:
-            value = None
-            if enter is not None:
-                if type(node) is tuple:
-                    node, inh = node
-                else:
-                    inh = exits[-1][2]
-                value = enter(node, inh)
-            if value is None:
-                if kids := children(node):
-                    exits.append((node, len(kids), inh))
+            values[-n:] = (combine(node, values[-n:]),)
+            continue
+        if enter is not None:
+            if type(node) is tuple:
+                node, inh = node
+            else:
+                inh = exits[-1][2]
+            entered = enter(node, inh)
+            if type(entered) is Below:
+                node, pairs = entered
+                if pairs:
+                    exits.append((node, len(pairs), None))
                     push(_EXIT)
-                    todo += kids[::-1]
+                    todo += reversed(pairs)
                 else:
                     values.append(combine(node, ()))
                 continue
-            if type(value) is not Below:
-                values.append(value)
+            if entered is not None:
+                values.append(entered)
                 continue
-        node, pairs = value  # a Below, from enter or combine
-        if pairs:
-            exits.append((node, len(pairs), None))
+        if kids := children(node):
+            exits.append((node, len(kids), inh))
             push(_EXIT)
-            todo += reversed(pairs)
+            todo += kids[::-1]
         else:
             values.append(combine(node, ()))
     return values[0]
@@ -369,10 +362,6 @@ def substitute(expr, var: str, replacement: Term):
 def atom_count(f: Formula) -> int:
     """Number of atomic formulas (Atom and DerefAtom nodes)."""
     return sum(isinstance(node, (Atom, DerefAtom)) for node in walk(f))
-
-
-def node_count(expr: Term | Formula) -> int:
-    return sum(1 for _ in walk(expr))
 
 
 # The core form of each shortcut node, over its desugared children.

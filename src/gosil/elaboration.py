@@ -9,9 +9,8 @@ wrapper simply disappears.
 This module finds the targets and rewrites one wrapper. The fold over a
 formula that rewrites each wrapper once its body is done is the grounding
 walker's: `grounding.elaborate` is that fold with elimination off and
-nothing to expand, and grounding elaborates each grounded instance. That
-fold hands over the atoms of a body as it meets them, so that no body is
-walked again; an atom over simple terms, which is no more than its
+nothing to expand, and grounding elaborates each grounded instance. The
+scan walks a body; an atom over simple terms, which is no more than its
 argument positions, is read without a walk.
 """
 
@@ -36,11 +35,9 @@ class GuardTarget:
     principal_type: str
 
 
-def guard_targets(ctx: TypingContext, body: ast.Formula, atoms=None) -> list[GuardTarget]:
+def guard_targets(ctx: TypingContext, body: ast.Formula) -> list[GuardTarget]:
     """Collect guard targets in preorder, first occurrence first, one target
-    per distinct (term, expected type) pair. `atoms`, when given, are the
-    atoms of `body` in preorder, each with its scope and the variables bound
-    inside the body above it, and no walk of the body is made.
+    per distinct (term, expected type) pair.
 
     Occurrences mentioning a variable bound inside the body are skipped: a
     guard emitted outside the wrapper could not reference them. Argument
@@ -48,12 +45,11 @@ def guard_targets(ctx: TypingContext, body: ast.Formula, atoms=None) -> list[Gua
     diagnostic can still point at the wrapper."""
     targets: list[GuardTarget] = []
     seen: set[tuple[ast.Term, str]] = set()
-    for scope, bound, atom in [(ctx, _NOTHING_BOUND, body)] if atoms is None else atoms:
-        item = scope, bound, atom, None
-        simple = type(atom) is ast.Atom and not any(map(ast.children, atom.args))
-        for inner, inside, node, expected in _scanned(item) if simple else ast.walk(item, _scanned):
-            if expected is not None:
-                _consider(inner, inside, node, expected, targets, seen)
+    item = ctx, _NOTHING_BOUND, body, None
+    simple = type(body) is ast.Atom and not any(map(ast.children, body.args))
+    for scope, bound, node, expected in _scanned(item) if simple else ast.walk(item, _scanned):
+        if expected is not None:
+            _consider(scope, bound, node, expected, targets, seen)
     return targets
 
 
@@ -105,11 +101,10 @@ def _consider(
     targets.append(GuardTarget(term, expected, principal))
 
 
-def expand_wrapper(wrapper: type, ctx: TypingContext, body: ast.Formula, atoms=None) -> ast.Formula:
+def expand_wrapper(wrapper: type, ctx: TypingContext, body: ast.Formula) -> ast.Formula:
     """The expansion of a wrapper of class `wrapper` (GuardC or GuardI)
-    around `body`, itself wrapper-free, in context `ctx`; `atoms` as
-    `guard_targets` takes them."""
-    targets = guard_targets(ctx, body, atoms)
+    around `body`, itself wrapper-free, in context `ctx`."""
+    targets = guard_targets(ctx, body)
     if not targets:
         return body
     guards = [ast.Atom(t.expected_type, (t.term,)) for t in targets]

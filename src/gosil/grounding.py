@@ -16,10 +16,9 @@ only as those steps and as the order errors are reported in: a missing
 extension first, then the first elimination error, then the first
 elaboration error. Guard elaboration alone, `elaborate`, is the same fold
 with elimination off and nothing to expand. Checking a sentence, `checked`,
-is the same fold once more: when it has grounded the sentence, it goes on
-to derive the grounded form by the checker's own rules, so that each
-sentence is surveyed once and folded once, and no grounded instance is
-walked or folded on its own.
+is that fold, when the survey found something to rewrite, and then the
+checker's own fold over the grounded form: in the paper an intensional
+sentence has the type of its grounding.
 """
 
 from __future__ import annotations
@@ -44,10 +43,8 @@ from .typecheck import (
     TypingContext,
     TypingDerivation,
     VarEntry,
-    conclude,
     initial_context,
     refold,
-    step,
     typecheck,
 )
 from .vocabulary import (
@@ -81,12 +78,6 @@ class GroundInterpretation:
         if type_name == CONCEPT:
             return concept_universe(self.vocab)
         raise MissingExtension(f"concept type {type_name!r} has no declared extension")
-
-
-def is_intensional(vocab: Vocabulary, formula: ast.Formula) -> bool:
-    """True when grounding has work to do: the formula mentions concept
-    references/dereferences or quantifies over a concept type."""
-    return _Pass(vocab, formula).intensional
 
 
 def build_intensional_interp(theory: ast.Theory) -> GroundInterpretation:
@@ -178,20 +169,10 @@ def _check_totality(interp: GroundInterpretation) -> None:
 #   concept object as soon as it is rewritten, then its arguments, and
 #   becomes an application of the symbol that object names. A reference,
 #   or an application to references, reduces at once.
-# - A wrapper folds its body, noting each atom of it with the entries above
-#   the atom, then elaborates it with the guard targets of those atoms, so
-#   that no body is walked again; one whose body is an atom grounded at
-#   once is elaborated at once.
+# - A wrapper folds its body, then elaborates it under the entries above the
+#   wrapper; one whose body is an atom grounded at once is elaborated at
+#   once.
 # - An atom over simple terms is grounded at once.
-#
-# Checking a sentence, the fold starts at a `_Checkpoint`. Once the sentence
-# is grounded below it, so that every elimination and elaboration error has
-# been met first, as the staged order has them, the fold goes on to derive
-# the grounded form by the checker's own rules, `typecheck.step` and
-# `typecheck.conclude`, each subtree inheriting its typing context. The
-# checker's keys are its own, but for a connective, a quantifier or an
-# equation, which it keys by the node as grounding does: those are concluded
-# when their values are derivations.
 #
 # Elimination and elaboration can be switched off; `ground_trace` shows the
 # steps with the later ones off. With elimination on every node but a leaf
@@ -216,11 +197,10 @@ class _Expansion(NamedTuple):
 
 class _Elaboration(NamedTuple):
     """A guard wrapper of class `wrapper` whose grounded body elaborates
-    under `entries`, the atoms of that body noted from `start` on."""
+    under `entries`."""
 
     wrapper: type
     entries: tuple[VarEntry, ...]
-    start: int
 
 
 class _Leave(NamedTuple):
@@ -229,13 +209,6 @@ class _Leave(NamedTuple):
 
     var: str
     empty: bool
-
-
-class _Checkpoint(NamedTuple):
-    """The root of a fold that derives the formula, once it is grounded,
-    under `ctx`."""
-
-    ctx: TypingContext
 
 
 _EXPANSIONS = {ast.Exists: _Expansion(ast.Or), ast.Forall: _Expansion(ast.And)}
@@ -313,13 +286,11 @@ class _Pass:
             self.unready = err.with_traceback(None)
         return self.extensions.get(type_name)
 
-    def run(self, context: TypingContext | None = None, eliminate=True, elaborate=True,
-            deriving: TypingContext | None = None):
+    def run(self, context: TypingContext | None = None, eliminate=True, elaborate=True):
         """The formula with its concept quantifiers expanded and the other
-        rewrites switched on done; with `deriving`, its derivation under
-        that context. Elaboration comes after elimination in the staged
-        order, so its first error is raised only once the whole pass has met
-        no elimination error, and nothing is derived then."""
+        rewrites switched on done. Elaboration comes after elimination in
+        the staged order, so its first error is raised only once the whole
+        pass has met no elimination error."""
         if self.unready is not None:
             raise self.unready
         self.eliminate, self.elaborate = eliminate, elaborate
@@ -327,19 +298,14 @@ class _Pass:
         self.scope = ((), context)  # the entries last elaborated under, and their context
         self.error: GosilError | None = None  # the first elaboration error
         self.wrappers = 0  # the wrappers being elaborated around the node folded
-        self.atoms: list = []  # (entries, atom) of each atom of their bodies, in preorder
-        self.root = None  # the grounded formula, once deriving starts
 
         def enter(node, inherited):  # anything else raises TypeError in ast.children
-            if type(inherited) is TypingContext:
-                return step(node, inherited)
             return _ENTER.get(type(node), _visit)(self, node, inherited)
 
         def combine(key, values):
-            return _COMBINE.get(type(key), _concluded)(self, key, values)
+            return _COMBINE[type(key)](self, key, values)
 
-        root = self.formula if deriving is None else _Checkpoint(deriving)
-        grounded = ast.fold(root, combine, enter, ({}, ()))
+        grounded = ast.fold(self.formula, combine, enter, ({}, ()))
         error, self.error = self.error, None
         if error is not None:
             raise error
@@ -371,27 +337,25 @@ class _Pass:
         return steps
 
     def check(self, steps: list | None) -> TypingDerivation:
-        """What `checked` describes, from this survey and at most one fold."""
+        """What `checked` describes, from this survey, at most one grounding
+        fold and the checker's fold."""
         if self.free:
             names = ", ".join(sorted(self.free))
             raise TypingError("UnboundVariable", f"not a sentence, free variables: {names}", self.formula)
         if self.unready is not None:
             raise self.unready
         ctx = initial_context(self.vocab)
-        try:
-            if self.quantified or self.dereferenced or self.guarded:
-                elaborate = self.dereferenced or self.guarded
-                derivation = self.run(ctx, self.intensional and elaborate, elaborate, ctx)
-            else:
-                self.root = self.formula
-                derivation = typecheck(ctx, self.formula)
-        finally:  # the steps of a sentence that grounds, whether it types or not
-            if steps is not None and self.intensional and self.root is not None:
-                steps += self.steps(self.root)
+        grounded = self.formula
+        if self.quantified or self.dereferenced or self.guarded:
+            elaborate = self.dereferenced or self.guarded
+            grounded = self.run(ctx, self.intensional and elaborate, elaborate)
+        if steps is not None and self.intensional:  # before typing: they stand either way
+            steps += self.steps(grounded)
+        derivation = typecheck(ctx, grounded)
         if not (self.intensional or self.guarded):
             return derivation
         note = "typed via grounding" if self.intensional else "typed after guard elaboration"
-        return replace(derivation, note=f"{note}: {ast.format_formula(derivation.expr)}")
+        return replace(derivation, note=f"{note}: {ast.format_formula(grounded)}")
 
     def context_of(self, entries: tuple[VarEntry, ...]) -> TypingContext:
         """The typing context under `entries`, the quantifiers kept above."""
@@ -410,16 +374,6 @@ def _variable(walk: _Pass, node: ast.Variable, inherited):
 
 def _visit(walk: _Pass, node, inherited):
     return None
-
-
-def _atom(walk: _Pass, node, inherited):
-    """An atom grounded, or what to fold for it; one in a wrapper's body is
-    noted with the entries above it, for the wrapper's guard targets, and
-    one the fold grounds is filled in by `_atom_built`."""
-    grounded = _grounded_atom(walk, node, inherited)
-    if walk.wrappers:
-        walk.atoms.append((inherited[1], grounded if isinstance(grounded, ast.Formula) else None))
-    return grounded
 
 
 def _grounded_atom(walk: _Pass, node, inherited):
@@ -480,10 +434,9 @@ def _wrapper(walk: _Pass, node, inherited):
     if not walk.elaborate:
         return None
     walk.wrappers += 1
-    key = _Elaboration(type(node), inherited[1], len(walk.atoms))
+    key = _Elaboration(type(node), inherited[1])
     body = _grounded_atom(walk, node.body, inherited) if type(node.body) in _ATOMS else None
     if isinstance(body, ast.Formula):
-        walk.atoms.append((inherited[1], body))
         return _elaborated(walk, key, (body,))
     return ast.Below(key, [(node.body, inherited)])
 
@@ -503,20 +456,15 @@ _ENTER = {
     **dict.fromkeys((ast.NatLiteral, ast.ConceptRef, ast.Truth), _leaf),
     ast.Variable: _variable,
     **dict.fromkeys((ast.Apply, ast.Not, ast.And, ast.Or, ast.Implies, ast.Iff), _visit),
-    **dict.fromkeys(_ATOMS, _atom),
+    **dict.fromkeys(_ATOMS, _grounded_atom),
     ast.Deref: _dereference,
     **dict.fromkeys(_QUANTIFIERS, _quantifier),
     **dict.fromkeys(_WRAPPERS, _wrapper),
     _Reduce: _reduce,
-    _Checkpoint: lambda walk, node, inherited: ast.Below(node, [(walk.formula, inherited)]),
 }
 
 
 def _rebuilt(walk: _Pass, node, values):
-    """A node over its grounded children; or one the checker keys by the
-    node, concluded from its premises."""
-    if values and type(values[0]) is TypingDerivation:
-        return conclude(walk.vocab, node, values)
     return ast.rebuild(node, values)
 
 
@@ -540,30 +488,13 @@ def _joined(walk: _Pass, node: _Expansion, values):
     return refold(values, node.connective)
 
 
-def _atom_built(walk: _Pass, node, values):
-    atom = _rebuilt(walk, node, values) if type(node) is ast.Atom else _applied(walk, node, values)
-    if walk.wrappers:
-        walk.atoms[-1] = walk.atoms[-1][0], atom
-    return atom
-
-
 def _elaborated(walk: _Pass, node: _Elaboration, values):
-    """The wrapper's grounded body guarded by the targets of its atoms, each
-    in the context of the entries above it, the variables bound inside the
-    body being those past the wrapper's own."""
     (body,) = values
     walk.wrappers -= 1
-    n, atoms = len(node.entries), walk.atoms[node.start:]
-    if not walk.wrappers:
-        walk.atoms.clear()
     if walk.error is not None:
         return body
-    if len(atoms) == 1 and atoms[0][1] is body:  # the body is an atom
-        atoms = None
     try:
-        if atoms is not None:
-            atoms = [(walk.context_of(e), frozenset(v.name for v in e[n:]), a) for e, a in atoms]
-        return elaboration.expand_wrapper(node.wrapper, walk.context_of(node.entries), body, atoms)
+        return elaboration.expand_wrapper(node.wrapper, walk.context_of(node.entries), body)
     except GosilError as err:
         walk.error = err.with_traceback(None)
         return body
@@ -579,30 +510,13 @@ def _reduced(walk: _Pass, node: _Reduce, values):
     return obj, sig
 
 
-def _derived(walk: _Pass, node: _Checkpoint, values):
-    """The grounded formula, derived by the checker under the checkpoint's
-    context, unless elaborating it failed."""
-    (grounded,) = values
-    if walk.error is not None:
-        return grounded
-    walk.root = grounded
-    entered = step(grounded, node.ctx)
-    return ast.Below(grounded, [(kid, node.ctx) for kid in ast.children(grounded)]) if entered is None else entered
-
-
-_COMBINE = {  # anything else is a key of the checker's
+_COMBINE = {
     **dict.fromkeys(_ENTER, _rebuilt),
-    **dict.fromkeys(_ATOMS, _atom_built),
-    ast.Deref: _applied,
+    **dict.fromkeys(_DEREFS, _applied),
     _Expansion: _joined,
     _Elaboration: _elaborated,
     _Reduce: _reduced,
-    _Checkpoint: _derived,
 }
-
-
-def _concluded(walk: _Pass, key, values):
-    return conclude(walk.vocab, key, values)
 
 
 def _fact(walk: _Pass, head: ast.Term) -> ConceptObject | None:
@@ -647,11 +561,6 @@ def _reduce_head(interp: GroundInterpretation, head: ast.Term) -> ConceptObject:
     return ast.fold(head, combine, enter)
 
 
-def _expand_quantifiers(interp: GroundInterpretation, f: ast.Formula) -> ast.Formula:
-    """Quantifier expansion alone: the first step `ground_trace` shows."""
-    return _Pass(interp.vocab, f, interp).expanded()
-
-
 def _context(vocab: Vocabulary, free_var_types: dict[str, str] | None) -> TypingContext:
     """The typing context of a formula with free variables of these types."""
     entries = (VarEntry(v, t) for v, t in (free_var_types or {}).items())
@@ -671,12 +580,12 @@ def checked(
     sentence when it is intensional (the theory's interpretation is built
     then and only then), of the elaborated sentence when it only has
     wrappers, else of the sentence itself, with a note saying which. One
-    survey and at most one fold, which grounds, elaborates and then derives,
-    report errors in the order of the staged pipeline: free variables, the
-    interpretation and the extensions, the first elimination error, the
-    first elaboration error, the first typing error. Into `steps`, when
-    given, go the steps of `ground_trace` for an intensional sentence once
-    it grounds, the last from the fold."""
+    survey, at most one fold that grounds and elaborates, and then the
+    checker's fold report errors in the order of the staged pipeline: free
+    variables, the interpretation and the extensions, the first elimination
+    error, the first elaboration error, the first typing error. Into
+    `steps`, when given, go the steps of `ground_trace` for an intensional
+    sentence once it grounds, the last from the grounding fold."""
     return _Pass(theory.vocabulary, sentence, theory=theory).check(steps)
 
 

@@ -21,8 +21,8 @@ for where the written form is evaluated instead).
 
 Evaluation compiles an expression object once into nested closures, cached
 on the vocabulary by (object id, variable types), from one fold on an
-explicit stack: no expression is too deep to compile, and a chain of & or |
-runs as one loop and a run of ~ as its parity, however long. Each
+explicit stack: no expression is too deep to compile, and a chain of &, |,
+=> or <=> runs as one loop and a run of ~ as its parity, however long. Each
 application is bound to its signature when it is compiled: the membership
 test of each argument position and the built-in or graph lookup giving its
 value are chosen then, and an atom's code yields a bool without building a
@@ -43,6 +43,7 @@ evaluation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from collections.abc import Callable, Container, Iterable, Iterator
@@ -513,16 +514,20 @@ def _compile(
 ) -> Code:
     """The code of a term or formula, from one fold whose inherited value
     is the variable types in scope, so no expression is too deep for it. A
-    chain of & or | compiles to one loop over its operands and a run of ~
-    to its parity, so their code calls no deeper for a longer run. The
-    applications in `applied` raise as the dereferences they were made of
-    (see `grounding.ground`)."""
+    chain of &, | or <=>, nested either way, or a right-nested chain of =>
+    compiles to one loop over its operands and a run of ~ to its parity, so
+    their code calls no deeper for a longer run. The applications in
+    `applied` raise as the dereferences they were made of (see
+    `grounding.ground`)."""
 
     def enter(node, scope):
         kind = type(node)
-        if kind is ast.And or kind is ast.Or:  # a chain of one of them, nested either way
+        if kind is ast.And or kind is ast.Or or kind is ast.Iff:  # a chain, nested either way
             chain = ast.walk(node, lambda n: (n.left, n.right) if type(n) is kind else ())
             return ast.Below(node, [(f, scope) for f in chain if type(f) is not kind])
+        if kind is ast.Implies:  # a right-nested chain: its antecedents, then the consequent
+            *links, consequent = ast.walk(node, lambda n: (n.right,) if type(n) is kind else ())
+            return ast.Below(node, [(f, scope) for f in [n.left for n in links] + [consequent]])
         if kind is ast.Not:  # a run of ~ is folded as its parity, a bool
             run = 0
             while type(node) is ast.Not:
@@ -563,17 +568,11 @@ def _compile(
             case ast.Deref() | ast.DerefAtom():
                 truth = "dereference" if type(node) is ast.DerefAtom else None
                 return _compile_deref(vocab, codes[0], codes[1:], truth)
-            case ast.And() | ast.Or():
+            case ast.And() | ast.Or() | ast.Implies() | ast.Iff():
                 return _chain(type(node), tuple(codes))
             case bool(odd):
                 (inner,) = codes
                 return (lambda s, asg: not inner(s, asg)) if odd else inner
-            case ast.Implies():
-                left, right = codes
-                return lambda s, asg: (not left(s, asg)) or right(s, asg)
-            case ast.Iff():
-                left, right = codes
-                return lambda s, asg: left(s, asg) == right(s, asg)
             case ast.Exists(var, type_name):
                 (inner,) = codes
                 def exists(s, asg):
@@ -598,16 +597,27 @@ def _compile(
 
 def _chain(connective: type, codes: tuple[Code, ...]) -> Code:
     """A chain's code: its operands in order, up to the first false one
-    for &, the first true one for |. Two operands get a closure of their
-    own, which runs quicker than the loop."""
+    for &, the first true one for |, and for => the first false
+    antecedent, else the consequent too; all of them for <=>, folded by
+    ==, which is associative on bools, so every nesting has one value. Two
+    operands get a closure of their own, which runs quicker than the loop."""
     if len(codes) == 2:
         left, right = codes
         if connective is ast.And:
             return lambda s, asg: left(s, asg) and right(s, asg)
-        return lambda s, asg: left(s, asg) or right(s, asg)
+        if connective is ast.Or:
+            return lambda s, asg: left(s, asg) or right(s, asg)
+        if connective is ast.Implies:
+            return lambda s, asg: (not left(s, asg)) or right(s, asg)
+        return lambda s, asg: left(s, asg) == right(s, asg)
     if connective is ast.And:
         return lambda s, asg: all(code(s, asg) for code in codes)
-    return lambda s, asg: any(code(s, asg) for code in codes)
+    if connective is ast.Or:
+        return lambda s, asg: any(code(s, asg) for code in codes)
+    if connective is ast.Implies:
+        *antecedents, consequent = codes
+        return lambda s, asg: not all(code(s, asg) for code in antecedents) or consequent(s, asg)
+    return lambda s, asg: functools.reduce(operator.eq, (code(s, asg) for code in codes))
 
 
 # -- applications ----------------------------------------------------------------------

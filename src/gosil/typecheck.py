@@ -19,10 +19,9 @@ Rendering, export and validation walk a derivation over its premises with
 `ast.walk`/`ast.fold`. All of them keep their own stack, so no tree is too
 deep for them.
 
-`check_sentence` checks a sentence in one survey and one fold,
-`grounding.checked`: the fold grounds and elaborates the sentence, then
-derives the grounded form by this module's rules, which `step` and
-`conclude` open to it.
+`check_sentence` grounds a sentence, `grounding.checked`, and then
+derives the grounded form by this fold: in the paper an intensional
+sentence has the type of its grounding.
 """
 
 from __future__ import annotations
@@ -373,32 +372,21 @@ _COMBINE = {  # by the class of what was folded below
 }
 
 
-def step(node, ctx: TypingContext):
-    """What the checker's fold does on entering `node` under `ctx`: the
-    node's derivation; or what to fold for it, its children when None, under
-    a key that `conclude` combines. Another fold derives a tree it has just
-    built by the checker's rules through this and `conclude`."""
-    rule = _ENTER.get(type(node))
-    if rule is None:
-        raise TypeError(f"not a formula: {node!r}")
-    return rule(ctx, node)
-
-
-def conclude(vocab: Vocabulary, key, premises) -> TypingDerivation:
-    """What the checker's fold concludes under `key` from the premises
-    folded below it."""
-    return _COMBINE[type(key)](vocab, key, premises)
-
-
 def typecheck(ctx: TypingContext, formula) -> TypingDerivation:
     """Derive `formula : Bool`, or raise TypingError. `formula` may also be
     a term position, as `derive_term` folds one."""
     vocab = ctx.vocab
 
+    def enter(node, inherited: TypingContext):
+        rule = _ENTER.get(type(node))
+        if rule is None:
+            raise TypeError(f"not a formula: {node!r}")
+        return rule(inherited, node)
+
     def combine(key, premises):
         return _COMBINE[type(key)](vocab, key, premises)
 
-    return ast.fold(formula, combine, step, ctx)
+    return ast.fold(formula, combine, enter, ctx)
 
 
 # -- sentences ------------------------------------------------------------------------
@@ -409,10 +397,10 @@ def check_sentence(
 ) -> TypingDerivation:
     """Full pipeline for one sentence: intensional sentences are grounded
     first (which also expands implicit guards), wrapper-only sentences are
-    elaborated, and the result is checked against the initial context, all
-    in one survey and one fold (see `grounding.checked`); the note says
-    which it was. Into `steps`, when given, go the grounding steps of an
-    intensional sentence, as `grounding.ground_trace` shows them."""
+    elaborated, and the result is checked against the initial context (see
+    `grounding.checked`); the note says which it was. Into `steps`, when
+    given, go the grounding steps of an intensional sentence, as
+    `grounding.ground_trace` shows them."""
     from . import grounding  # local import: grounding uses us
 
     return grounding.checked(theory, sentence, steps)

@@ -164,7 +164,7 @@ def test_criterion_4_grounded_size_linearity():
         interp = build_intensional_interp(theory)
         formula = parse_formula("?s[P]: <<c: $(s)(t)>>", vocab, {"t": "S"})
         sizes[m] = grounded_size(formula, interp, {"t": "S"})
-        node_counts.add(ast.node_count(formula))
+        node_counts.add(len(list(ast.walk(formula))))
     assert sizes == {m: 2 * m for m in range(1, 11)}
     diffs = {sizes[m + 1] - sizes[m] for m in range(1, 10)}
     assert diffs == {2}  # slope exactly 2, no tolerance

@@ -243,6 +243,32 @@ def test_applications_agree_with_reference(graphs, text, x, expected):
         assert got[0] == "raised" and str(got[2]).startswith(expected), got
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # => evaluates its antecedents up to the first false one, then the consequent
+        ("likes(x, x) => meow(w) => meow(y)", ("value", True)),
+        ("meow(x) => likes(x, x) => meow(w)", ("value", True)),
+        ("meow(x) => meow(x) => likes(x, x)", ("value", False)),
+        ("meow(x) => meow(w) => meow(y)", "UnassignedVariable"),
+        ("meow(x) => meow(x) => meow(y)", "EvaluationError: 'meow' is undefined at `meow"),
+        ("(meow(w) => likes(x, x)) => meow(y)", "UnassignedVariable"),
+        # <=> evaluates every operand in order, however it is nested
+        ("meow(x) <=> likes(x, x) <=> likes(x, x)", ("value", True)),
+        ("meow(x) <=> (likes(x, x) <=> meow(x))", ("value", False)),
+        ("likes(x, x) <=> meow(y) <=> meow(w)", "EvaluationError: 'meow' is undefined at `meow"),
+        ("likes(x, x) <=> (meow(w) <=> meow(y))", "UnassignedVariable"),
+        ("(likes(x, x) <=> meow(x)) <=> meow(w)", "UnassignedVariable"),
+    ],
+)
+def test_short_chains_agree_with_reference(text, expected):
+    got = agree(_fuzz_structure(), _expr(text), {"x": A, "y": MEOW_CONCEPT}, SCOPE)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert got[0] == "raised" and str(got[2]).startswith(expected), got
+
+
 TYPE_PREDICATE_VALUES = (A, B, MEOW_CONCEPT, NaturalElement(0), TRUE)
 
 
@@ -462,6 +488,8 @@ DEEP = {
     "not": "~" * 3000 + "p(a)",
     "and": " & ".join(["p(a)"] * 5000),
     "or": " | ".join(["p(a)"] * 5000),
+    "imp": " => ".join(["p(a)"] * 3000),
+    "iff": " <=> ".join(["p(a)"] * 3000),
     "wrapped_and": "<<c: " + " & ".join(["p(a)"] * 5000) + ">>",
     "wrapped_not": "<<c: " + "~" * 3000 + "p(a)>>",
     "concept_and": "?k[K]: " + " & ".join(["$(k)(a)"] * 5000),

@@ -1,6 +1,6 @@
 import pytest
 
-from reference_walkers import has_guards
+from reference_walkers import has_guards, is_intensional
 
 from gosil import ast
 from gosil.errors import (
@@ -16,7 +16,6 @@ from gosil.grounding import (
     ground,
     ground_trace,
     grounded_size,
-    is_intensional,
 )
 from gosil.parser import parse_formula, parse_theory
 from gosil.vocabulary import ConceptObject
