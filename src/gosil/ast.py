@@ -364,33 +364,6 @@ def atom_count(f: Formula) -> int:
     return sum(isinstance(node, (Atom, DerefAtom)) for node in walk(f))
 
 
-# The core form of each shortcut node, over its desugared children.
-_DESUGARED = {
-    Not: lambda node, kids: Not(kids[0]),
-    Or: lambda node, kids: Or(*kids),
-    And: lambda node, kids: Not(Or(Not(kids[0]), Not(kids[1]))),
-    Implies: lambda node, kids: Or(Not(kids[0]), kids[1]),
-    Iff: lambda node, kids: Not(Or(Not(Or(Not(kids[0]), kids[1])), Not(Or(Not(kids[1]), kids[0])))),
-    Exists: lambda node, kids: Exists(node.var, node.type_name, kids[0]),
-    Forall: lambda node, kids: Not(Exists(node.var, node.type_name, Not(kids[0]))),
-}
-
-
-def desugar(f: Formula) -> Formula:
-    """Rewrite to the core connectives (true/false, atoms, ~, |, ?) using the
-    standard shortcut definitions. Used to cross-check the native evaluation
-    of &, =>, <=>, and ! against the core."""
-
-    def enter(node, _):
-        if isinstance(node, (Truth, Atom, DerefAtom)):
-            return node
-        if type(node) not in _DESUGARED:
-            raise TypeError(f"cannot desugar {node!r}")
-        return None
-
-    return fold(f, lambda node, kids: _DESUGARED[type(node)](node, kids), enter)
-
-
 # -- operators ----------------------------------------------------------------------
 
 # The binary operators, read by the parser and the printer alike: spelling ->

@@ -7,7 +7,9 @@ Enumeration encoding (which fixes the deterministic output order):
     its bound;
   * every other user type ranges over the non-empty subsets of the
     intersection of its direct supertypes' sets, in ascending bitmask order
-    (bit i = element i of that intersection's canonical order);
+    (bit i = element i of that intersection's canonical order); a built-in
+    supertype's set is what a symbol ranges over there: 0..nat_bound for
+    Nat, the two truth values for Bool;
   * concept types are fixed by their declared extensions;
   * symbols are enumerated in declaration order: predicates over the subsets
     of their argument product in ascending bitmask order, functions over all
@@ -168,9 +170,28 @@ class _Enumeration:
         # by (symbol, argument domains, result domain): the options
         self.spaces: dict[tuple, list[FunctionGraph]] = {}
 
+    def domain(self, type_name: str, type_sets: dict[str, tuple], owner: str) -> tuple:
+        """The elements search ranges `type_name` over; `owner` names what
+        ranges over it in the error a missing bound raises."""
+        if type_name == NAT:
+            if self.nat_bound is None:
+                raise BoundMissing(f"{owner} ranges over {NAT}; set a nat bound")
+            return tuple(NaturalElement(i) for i in range(self.nat_bound + 1))
+        if type_name == BOOL:
+            return (TRUE, FALSE)
+        if type_name == CONCEPT:
+            return self.concept_elements
+        if type_name == UNIVERSE:
+            raise BoundMissing(
+                f"{owner} ranges over {UNIVERSE}, which model search does not enumerate"
+            )
+        return type_sets[type_name]
+
     def _parent_pool(self, name: str, type_sets: dict[str, tuple]) -> tuple:
         pools = [
-            type_sets[p] for p in self.vocab.direct_supertypes(name) if p != UNIVERSE
+            self.domain(p, type_sets, f"type {name!r}")
+            for p in self.vocab.direct_supertypes(name)
+            if p != UNIVERSE
         ]
         if not pools:
             return ()
@@ -199,26 +220,10 @@ class _Enumeration:
         """What enumeration chooses for one symbol: its argument domains,
         its result domain, and the rows concept-function facts pin (none for
         a predicate)."""
-        def domain(type_name: str) -> tuple:
-            if type_name == NAT:
-                if self.nat_bound is None:
-                    raise BoundMissing(
-                        f"symbol {sig.name!r} ranges over {NAT}; set a nat bound"
-                    )
-                return tuple(NaturalElement(i) for i in range(self.nat_bound + 1))
-            if type_name == BOOL:
-                return (TRUE, FALSE)
-            if type_name == CONCEPT:
-                return self.concept_elements
-            if type_name == UNIVERSE:
-                raise BoundMissing(
-                    f"symbol {sig.name!r} ranges over {UNIVERSE}, which model "
-                    "search does not enumerate"
-                )
-            return type_sets[type_name]
-
         pinned = {} if sig.is_predicate else self.fact_rows.get(sig.name, {})
-        return [domain(t) for t in sig.argument_types], domain(sig.result_type), pinned
+        owner = f"symbol {sig.name!r}"
+        arg_domains = [self.domain(t, type_sets, owner) for t in sig.argument_types]
+        return arg_domains, self.domain(sig.result_type, type_sets, owner), pinned
 
     def option_count(self, sig: Signature, type_sets: dict[str, tuple]) -> int:
         """The number of graph options, computed without building them."""

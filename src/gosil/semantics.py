@@ -34,11 +34,12 @@ surface only when the node raising them is evaluated, in the order the
 definition gives them.
 
 The written form binds a dereference's application once per head concept
-it meets, and expands a guard wrapper per instance: memoised by the
-interpretation and the (variable, concept) bindings of the free variables
-whose type can hold a concept, the variable types in scope being fixed per
-compiled node. A failed expansion is not memoised and raises again on every
-evaluation.
+it meets, and runs each guard wrapper instance as its grounding, by the
+code that runs a sentence's: one memo per compiled node keys the grounded
+code by the interpretation and, for a wrapper, by the (variable, concept)
+bindings of the free variables whose type can hold a concept. A sentence
+whose grounding raises stores its written code instead; a wrapper whose
+grounding raises stores nothing and raises again on every evaluation.
 """
 
 from __future__ import annotations
@@ -418,8 +419,9 @@ def evaluate(
     under the structure's interpretation, compiled once per interpretation.
     An application that grounding made of a dereference outside every
     wrapper raises what the dereference raised, RuntimeDerefMismatch. The
-    written form is evaluated instead, dereferences and wrappers resolved
-    as evaluation reaches them:
+    written form is evaluated instead, each dereference bound and each
+    wrapper instance grounded, by the code that grounds a sentence, as
+    evaluation reaches it:
     - where grounding raises: on a dereference head that only the
       structure's graphs reduce (`favourite(c)` in
       `!c[Cat]: $(favourite(c))(c)`, with `func favourite : Cat -> Sound`),
@@ -449,7 +451,7 @@ def _compiled(vocab: Vocabulary, expr: ast.Term | ast.Formula, types: dict[str, 
     entry = cache.get(key)
     if entry is None:
         if _grounds_first(vocab, expr):
-            code = _grounded_code(vocab, expr, types)
+            code = _grounded(vocab, expr, types, written=True)
         else:
             code = _compile(vocab, expr, types)
         entry = cache[key] = (expr, code)
@@ -477,23 +479,37 @@ def _grounds_first(vocab: Vocabulary, expr: ast.Term | ast.Formula) -> bool:
     return found and isinstance(expr, ast.Formula) and not ast.free_variables(expr)
 
 
-def _grounded_code(vocab: Vocabulary, sentence: ast.Formula, types: dict[str, str]) -> Code:
-    """The code of a sentence `_grounds_first` accepts: per interpretation,
-    the code of its grounded form, or its written code where grounding
-    raises. Interpretations are interned on the vocabulary, so an id stays
-    valid as long as this memo."""
-    codes: dict[int, Code] = {}
+def _grounded(
+    vocab: Vocabulary, formula: ast.Formula, types: dict[str, str], concept_vars=(), written=False
+) -> Code:
+    """The code of `formula` as its grounding: per structure interpretation
+    and per concept bound to each of `concept_vars`, those concepts are
+    substituted, `grounding.ground` grounds the result and its code is
+    compiled once. With `written`, where grounding raises the written form
+    is compiled and stored; otherwise the error is raised on every
+    evaluation and nothing is stored. Interpretations are interned on the
+    vocabulary, so an id stays valid as long as this memo."""
+    memo: dict[tuple, Code] = {}
 
     def grounded(s, asg):
+        bound = concept_vars and tuple(
+            (v, e.concept) for v in concept_vars if isinstance(e := asg.get(v), ConceptElement)
+        )
         interp = interpretation_of(s)
-        code = codes.get(id(interp))
+        key = (id(interp), bound)
+        code = memo.get(key)
         if code is None:
-            applied: dict[int, ast.Term | ast.Formula] = {}
+            form, remaining, applied = formula, dict(types), {}
+            for var, concept in bound:
+                form = ast.substitute(form, var, ast.ConceptRef(concept))
+                remaining.pop(var, None)
             try:
-                form = grounding.ground(sentence, interp, types, applied)
+                form = grounding.ground(form, interp, remaining, applied)
             except GosilError:
-                form, applied = sentence, {}
-            code = codes[id(interp)] = _compile(vocab, form, types, applied)
+                if not written:
+                    raise
+                form, applied = formula, {}
+            code = memo[key] = _compile(vocab, form, remaining, applied)
         return code(s, asg)
 
     return grounded
@@ -535,8 +551,10 @@ def _compile(
             return ast.Below(run % 2 == 1, [(node, scope)])
         if kind in _QUANTIFIERS:
             return ast.Below(node, [(node.body, {**scope, node.var: node.type_name})])
-        if kind is ast.GuardC or kind is ast.GuardI:
-            return _compile_guard(vocab, node, scope)
+        if kind is ast.GuardC or kind is ast.GuardI:  # grounded per instance
+            free = sorted(ast.free_variables(node.body))
+            concept_vars = tuple(v for v in free if _may_hold_concept(vocab, scope.get(v)))
+            return _grounded(vocab, node, scope, concept_vars)
         return None
 
     def combine(node, codes):
@@ -776,35 +794,6 @@ def _graph_lookup(name: str, arguments, truth: str | None) -> Code:
     return lookup
 
 
-def _compile_guard(vocab: Vocabulary, wrapper: ast.Formula, types: dict[str, str]) -> Code:
-    """A guard wrapper, expanded per instance and memoised by the structure's
-    interpretation and the concept-valued bindings; `types` is fixed per
-    node, and only the free variables whose declared type can hold a
-    concept are looked at for bindings. Interpretations are interned on the
-    vocabulary, so an id stays valid as long as this memo."""
-    concept_vars = [
-        var
-        for var in sorted(ast.free_variables(wrapper.body))
-        if _may_hold_concept(vocab, types.get(var))
-    ]
-    memo: dict[tuple, Code] = {}
-
-    def guard(s, asg):
-        bound = tuple(
-            (var, e.concept)
-            for var in concept_vars
-            if isinstance(e := asg.get(var), ConceptElement)
-        )
-        interp = interpretation_of(s)
-        key = (id(interp), bound)
-        code = memo.get(key)
-        if code is None:  # a failed expansion raises here and is not stored
-            code = memo[key] = _expand_guard(interp, wrapper, types, bound)
-        return code(s, asg)
-
-    return guard
-
-
 def _may_hold_concept(vocab: Vocabulary, type_name: str | None) -> bool:
     """Whether a variable of this declared type (None: undeclared) may be
     bound to a concept: Universe, Concept, a type below Concept, or a type
@@ -815,25 +804,6 @@ def _may_hold_concept(vocab: Vocabulary, type_name: str | None) -> bool:
         or not vocab.has_type(type_name)
         or is_subtype(vocab, type_name, CONCEPT)
     )
-
-
-def _expand_guard(
-    interp: grounding.GroundInterpretation,
-    wrapper: ast.Formula,
-    types: dict[str, str],
-    bound: tuple[tuple[str, ConceptObject], ...],
-) -> Code:
-    """Fix the concept-valued variables, ground that instance of the
-    wrapper with `grounding.ground` (expanding its concept quantifiers,
-    resolving the dereferences the bindings unlock and elaborating its
-    guards), and compile the result."""
-    body = wrapper.body
-    remaining_types = dict(types)
-    for var, concept in bound:
-        body = ast.substitute(body, var, ast.ConceptRef(concept))
-        remaining_types.pop(var, None)
-    expanded = grounding.ground(type(wrapper)(body), interp, remaining_types)
-    return _compiled(interp.vocab, expanded, remaining_types)
 
 
 # -- satisfaction ----------------------------------------------------------------------
@@ -966,9 +936,14 @@ def parse_structure(text: str, vocab: Vocabulary, nat_bound: int | None = None) 
             true_rows: set[Row] = set()
 
             def row() -> None:
+                loc = stream.peek().loc
                 args = row_args()
                 if stream.accept_op("->"):
-                    mapping[args] = element()
+                    result = element()
+                    if mapping.setdefault(args, result) != result:
+                        shown = ", ".join(str(e) for e in args)
+                        message = f"{name_tok.text!r} maps ({shown}) to two results"
+                        raise StructureError(message, loc)
                 elif sig.is_predicate:
                     true_rows.add(args)
                 else:

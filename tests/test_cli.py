@@ -485,3 +485,100 @@ def test_check_names_the_dereference_head_that_does_not_reduce(tmp_path):
         f"{theory}:6:33: error: UnresolvableDeref: "
         "dereference head favourite(c) does not reduce to a concept",
     ]
+
+
+STRUCTURE_THEORY = """\
+type Animal
+type Cat <: Animal
+const tom : Cat
+func age : Animal -> Nat
+func choose : Bool -> Animal
+pred likes : Animal * Animal
+type Sound <: Concept := { likes }
+func sound : Animal -> Sound
+axiom a: likes(tom, tom)
+"""
+STRUCTURE_HEAD = "type Animal = { t }\ntype Cat = { t }\ninterp tom = { () -> t }\n"
+STRUCTURE_TAIL = "interp choose = { (true) -> t, (false) -> t }\ninterp sound = { (t) -> `likes }\n"
+AGE = "interp age = { (t) -> 1 }\n"
+# (the rows after STRUCTURE_HEAD, the diagnostic after the file name); line
+# 4 is the first row after the head
+STRUCTURE_ERRORS = {
+    "wrong_arity": (
+        "interp likes = { (t) }\n" + AGE + STRUCTURE_TAIL,
+        ": error: StructureError: invalid structure: likes: ArityMismatch: "
+        "row of 'likes' has wrong arity",
+    ),
+    "built_in_type": (
+        "type Bool = { true }\n" + AGE + STRUCTURE_TAIL,
+        ": error: StructureError: invalid structure: Bool: ForcedInterpretation: "
+        "type 'Bool' is built in",
+    ),
+    "type_interpreted": (
+        "interp Animal = { t }\n" + AGE + STRUCTURE_TAIL,
+        ": error: StructureError: invalid structure: Animal: ForcedInterpretation: "
+        "'Animal' is not a user symbol open to interpretation",
+    ),
+    "repeated_element": (
+        "type Cat = { t, t }\n" + AGE + STRUCTURE_TAIL,
+        ": error: StructureError: invalid structure: Cat: DuplicateElement: "
+        "type 'Cat' repeats an element",
+    ),
+    "unknown_concept": (
+        "interp sound = { (t) -> `nosuch }\n",
+        ":4:26: error: StructureError: unknown concept name 'nosuch'",
+    ),
+    "bad_element": (
+        "interp likes = { (t, +) }\n",
+        ":4:22: error: ParseError: expected a domain element, found '+'",
+    ),
+    "duplicate_interp": (
+        "interp likes = { }\ninterp likes = { }\n",
+        ":5:8: error: StructureError: duplicate interpretation for 'likes'",
+    ),
+    "predicate_row_with_result": (
+        "interp likes = { (t, t) -> true }\n",
+        ":4:8: error: ParseError: predicate 'likes' rows must not map to results",
+    ),
+    "other_statement": (
+        "axiom x\n",
+        ":4:1: error: ParseError: expected 'type' or 'interp', found 'axiom'",
+    ),
+    "conflicting_rows": (
+        "interp age = { (t) -> 1, (t) -> 2 }\n",
+        ":4:26: error: StructureError: 'age' maps (t) to two results",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURE_ERRORS))
+def test_a_bad_structure_file_ends_in_one_diagnostic_with_exit_two(tmp_path, name):
+    theory = tmp_path / "t.gos"
+    theory.write_text(STRUCTURE_THEORY)
+    rows, diagnostic = STRUCTURE_ERRORS[name]
+    structure = tmp_path / "t.str"
+    structure.write_text(STRUCTURE_HEAD + rows)
+    assert run("eval", str(theory), "--structure", str(structure)) == (2, f"{structure}{diagnostic}\n")
+
+
+def test_truth_values_are_structure_elements(tmp_path):
+    theory = tmp_path / "t.gos"
+    theory.write_text(STRUCTURE_THEORY + "axiom b: !v[Bool]: choose(v) = tom\n")
+    structure = tmp_path / "t.str"
+    structure.write_text(STRUCTURE_HEAD + "interp likes = { (t, t) }\n" + AGE + STRUCTURE_TAIL)
+    assert run("eval", str(theory), "--structure", str(structure)) == (0, "a: true\nb: true\n")
+
+
+@pytest.mark.parametrize(
+    "declaration, message",
+    [
+        ("func f : A -> Nat", "symbol 'f' ranges over Nat; set a nat bound"),
+        ("pred u : Universe", "symbol 'u' ranges over Universe, which model search does not enumerate"),
+        ("type K <: Concept\nconst c : K", "concept type 'K' has no declared extension"),
+    ],
+    ids=["nat", "universe", "no_extension"],
+)
+def test_models_refuses_a_space_it_cannot_enumerate(tmp_path, declaration, message):
+    theory = tmp_path / "t.gos"
+    theory.write_text(f"type A\n{declaration}\naxiom x: true\n")
+    assert run("models", str(theory), "--bound", "A=1") == (1, f"{theory}: error: BoundMissing: {message}\n")

@@ -365,3 +365,75 @@ def test_errors_come_in_the_staged_order():
         ground(f, interp)
     with pytest.raises(IncomparableTypes):
         ground(parse_formula("<<c: p(c)>> & $(`a)()", vocab), interp)
+
+
+NESTED_HEAD = """\
+type A0
+pred p0 : A0
+pred p1 : A0
+type K <: Concept := { p0, p1 }
+func f : K -> K
+func g : K -> K
+define f(`p0) = `p1
+define f(`p1) = `p0
+define g(`p0) = `p0
+define g(`p1) = `p1
+axiom nested: !t[A0]: ?k[K]: $(f(g(k)))(t)
+"""
+NESTED_STRUCTURE = """\
+type A0 = { t0, t1 }
+interp p0 = { t0 }
+interp p1 = { t1 }
+interp f = { (`p0) -> `p1, (`p1) -> `p0 }
+interp g = { (`p0) -> `p0, (`p1) -> `p1 }
+"""
+
+
+def test_a_head_nested_below_an_application_reduces_through_the_facts(tmp_path, monkeypatch):
+    """f(g(k)) is not an application to references once k is bound, so
+    `_reduce_head` reduces it, through g's fact and then f's; `check`,
+    `ground --trace` and `eval` print what the staged reference prints."""
+    import io
+
+    import reference_eval
+    import reference_typecheck as ref_checker
+    import reference_walkers as ref
+
+    from gosil import cli, grounding
+    from gosil.cli import main
+
+    theory = tmp_path / "nested.gos"
+    theory.write_text(NESTED_HEAD)
+    structure = tmp_path / "nested.str"
+    structure.write_text(NESTED_STRUCTURE)
+
+    def outputs():
+        found = []
+        for argv in (["check"], ["ground", "--trace"], ["eval", "--structure", str(structure)]):
+            out = io.StringIO()
+            found.append((main([argv[0], str(theory), *argv[1:]], out=out), out.getvalue()))
+        return found
+
+    reduced = []
+    reduce_head = grounding._reduce_head
+    monkeypatch.setattr(
+        grounding, "_reduce_head", lambda interp, head: reduced.append(head) or reduce_head(interp, head)
+    )
+    found = outputs()
+    assert {ast.format_term(head) for head in reduced} == {"f(g(`p0))", "f(g(`p1))"}
+    assert found == [
+        (0, "nested: well-typed\nnested: typed via grounding: !t[A0]: p1(t) | p0(t)\n"),
+        (0, "nested: original: !t[A0]: ?k[K]: $(f(g(k)))(t)\n"
+            "nested: grounded concept quantifiers: !t[A0]: $(f(g(`p0)))(t) | $(f(g(`p1)))(t)\n"
+            "nested: eliminated intensional terms: !t[A0]: p1(t) | p0(t)\n"),
+        (0, "nested: true\n"),
+    ]
+
+    def staged(theory, sentence, steps=None):
+        return ref_checker.staged_check_sentence(theory, sentence)
+
+    monkeypatch.setattr(cli, "check_sentence", staged)
+    monkeypatch.setattr(cli, "ground_trace", ref.ground_trace)
+    monkeypatch.setattr(cli, "evaluate", reference_eval.evaluate)
+    monkeypatch.setattr(grounding, "ground", ref.ground)
+    assert outputs() == found

@@ -20,7 +20,7 @@ from reference_walkers import dependencies, has_guards
 from test_models import small_theory
 
 from gosil import ast, models, semantics
-from gosil.errors import GosilError
+from gosil.errors import BoundMissing, GosilError
 from gosil.grounding import grounded_dependencies, interpretation
 from gosil.models import _Enumeration, find_models
 from gosil.parser import parse_theory
@@ -384,6 +384,38 @@ def test_subtype_domains_agree_with_reference(axioms, limit):
         assert kind == "models" and len(found[0]) == (limit or len(found[0])) > 0
 
 
+BUILT_IN_SUBTYPES = {
+    # B over the nonempty subsets of {0, 1}, p over the subsets of B: p is
+    # nonempty in 1 + 1 + 3 candidates
+    "nat": ("type A\ntype B <: Nat\npred p : B\naxiom x: ?b[B]: p(b)\n", 5),
+    # the same count over {true, false}
+    "bool": ("type A\ntype B <: Bool\npred p : B\naxiom x: ?b[B]: p(b)\n", 5),
+    # {a0} and {0, 1} share no element, so C has no nonempty set
+    "both": ("type A\ntype C <: A, Nat\npred p : C\naxiom x: ?c[C]: p(c)\n", 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_IN_SUBTYPES))
+def test_a_subtype_of_a_built_in_type_ranges_over_its_elements(name):
+    """The reference finder cannot search these theories, so the counts are
+    counted by hand."""
+    text, count = BUILT_IN_SUBTYPES[name]
+    found = find_models(parse_theory(text), {"A": 1}, nat_bound=1)
+    assert len(found) == count
+    for structure in found:
+        (subtype,) = (t for t in structure.type_sets if t != "A")
+        built_in = "Bool" if name == "bool" else "Nat"
+        elements = structure.type_sets[subtype]
+        assert elements and all(structure.member(e, built_in) for e in elements)
+
+
+def test_a_subtype_of_nat_needs_a_nat_bound():
+    text, _ = BUILT_IN_SUBTYPES["nat"]
+    with pytest.raises(BoundMissing) as info:
+        find_models(parse_theory(text), {"A": 1})
+    assert info.value.message == "type 'B' ranges over Nat; set a nat bound"
+
+
 def test_options_are_shared_by_type_sets_giving_equal_domains():
     theory = parse_theory(SUBTYPE_DOMAINS + DOMAIN_AXIOMS["guarded"])
     enumeration = _Enumeration(theory, {"A": 2}, nat_bound=0)
@@ -516,7 +548,7 @@ def test_search_expands_no_wrapper_and_binds_no_dereference(sounds_path, monkeyp
     def refuse(*args, **kwargs):
         raise AssertionError("model search evaluated an axiom as written")
 
-    for name in ("_compile_guard", "_expand_guard", "_compile_deref"):
+    for name in ("_grounded", "_compile_deref"):
         monkeypatch.setattr(semantics, name, refuse)
     # a fresh vocabulary holds no code compiled before the patch
     found = find_models(parse_theory(sounds_path.read_text()), {"Animal": 2}, nat_bound=3)

@@ -164,6 +164,25 @@ def test_define_requires_concept_function():
         parse_theory("type A\nfunc f : A -> A\nconst c : A\ndefine f(`c) = `c")
 
 
+DEFINE_HEAD = "type A\npred p : A\npred q : A\ntype K <: Concept := { p, q }\nfunc f : K -> K\n"
+
+
+@pytest.mark.parametrize(
+    "define, error, message, column",
+    [
+        ("define f(`p, `q) = `q", ArityError, "'f' expects 1 argument(s), got 2", 8),
+        ("define f(`nosuch) = `q", UnknownIdentifier, "unknown concept name 'nosuch'", 10),
+        ("define f(`p) = `nosuch", UnknownIdentifier, "unknown concept name 'nosuch'", 16),
+    ],
+    ids=["arity", "unknown_argument", "unknown_value"],
+)
+def test_a_bad_define_is_located(define, error, message, column):
+    with pytest.raises(error) as info:
+        parse_theory(DEFINE_HEAD + define)
+    assert info.value.message == message
+    assert (info.value.loc.line, info.value.loc.column) == (6, column)
+
+
 def test_free_variable_listing(vocab):
     f = parse_formula("?a[Animal]: meow(b)", vocab, {"b": "Cat"})
     assert ast.free_variables(f) == frozenset({"b"})

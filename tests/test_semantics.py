@@ -1,5 +1,10 @@
+import itertools
+import random
+
 import pytest
 
+from generators import fuzz_vocabulary, random_formula
+from reference_walkers import desugar
 from test_acceptance import _oracle_structures
 
 from gosil import ast
@@ -255,10 +260,80 @@ def test_structure_parse_errors(vocab):
         parse_structure("type Animal = { }", vocab)  # empty type, missing graphs
 
 
+@pytest.mark.parametrize("rows", ["(t) -> 3, (t) -> 5, (d) -> 3", "(t) -> 5, (d) -> 3, (t) -> 3"])
+def test_conflicting_function_rows_are_refused_in_either_order(vocab, s0_path, rows):
+    text = s0_path.read_text().replace("interp age = { (t) -> 3, (d) -> 5 }", f"interp age = {{ {rows} }}")
+    with pytest.raises(StructureError) as info:
+        parse_structure(text, vocab)
+    assert info.value.message == "'age' maps (t) to two results"
+    assert info.value.loc is not None and info.value.loc.line == 8
+
+
+def test_repeated_equal_function_rows_are_accepted(vocab, s0, s0_path):
+    text = s0_path.read_text().replace("(t) -> 3, (d) -> 5", "(t) -> 3, (d) -> 5, (t) -> 3")
+    assert parse_structure(text, vocab) == Structure(vocab, s0.type_sets, s0.graphs, None)
+
+
 def test_shortcut_coherence_on_s0(vocab, s0, axioms):
     for label in ("making_sound_def", "all_specific", "sound_by_witness"):
         f = axioms[label]
-        assert evaluate(s0, f) == evaluate(s0, ast.desugar(f))
+        assert evaluate(s0, f) == evaluate(s0, desugar(f))
+
+
+def _random_fuzz_structure(rng: random.Random, vocab) -> Structure:
+    """A valid structure over the fuzz vocabulary: one to three animals, a
+    random cat (at least tom) and dog part, and random graphs."""
+    animals = tuple(PlainElement(f"a{i}") for i in range(rng.randint(1, 3)))
+    cats = (animals[0],) + tuple(a for a in animals[1:] if rng.random() < 0.5)
+    dogs = tuple(a for a in animals if rng.random() < 0.5) or animals[-1:]
+    naturals = [NaturalElement(i) for i in range(3)]
+
+    def pick(elems):
+        return {e for e in elems if rng.random() < 0.5}
+
+    graphs = {
+        "age": FunctionGraph.for_function("age", {(a,): rng.choice(naturals) for a in animals}),
+        "tom": FunctionGraph.for_function("tom", {(): cats[0]}),
+        "meow": FunctionGraph.for_predicate("meow", {(c,) for c in pick(cats)}),
+        "bark": FunctionGraph.for_predicate("bark", {(d,) for d in pick(dogs)}),
+        "likes": FunctionGraph.for_predicate("likes", pick(itertools.product(animals, animals))),
+        "shift": FunctionGraph.for_function(
+            "shift", {(m, n): rng.choice(naturals) for m in naturals for n in naturals}
+        ),
+        "raining": FunctionGraph.for_predicate("raining", pick([()])),
+    }
+    sets = {"Animal": animals, "Cat": cats, "Dog": dogs}
+    structure, report = assemble_structure(vocab, sets, graphs, nat_bound=2)
+    assert report.ok, report
+    return structure
+
+
+def _outcome(structure, sentence):
+    try:
+        return evaluate(structure, sentence)
+    except Exception as err:  # the class is what is compared
+        return type(err)
+
+
+def test_random_sentences_agree_with_their_desugared_forms():
+    """A sentence and its core-connective form have one value, or raise one
+    error class, on random structures; a sentence holding a guard wrapper
+    has no core form and is skipped."""
+    rng = random.Random(2_026_1022)
+    vocab = fuzz_vocabulary()
+    structures = [_random_fuzz_structure(rng, vocab) for _ in range(6)]
+    kinds = {"value": 0, "raised": 0}
+    for _ in range(600):
+        sentence = random_formula(rng, vocab, [], depth=4)
+        try:
+            core = desugar(sentence)
+        except TypeError:
+            continue
+        for structure in structures:
+            found = _outcome(structure, sentence)
+            assert found == _outcome(structure, core), ast.format_formula(sentence)
+            kinds["value" if isinstance(found, bool) else "raised"] += 1
+    assert kinds["value"] > 500 and kinds["raised"] > 200, kinds
 
 
 def test_excluded_middle_on_s0(vocab, s0):

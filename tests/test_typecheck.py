@@ -1,7 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
 
+import reference_typecheck as ref_checker
 from generators import guarded_dereference_instance, random_vocabulary
 from gosil import ast
 from gosil.errors import TypingError
@@ -338,3 +340,44 @@ def test_validator_accepts_grounded_equality_atom():
     assert spine(d) == ("T-app", ["T-app", "T-app"])
     assert tuple(p.type_name for p in d.premises) == ("A", "A")
     assert validate_derivation(theory.vocabulary, d)
+
+
+def _at(derivation, *path):
+    """The premise reached from `derivation` by the premise indices `path`."""
+    for i in path:
+        derivation = derivation.premises[i]
+    return derivation
+
+
+def _premise_replaced(derivation, index, **changes):
+    premises = list(derivation.premises)
+    premises[index] = replace(premises[index], **changes)
+    return replace(derivation, premises=tuple(premises))
+
+
+def test_validate_derivation_refuses_each_tampered_field(running_example, axioms):
+    """Each tampered node below is refused by its own schema check, while
+    every premise under it still instantiates its rule."""
+    vocab = running_example.vocabulary
+    each = check_sentence(running_example, axioms["each_its_sound"])  # T-all, T-and, G-i, ...
+    some = check_sentence(running_example, axioms["implicit_meow"])  # T-ex, G-c, ...
+    conjunction, implication, guarded = _at(each, 0), _at(each, 0, 0), _at(some, 0)
+    application = _at(implication, 1)  # meow(a), from a : Cat
+    assert (conjunction.rule, implication.rule, guarded.rule, application.rule) == (
+        "T-and", "G-i", "G-c", "T-app"
+    )
+    meow_a = guarded.expr.right
+    tampered = {
+        "rule": replace(each, rule="T-bogus"),
+        "premise count": replace(conjunction, premises=conjunction.premises[:1]),
+        "premise expression": _premise_replaced(application, 0, expr=ast.Variable("b")),
+        "premise type": _premise_replaced(application, 0, type_name="Dog"),
+        "guard premise below Universe": _premise_replaced(implication, 0, type_name="Animal"),
+        "guard not a type predicate": replace(guarded, expr=ast.And(meow_a, meow_a)),
+    }
+    for derivation in (each, some, conjunction, implication, guarded, application):
+        assert validate_derivation(vocab, derivation)
+    for what, derivation in tampered.items():
+        assert not validate_derivation(vocab, derivation), what
+        assert not ref_checker.validate_derivation(vocab, derivation), what
+        assert all(validate_derivation(vocab, p) for p in derivation.premises), what

@@ -89,8 +89,7 @@ def walker_pairs(f: ast.Formula):
     for var in FUZZ_FREE_VARS:
         for replacement in (MEOW, TOM_AGE):
             yield "substitute", ast.substitute, ref.substitute, (f, var, replacement)
-    for name in ("atom_count", "desugar"):
-        yield name, getattr(ast, name), getattr(ref, name), (f,)
+    yield "atom_count", ast.atom_count, ref.atom_count, (f,)
     yield "format_formula", ast.format_formula, ref.format_formula, (f,)
     for term in (n for n in ast.walk(f) if isinstance(n, ast.Term)):
         yield "format_term", ast.format_term, ref.format_term, (term,)
@@ -126,7 +125,7 @@ def test_walkers_agree_with_reference_on_random_formulas():
     for f in random_cases(1000, 20_261_019):
         agree(f, seen)
     # the corpus reaches both outcomes of the walkers that raise on it
-    for name in ("desugar", "ground_trace", "dependencies", "ground", "elaborate"):
+    for name in ("ground_trace", "dependencies", "ground", "elaborate"):
         assert {(name, "value"), (name, "raised")} <= seen, name
 
 
@@ -559,8 +558,6 @@ def test_walkers_handle_trees_deeper_than_the_recursion_limit(build):
         grounding.elaborate(CTX, tree),
     ):
         assert ast.format_formula(copy) == spelled_chain(tree, "likes(x, tom)")
-    # each conjunction becomes ~(~l | ~r): three more nodes
-    assert len(list(ast.walk(ast.desugar(tree)))) == (nodes if chain else nodes + 3 * (DEPTH - 1))
 
 
 @pytest.mark.parametrize(
@@ -675,7 +672,6 @@ REWRITTEN = (
     "ast.free_variables",
     "ast.substitute",
     "ast.atom_count",
-    "ast.desugar",
     "ast.format_term",
     "ast.format_formula",
     "ast._spell",
